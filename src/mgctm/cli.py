@@ -173,26 +173,39 @@ def _load_truth(ns, corpus):
     return truth
 
 
-def cmd_train(ns):
-    _require(ns, "corpus", "model", "clusters", "local_topics", "global_topics")
-    corpus = _load_corpus(ns)
+def _fit_mgctm(ns, corpus, k, seed, **schedule):
+    """Fit MGCTM with the shared shape, schedule and --init flags.
+
+    ``schedule`` holds the HyperConfig fields a subcommand sets beyond
+    those; the rest keep HyperConfig's defaults.
+    """
     config = HyperConfig(
-        num_clusters=ns.clusters,
+        num_clusters=k,
         local_topics_per_cluster=ns.local_topics,
         num_global_topics=ns.global_topics,
         max_em_iters=ns.max_em_iters,
-        e_step_iters=ns.e_step_iters,
         elbo_rel_tol=ns.tol,
-        seed=ns.seed,
+        seed=seed,
         init_scheme="from_labels" if ns.init == "lda-naive" else "random",
-        prior_update=ns.prior_update.replace("-", "_"),
+        **schedule,
     )
     init_labels = None
     if ns.init == "lda-naive":
-        lda, _ = baselines.fit_lda(corpus, ns.clusters, seed=ns.seed)
+        lda, _ = baselines.fit_lda(corpus, k, seed=seed)
         init_labels = baselines.lda_naive_cluster(lda)
-    params, _, report = fit(
-        config, corpus, init_labels=init_labels, threads=ns.threads
+    return fit(config, corpus, init_labels=init_labels, threads=ns.threads)
+
+
+def cmd_train(ns):
+    _require(ns, "corpus", "model", "clusters", "local_topics", "global_topics")
+    corpus = _load_corpus(ns)
+    params, _, report = _fit_mgctm(
+        ns,
+        corpus,
+        ns.clusters,
+        ns.seed,
+        e_step_iters=ns.e_step_iters,
+        prior_update=ns.prior_update.replace("-", "_"),
     )
     for i, value in enumerate(report.elbo_trace):
         print(f"iter={i} elbo={value:.6f}")
@@ -305,20 +318,7 @@ def cmd_synth(ns):
 
 def _bench_predictions(method, corpus, k, seed, ns):
     if method == "mgctm":
-        config = HyperConfig(
-            num_clusters=k,
-            local_topics_per_cluster=ns.local_topics,
-            num_global_topics=ns.global_topics,
-            max_em_iters=ns.max_em_iters,
-            elbo_rel_tol=ns.tol,
-            seed=seed,
-            init_scheme="from_labels" if ns.init == "lda-naive" else "random",
-        )
-        init_labels = None
-        if ns.init == "lda-naive":
-            lda, _ = baselines.fit_lda(corpus, k, seed=seed)
-            init_labels = baselines.lda_naive_cluster(lda)
-        _, states, _ = fit(config, corpus, init_labels=init_labels, threads=ns.threads)
+        _, states, _ = _fit_mgctm(ns, corpus, k, seed)
         return np.array([predict_cluster(s) for s in states], dtype=np.int64)
     if method == "lda-naive":
         lda, _ = baselines.fit_lda(

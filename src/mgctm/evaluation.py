@@ -110,8 +110,9 @@ def clustering_accuracy(pred, truth):
 def nmi(pred, truth):
     """Normalized mutual information in [0, 1].
 
-    If either marginal entropy is zero the ratio is 0/0; by convention
-    identical partitions score 1.0 and anything else scores 0.0.
+    If either marginal entropy is zero the ratio is 0/0. An entropy is
+    zero only for a constant labeling, so by convention two constant
+    labelings (the same partition) score 1.0 and anything else 0.0.
     """
     table = contingency(pred, truth).astype(float)
     n = table.sum()
@@ -123,25 +124,9 @@ def nmi(pred, truth):
     h_pred = -xlogy(p_pred, p_pred).sum()
     h_truth = -xlogy(p_truth, p_truth).sum()
     if h_pred == 0.0 or h_truth == 0.0:
-        same = _same_partition(_as_labels(pred).labels, _as_labels(truth).labels)
-        return 1.0 if same else 0.0
+        return 1.0 if h_pred == 0.0 and h_truth == 0.0 else 0.0
     outer = p_pred[:, None] * p_truth[None, :]
     mask = joint > 0
     mi = float((joint[mask] * np.log(joint[mask] / outer[mask])).sum())
     return mi / float(np.sqrt(h_pred * h_truth))
 
-
-def _same_partition(a, b):
-    """True when two labelings induce the same partition of the indices."""
-    _, a_codes = np.unique(a, return_inverse=True)
-    _, b_codes = np.unique(b, return_inverse=True)
-    # Canonical relabeling by first appearance makes partitions comparable.
-    return np.array_equal(_canonical(a_codes), _canonical(b_codes))
-
-
-def _canonical(codes):
-    order = {}
-    out = np.empty_like(codes)
-    for i, c in enumerate(codes):
-        out[i] = order.setdefault(int(c), len(order))
-    return out

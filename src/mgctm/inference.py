@@ -17,10 +17,12 @@ reference over the other pathway's topic choice. The constants those
 references contribute (log-gamma of the local topic count, log of the
 topic counts) appear in the bound and the updates below.
 
-Documents are processed in fixed-size batches padded to the corpus-wide
-maximum distinct-term count; zero padded counts contribute exactly
-nothing to any update or bound term, and the fixed layout makes results
-bitwise independent of the thread count.
+Documents are processed in batches of a fixed number of documents, so
+results are bitwise independent of the thread count. Within a batch the
+documents' distinct terms sit end to end, one row per (document, term)
+pair, with no padding: a row-to-document index broadcasts per-document
+quantities to the rows, and segment sums collect row quantities per
+document. The same rows feed the M-step's scatter-add of expected counts.
 """
 
 import logging
@@ -109,142 +111,128 @@ def _safe_log(p):
         return np.log(p)
 
 
-def doc_log_beta(params, doc):
-    """Per-term log emission probabilities for one document.
-
-    Returns (local, global) arrays of shape (M, J, K) and (M, R) where M
-    is the document's distinct term count.
-    """
-    lb_l = _safe_log(params.local_topics[:, :, doc.word_ids])
-    lb_g = _safe_log(params.global_topics[:, doc.word_ids])
-    return lb_l.transpose(2, 0, 1).copy(), lb_g.T.copy()
-
-
 class _Batch:
-    """Padded arrays for a block of documents.
+    """A block of documents with their distinct terms laid end to end.
 
-    Every per-document quantity gains a leading batch axis; padded term
-    slots carry zero counts (and finite dummy log probabilities), which
-    makes them exact no-ops in every update and bound term.
+    Term-level arrays (counts, log emissions, tau, phi) hold one row per
+    (document, term) pair, documents in order; ``seg`` maps each row to
+    its document. Document-level arrays (zeta, lam, mu) hold one row per
+    document. Document quantities reach the rows by indexing with
+    ``seg``, and row quantities reach the documents by segment sums, so
+    no cell is padding.
     """
 
-    def __init__(self, params, docs, states, m_max, log_beta_local, log_beta_global):
-        n = len(docs)
-        j_dim = params.num_clusters
-        k_dim = params.local_topics_per_cluster
-        r_dim = params.num_global_topics
+    def __init__(self, params, docs, states):
+        sizes = [doc.word_ids.size for doc in docs]
         self.params = params
-        self.docs = docs
-        self.log_k = np.log(k_dim)
-        self.log_r = np.log(r_dim)
+        self.num_docs = len(docs)
+        # rows of document i are bounds[i]:bounds[i + 1]
+        self.bounds = np.concatenate([[0], np.cumsum(sizes)])
+        self.seg = np.repeat(np.arange(self.num_docs), sizes)
+        self.words = np.concatenate([doc.word_ids for doc in docs])
+        self.counts = np.concatenate([doc.counts for doc in docs]).astype(float)
+        self.log_k = np.log(params.local_topics_per_cluster)
+        self.log_r = np.log(params.num_global_topics)
+        self.lb_l = _safe_log(params.local_topics.transpose(2, 0, 1)[self.words])
+        self.lb_g = _safe_log(params.global_topics.T[self.words])
+        self.zeta = np.stack([s.zeta for s in states])
+        self.lam = np.stack([s.lam for s in states])
+        self.mu_l = np.stack([s.mu_local for s in states])
+        self.mu_g = np.stack([s.mu_global for s in states])
+        self.tau = np.concatenate([s.tau for s in states])
+        self.phi_l = np.concatenate([s.phi_local for s in states])
+        self.phi_g = np.concatenate([s.phi_global for s in states])
 
-        self.counts = np.zeros((n, m_max))
-        self.lb_l = np.zeros((n, m_max, j_dim, k_dim))
-        self.lb_g = np.zeros((n, m_max, r_dim))
-        self.zeta = np.empty((n, j_dim))
-        self.lam = np.empty((n, 2))
-        self.mu_l = np.empty((n, j_dim, k_dim))
-        self.mu_g = np.empty((n, r_dim))
-        self.tau = np.full((n, m_max), 0.5)
-        self.phi_l = np.full((n, m_max, j_dim, k_dim), 1.0 / k_dim)
-        self.phi_g = np.full((n, m_max, r_dim), 1.0 / r_dim)
-        for i, (doc, state) in enumerate(zip(docs, states)):
-            m = doc.word_ids.size
-            self.counts[i, :m] = doc.counts
-            self.lb_l[i, :m] = log_beta_local[:, :, doc.word_ids].transpose(2, 0, 1)
-            self.lb_g[i, :m] = log_beta_global[:, doc.word_ids].T
-            self.zeta[i] = state.zeta
-            self.lam[i] = state.lam
-            self.mu_l[i] = state.mu_local
-            self.mu_g[i] = state.mu_global
-            self.tau[i, :m] = state.tau
-            self.phi_l[i, :m] = state.phi_local
-            self.phi_g[i, :m] = state.phi_global
+    def _segsum(self, rows):
+        """Per-document sums of row quantities; a document with no terms sums to 0."""
+        out = np.zeros((self.num_docs,) + rows.shape[1:])
+        # reduceat needs strictly increasing starts below the row count,
+        # so only documents with terms get a segment
+        nonempty = self.bounds[:-1] < self.bounds[1:]
+        out[nonempty] = np.add.reduceat(rows, self.bounds[:-1][nonempty], axis=0)
+        return out
 
-    def _update_phi_local(self, act):
-        x_l = _elog_dir(self.mu_l[act])[:, None] + self.lb_l[act]
-        scale = (self.tau[act][:, :, None] * self.zeta[act][:, None, :])[..., None]
-        self.phi_l[act] = log_normalize(_scale0(scale, x_l), axis=-1)
+    def _update_phi_local(self):
+        x_l = _elog_dir(self.mu_l)[self.seg] + self.lb_l
+        scale = (self.tau[:, None] * self.zeta[self.seg])[..., None]
+        self.phi_l = log_normalize(_scale0(scale, x_l), axis=-1)
 
-    def _update_phi_global(self, act):
-        x_g = _elog_dir(self.mu_g[act])[:, None] + self.lb_g[act]
-        scale = (1.0 - self.tau[act])[:, :, None]
-        self.phi_g[act] = log_normalize(_scale0(scale, x_g), axis=-1)
+    def _update_phi_global(self):
+        x_g = _elog_dir(self.mu_g)[self.seg] + self.lb_g
+        scale = (1.0 - self.tau)[:, None]
+        self.phi_g = log_normalize(_scale0(scale, x_g), axis=-1)
 
-    def _update_tau(self, act):
-        x_l = _elog_dir(self.mu_l[act])[:, None] + self.lb_l[act]
-        x_g = _elog_dir(self.mu_g[act])[:, None] + self.lb_g[act]
-        local_score = _gdot(self.phi_l[act], x_l, axis=-1)
-        global_score = _gdot(self.phi_g[act], x_g, axis=-1)
-        lam = self.lam[act]
+    def _update_tau(self):
+        x_l = _elog_dir(self.mu_l)[self.seg] + self.lb_l
+        x_g = _elog_dir(self.mu_g)[self.seg] + self.lb_g
+        local_score = _gdot(self.phi_l, x_l, axis=-1)
+        global_score = _gdot(self.phi_g, x_g, axis=-1)
+        coin = psi(self.lam[:, 0]) - psi(self.lam[:, 1])
         logit = (
-            (psi(lam[:, 0]) - psi(lam[:, 1]))[:, None]
-            + _gdot(self.zeta[act][:, None, :], local_score, axis=-1)
+            coin[self.seg]
+            + _gdot(self.zeta[self.seg], local_score, axis=-1)
             + self.log_k
             - global_score
             - self.log_r
         )
-        self.tau[act] = expit(logit)
+        self.tau = expit(logit)
 
-    def _update_mu_local(self, act):
-        zeta = self.zeta[act]
-        ct = self.counts[act] * self.tau[act]
-        self.mu_l[act] = (
-            zeta[:, :, None] * self.params.local_priors[None]
-            + zeta[:, :, None] * (ct[:, :, None, None] * self.phi_l[act]).sum(axis=1)
-            + (1.0 - zeta)[:, :, None]
+    def _update_mu_local(self):
+        zeta = self.zeta[:, :, None]
+        ct = self.counts * self.tau
+        self.mu_l = (
+            zeta * self.params.local_priors[None]
+            + zeta * self._segsum(ct[:, None, None] * self.phi_l)
+            + (1.0 - zeta)
         )
 
-    def _update_mu_global(self, act):
-        cg = self.counts[act] * (1.0 - self.tau[act])
-        self.mu_g[act] = self.params.global_prior[None] + (
-            cg[:, :, None] * self.phi_g[act]
-        ).sum(axis=1)
-
-    def _update_lam(self, act):
-        ct = self.counts[act] * self.tau[act]
-        cg = self.counts[act] * (1.0 - self.tau[act])
-        self.lam[act] = self.params.gamma[None] + np.stack(
-            [ct.sum(axis=1), cg.sum(axis=1)], axis=1
+    def _update_mu_global(self):
+        cg = self.counts * (1.0 - self.tau)
+        self.mu_g = self.params.global_prior[None] + self._segsum(
+            cg[:, None] * self.phi_g
         )
 
-    def _update_zeta(self, act):
-        elog_l = _elog_dir(self.mu_l[act])
-        local_score = _gdot(self.phi_l[act], elog_l[:, None] + self.lb_l[act], axis=-1)
-        ct = self.counts[act] * self.tau[act]
+    def _update_lam(self):
+        ct = self.counts * self.tau
+        cg = self.counts * (1.0 - self.tau)
+        self.lam = self.params.gamma[None] + self._segsum(np.stack([ct, cg], axis=1))
+
+    def _update_zeta(self):
+        elog_l = _elog_dir(self.mu_l)
+        local_score = _gdot(self.phi_l, elog_l[self.seg] + self.lb_l, axis=-1)
+        ct = self.counts * self.tau
         cluster_logit = (
             _safe_log(self.params.pi)[None]
             + _dir_ep(self.params.local_priors[None], elog_l)
-            + (ct[:, :, None] * local_score).sum(axis=1)
+            + self._segsum(ct[:, None] * local_score)
         )
-        self.zeta[act] = log_normalize(cluster_logit, axis=-1)
+        self.zeta = log_normalize(cluster_logit, axis=-1)
 
-    def update(self, block, act):
-        """Apply one named closed-form block update to the ``act`` rows."""
+    def update(self, block):
+        """Apply one named closed-form block update to every document."""
         if block not in E_STEP_BLOCKS:
             raise ValueError(f"unknown coordinate block {block!r}")
-        getattr(self, "_update_" + block)(act)
+        getattr(self, "_update_" + block)()
 
-    def sweep(self, act):
-        """One coordinate pass over the documents indexed by ``act``."""
+    def sweep(self):
+        """One coordinate pass over every document."""
         for block in E_STEP_BLOCKS:
-            getattr(self, "_update_" + block)(act)
+            self.update(block)
 
-    def bound_terms(self, act):
+    def bound_terms(self):
         """Per-document bound split into the nine term groups, (n, 9)."""
         params = self.params
-        c = self.counts[act]
-        zeta = self.zeta[act]
-        tau = self.tau[act]
-        lam = self.lam[act]
-        mu_l = self.mu_l[act]
-        mu_g = self.mu_g[act]
-        phi_l = self.phi_l[act]
-        phi_g = self.phi_g[act]
+        seg = self.seg
+        c = self.counts
+        zeta = self.zeta
+        tau = self.tau
+        lam = self.lam
+        phi_l = self.phi_l
+        phi_g = self.phi_g
         k_dim = params.local_topics_per_cluster
 
-        elog_l = _elog_dir(mu_l)
-        elog_g = _elog_dir(mu_g)
+        elog_l = _elog_dir(self.mu_l)
+        elog_g = _elog_dir(self.mu_g)
         elog_w = _elog_dir(lam)
 
         t_cluster = _gdot(zeta, _safe_log(params.pi)[None], axis=-1)
@@ -253,36 +241,34 @@ class _Batch:
             axis=-1
         ) + (1.0 - zeta).sum(axis=-1) * gammaln(k_dim)
         t_global_prop = _dir_ep(params.global_prior[None], elog_g)
-        t_pathway = (
-            c * (tau * elog_w[:, :1] + (1.0 - tau) * elog_w[:, 1:])
-        ).sum(axis=-1)
 
-        scale = zeta[:, None, :] * tau[:, :, None]
-        phi_elog = (phi_l * elog_l[:, None]).sum(axis=-1)
-        t_local_z = (
-            c[:, :, None] * (scale * phi_elog - (1.0 - scale) * self.log_k)
-        ).sum(axis=(1, 2))
-        t_global_z = (
-            c
-            * (
-                (1.0 - tau) * (phi_g * elog_g[:, None]).sum(axis=-1)
-                - tau * self.log_r
-            )
-        ).sum(axis=-1)
-
-        em_l = _gdot(phi_l, self.lb_l[act], axis=-1)
-        em_l = _scale0(tau, _gdot(zeta[:, None, :], em_l, axis=-1))
-        em_g = _scale0(1.0 - tau, _gdot(phi_g, self.lb_g[act], axis=-1))
-        t_emission = (c * (em_l + em_g)).sum(axis=-1)
+        # term-level groups, one row per (document, term), summed per document
+        r_pathway = c * (tau * elog_w[seg, 0] + (1.0 - tau) * elog_w[seg, 1])
+        scale = zeta[seg] * tau[:, None]
+        phi_elog = (phi_l * elog_l[seg]).sum(axis=-1)
+        r_local_z = c * (scale * phi_elog - (1.0 - scale) * self.log_k).sum(axis=-1)
+        r_global_z = c * (
+            (1.0 - tau) * (phi_g * elog_g[seg]).sum(axis=-1) - tau * self.log_r
+        )
+        em_l = _scale0(tau, _gdot(zeta[seg], _gdot(phi_l, self.lb_l, axis=-1), axis=-1))
+        em_g = _scale0(1.0 - tau, _gdot(phi_g, self.lb_g, axis=-1))
+        r_emission = c * (em_l + em_g)
+        r_entropy = -c * (
+            xlogy(tau, tau)
+            + xlogy(1.0 - tau, 1.0 - tau)
+            + xlogy(phi_l, phi_l).sum(axis=(1, 2))
+            + xlogy(phi_g, phi_g).sum(axis=-1)
+        )
+        t_pathway, t_local_z, t_global_z, t_emission, t_words_entropy = self._segsum(
+            np.stack([r_pathway, r_local_z, r_global_z, r_emission, r_entropy], axis=1)
+        ).T
 
         t_entropy = (
             -xlogy(zeta, zeta).sum(axis=-1)
             - _dir_ep(lam, elog_w)
-            - _dir_ep(mu_l, elog_l).sum(axis=-1)
-            - _dir_ep(mu_g, elog_g)
-            - (c * (xlogy(tau, tau) + xlogy(1.0 - tau, 1.0 - tau))).sum(axis=-1)
-            - (c[:, :, None, None] * xlogy(phi_l, phi_l)).sum(axis=(1, 2, 3))
-            - (c[:, :, None] * xlogy(phi_g, phi_g)).sum(axis=(1, 2))
+            - _dir_ep(self.mu_l, elog_l).sum(axis=-1)
+            - _dir_ep(self.mu_g, elog_g)
+            + t_words_entropy
         )
         return np.stack(
             [
@@ -299,94 +285,74 @@ class _Batch:
             axis=1,
         )
 
-    def bound(self, act):
-        return self.bound_terms(act).sum(axis=1)
-
-    def run(self, sweeps, rel_tol=DOC_SWEEP_REL_TOL):
-        """Coordinate sweeps with per-document early exit.
-
-        A document stops once a sweep improves its bound by less than
-        ``rel_tol`` relative. Returns per-document sweep counts.
-        """
-        n = self.counts.shape[0]
-        act = np.arange(n)
-        prev = self.bound(act)
-        ran = np.zeros(n, dtype=np.int64)
-        for _ in range(sweeps):
-            self.sweep(act)
-            ran[act] += 1
-            val = self.bound(act)
-            keep = val - prev[act] >= rel_tol * np.maximum(1.0, np.abs(prev[act]))
-            prev[act] = val
-            act = act[keep]
-            if act.size == 0:
-                break
-        return ran
+    def bound(self):
+        return self.bound_terms().sum(axis=1)
 
     def writeback(self, states):
-        for i, (doc, state) in enumerate(zip(self.docs, states)):
-            m = doc.word_ids.size
+        for i, state in enumerate(states):
+            rows = slice(self.bounds[i], self.bounds[i + 1])
             state.zeta = self.zeta[i].copy()
             state.lam = self.lam[i].copy()
             state.mu_local = self.mu_l[i].copy()
             state.mu_global = self.mu_g[i].copy()
-            state.tau = self.tau[i, :m].copy()
-            state.phi_local = self.phi_l[i, :m].copy()
-            state.phi_global = self.phi_g[i, :m].copy()
+            state.tau = self.tau[rows].copy()
+            state.phi_local = self.phi_l[rows].copy()
+            state.phi_global = self.phi_g[rows].copy()
             state.validate()
 
 
-def _max_terms(corpus):
-    return max(doc.word_ids.size for doc in corpus.docs)
+def _coordinate_ascent(params, docs, states, sweeps, rel_tol=DOC_SWEEP_REL_TOL):
+    """Coordinate sweeps with per-document early exit, in place.
+
+    A document stops once a sweep improves its bound by less than
+    ``rel_tol`` relative. When one stops, every state is written back
+    and the batch is rebuilt from the documents still running. Returns
+    per-document sweep counts.
+    """
+    running = np.arange(len(docs))
+    ran = np.zeros(len(docs), dtype=np.int64)
+    done = 0
+    prev = None
+    while running.size and done < sweeps:
+        batch = _Batch(params, [docs[i] for i in running], [states[i] for i in running])
+        if prev is None:
+            prev = batch.bound()
+        keep = np.ones(running.size, dtype=bool)
+        while keep.all() and done < sweeps:
+            batch.sweep()
+            done += 1
+            ran[running] += 1
+            val = batch.bound()
+            keep = val - prev >= rel_tol * np.maximum(1.0, np.abs(prev))
+            prev = val
+        batch.writeback([states[i] for i in running])
+        running, prev = running[keep], prev[keep]
+    return ran
 
 
-def _doc_elbo_terms(params, doc, state):
-    batch = _make_doc_batch(params, doc, state)
-    return batch.bound_terms(np.array([0]))[0]
-
-
-def _make_doc_batch(params, doc, state):
-    lb_l_all = _safe_log(params.local_topics)
-    lb_g_all = _safe_log(params.global_topics)
-    return _Batch(params, [doc], [state], doc.word_ids.size, lb_l_all, lb_g_all)
+def _batch_slices(num_docs):
+    # A fixed batch size makes batch boundaries, and with them every
+    # float result, independent of the worker count.
+    return [slice(lo, lo + BATCH_DOCS) for lo in range(0, num_docs, BATCH_DOCS)]
 
 
 def doc_elbo(params, doc, state):
     """Evidence lower bound contribution of one document."""
-    return float(_doc_elbo_terms(params, doc, state).sum())
-
-
-def _iter_batches(corpus):
-    m_max = _max_terms(corpus)
-    for lo in range(0, corpus.num_docs, BATCH_DOCS):
-        hi = min(lo + BATCH_DOCS, corpus.num_docs)
-        yield lo, hi, m_max
-
-
-def elbo(params, states, corpus):
-    """Evidence lower bound of the whole corpus under the current states."""
-    lb_l_all = _safe_log(params.local_topics)
-    lb_g_all = _safe_log(params.global_topics)
-    total = 0.0
-    for lo, hi, m_max in _iter_batches(corpus):
-        batch = _Batch(
-            params, corpus.docs[lo:hi], states[lo:hi], m_max, lb_l_all, lb_g_all
-        )
-        total += float(batch.bound(np.arange(hi - lo)).sum())
-    return total
+    return float(_Batch(params, [doc], [state]).bound()[0])
 
 
 def elbo_breakdown(params, states, corpus):
     """Corpus bound split by term group; keys name what each group scores."""
-    lb_l_all = _safe_log(params.local_topics)
-    lb_g_all = _safe_log(params.global_topics)
     acc = np.zeros(len(ELBO_TERM_NAMES))
-    for lo, hi, m_max in _iter_batches(corpus):
-        batch = _Batch(
-            params, corpus.docs[lo:hi], states[lo:hi], m_max, lb_l_all, lb_g_all
-        )
-        acc += batch.bound_terms(np.arange(hi - lo)).sum(axis=0)
+    for rows in _batch_slices(corpus.num_docs):
+        batch = _Batch(params, corpus.docs[rows], states[rows])
+        acc += batch.bound_terms().sum(axis=0)
     return dict(zip(ELBO_TERM_NAMES, acc.tolist()))
+
+
+def elbo(params, states, corpus):
+    """Evidence lower bound of the whole corpus under the current states."""
+    return sum(elbo_breakdown(params, states, corpus).values())
 
 
 def e_step_doc(params, doc, state, sweeps, rel_tol=DOC_SWEEP_REL_TOL):
@@ -395,10 +361,7 @@ def e_step_doc(params, doc, state, sweeps, rel_tol=DOC_SWEEP_REL_TOL):
     Stops early once a pass improves the document's bound by less than
     ``rel_tol`` relative. Returns the number of passes run.
     """
-    batch = _make_doc_batch(params, doc, state)
-    ran = batch.run(sweeps, rel_tol=rel_tol)
-    batch.writeback([state])
-    return int(ran[0])
+    return int(_coordinate_ascent(params, [doc], [state], sweeps, rel_tol)[0])
 
 
 def update_block(params, doc, state, block):
@@ -408,33 +371,24 @@ def update_block(params, doc, state, block):
     that order; this entry point exists so each closed-form update can be
     exercised (and checked for per-block bound improvement) in isolation.
     """
-    batch = _make_doc_batch(params, doc, state)
-    batch.update(block, np.arange(1))
+    batch = _Batch(params, [doc], [state])
+    batch.update(block)
     batch.writeback([state])
     return state
 
 
 def _run_e_step(params, states, corpus, sweeps, threads):
-    lb_l_all = _safe_log(params.local_topics)
-    lb_g_all = _safe_log(params.global_topics)
-    blocks = list(_iter_batches(corpus))
+    def work(rows):
+        _coordinate_ascent(params, corpus.docs[rows], states[rows], sweeps)
 
-    def work(block):
-        lo, hi, m_max = block
-        batch = _Batch(
-            params, corpus.docs[lo:hi], states[lo:hi], m_max, lb_l_all, lb_g_all
-        )
-        batch.run(sweeps)
-        batch.writeback(states[lo:hi])
-
+    slices = _batch_slices(corpus.num_docs)
     if threads is not None and threads > 1:
-        # Batch boundaries are fixed and every batch touches a disjoint
-        # slice of states, so results are worker-count independent.
+        # Every batch touches a disjoint slice of states.
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, blocks))
+            list(pool.map(work, slices))
     else:
-        for block in blocks:
-            work(block)
+        for rows in slices:
+            work(rows)
 
 
 def infer_doc_states(params, corpus, sweeps=50, threads=None):
@@ -447,22 +401,15 @@ def infer_doc_states(params, corpus, sweeps=50, threads=None):
     Returns a list of DocVariational, one per document.
     """
     j_dim = params.num_clusters
-    k_dim = params.local_topics_per_cluster
-    r_dim = params.num_global_topics
-    states = []
-    for doc in corpus.docs:
-        m = doc.word_ids.size
-        states.append(
-            DocVariational(
-                zeta=np.full(j_dim, 1.0 / j_dim),
-                lam=np.ones(2),
-                mu_local=np.ones((j_dim, k_dim)),
-                mu_global=np.ones(r_dim),
-                tau=np.full(m, 0.5),
-                phi_local=np.full((m, j_dim, k_dim), 1.0 / k_dim),
-                phi_global=np.full((m, r_dim), 1.0 / r_dim),
-            )
+    states = [
+        DocVariational.symmetric(
+            np.full(j_dim, 1.0 / j_dim),
+            doc.word_ids.size,
+            params.local_topics_per_cluster,
+            params.num_global_topics,
         )
+        for doc in corpus.docs
+    ]
     _run_e_step(params, states, corpus, sweeps, threads)
     return states
 
@@ -479,14 +426,19 @@ def m_step(params, states, corpus, config):
     occupancy = zeta_mat.sum(axis=0)
     pi = occupancy / num_docs
 
-    beta_l = np.zeros((j_dim, k_dim, v_dim))
-    beta_g = np.zeros((r_dim, v_dim))
-    for doc, state in zip(corpus.docs, states):
-        c = doc.counts.astype(float)
-        ct = c * state.tau
-        local_w = (ct[:, None, None] * state.phi_local).transpose(1, 2, 0)
-        beta_l[:, :, doc.word_ids] += state.zeta[:, None, None] * local_w
-        beta_g[:, doc.word_ids] += ((c * (1.0 - state.tau))[:, None] * state.phi_global).T
+    # Accumulate term-major; word ids repeat across documents, so the
+    # scatter must sum repeated indices.
+    beta_l = np.zeros((v_dim, j_dim, k_dim))
+    beta_g = np.zeros((v_dim, r_dim))
+    for rows in _batch_slices(num_docs):
+        batch = _Batch(params, corpus.docs[rows], states[rows])
+        ct = batch.counts * batch.tau
+        cg = batch.counts * (1.0 - batch.tau)
+        local_w = ct[:, None, None] * batch.phi_l
+        np.add.at(beta_l, batch.words, batch.zeta[batch.seg][:, :, None] * local_w)
+        np.add.at(beta_g, batch.words, cg[:, None] * batch.phi_g)
+    beta_l = beta_l.transpose(1, 2, 0).copy()
+    beta_g = beta_g.T.copy()
 
     beta_l += TOPIC_SMOOTHING
     beta_l /= beta_l.sum(axis=-1, keepdims=True)

@@ -198,6 +198,20 @@ class DocVariational:
         if self.phi_global.size:
             _check_rows_stochastic(self.phi_global, "phi_global")
 
+    @classmethod
+    def symmetric(cls, zeta, num_terms, num_local, num_global):
+        """State with the given responsibilities and every other field flat."""
+        num_clusters = zeta.shape[0]
+        return cls(
+            zeta=zeta,
+            lam=np.ones(2),
+            mu_local=np.ones((num_clusters, num_local)),
+            mu_global=np.ones(num_global),
+            tau=np.full(num_terms, 0.5),
+            phi_local=np.full((num_terms, num_clusters, num_local), 1.0 / num_local),
+            phi_global=np.full((num_terms, num_global), 1.0 / num_global),
+        )
+
     def copy(self):
         return DocVariational(
             zeta=self.zeta.copy(),
@@ -361,7 +375,6 @@ def init_model(config, corpus, init_labels=None):
 
     states = []
     for d, doc in enumerate(corpus.docs):
-        m = doc.word_ids.size
         if j == 1:
             zeta = np.ones(1)
         elif labels is not None:
@@ -369,17 +382,7 @@ def init_model(config, corpus, init_labels=None):
             zeta[labels[d]] = 0.9
         else:
             zeta = rng.dirichlet(np.ones(j))
-        states.append(
-            DocVariational(
-                zeta=zeta,
-                lam=np.ones(2),
-                mu_local=np.ones((j, k)),
-                mu_global=np.ones(r),
-                tau=np.full(m, 0.5),
-                phi_local=np.full((m, j, k), 1.0 / k),
-                phi_global=np.full((m, r), 1.0 / r),
-            )
-        )
+        states.append(DocVariational.symmetric(zeta, doc.word_ids.size, k, r))
     return params, states
 
 

@@ -130,7 +130,13 @@ def dirichlet_mle(stats, init, max_iters=200, tol=1e-10):
         for _ in range(60):
             cand = np.clip(alpha - scale * step, ALPHA_FLOOR, ALPHA_CAP)
             cand_obj = dirichlet_objective(cand, stats)
-            if np.isfinite(cand_obj) and cand_obj >= obj:
+            # The objective is concave, so grad(cand) . (cand - alpha) >= 0
+            # implies cand_obj >= obj; unlike comparing objective values,
+            # this still resolves gains below their float resolution.
+            if np.isfinite(cand_obj) and (
+                cand_obj >= obj
+                or _dirichlet_gradient(cand, stats) @ (cand - alpha) >= 0.0
+            ):
                 if np.array_equal(cand, alpha):
                     # Clipping pinned us in place; no progress possible.
                     converged = True

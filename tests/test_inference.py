@@ -373,6 +373,61 @@ class TestInferDocStates:
             assert doc_elbo(params, doc, st) >= doc_elbo(params, doc, base) - 1e-9
 
 
+class TestRaggedBatches:
+    def test_empty_tiny_and_long_documents_across_batches(self, monkeypatch):
+        # Empty documents (one of them last), a one-term document and one
+        # document far longer than the rest, spread over several batches.
+        monkeypatch.setattr(inference_mod, "BATCH_DOCS", 2)
+        params = random_model_params(2, 2, 2, 60, seed=31)
+        sampled, _ = sample_corpus(params, 5, 10, seed=31)
+        long_doc = Document(np.arange(0, 60, 2), np.arange(1, 31))
+        docs = [
+            sampled.docs[0],
+            Document([7], [3]),
+            Document([], []),
+            long_doc,
+            *sampled.docs[1:],
+            Document([], []),
+        ]
+        corpus = Corpus(docs=docs, vocab_size=60)
+
+        states = infer_doc_states(params, corpus, sweeps=8, threads=2)
+        ref = sum(
+            oracles.reference_doc_bound(params, doc, st)
+            for doc, st in zip(docs, states)
+        )
+        assert math.isclose(elbo(params, states, corpus), ref, rel_tol=1e-10)
+
+        for doc, got in zip(docs, states):
+            m = doc.word_ids.size
+            alone = DocVariational(
+                zeta=np.full(2, 0.5),
+                lam=np.ones(2),
+                mu_local=np.ones((2, 2)),
+                mu_global=np.ones(2),
+                tau=np.full(m, 0.5),
+                phi_local=np.full((m, 2, 2), 0.5),
+                phi_global=np.full((m, 2), 0.5),
+            )
+            e_step_doc(params, doc, alone, sweeps=8)
+            for field in ("zeta", "lam", "mu_local", "mu_global", "tau",
+                          "phi_local", "phi_global"):
+                np.testing.assert_allclose(
+                    getattr(got, field), getattr(alone, field),
+                    rtol=1e-12, atol=1e-12, err_msg=field,
+                )
+
+        _, _, report = fit(
+            HyperConfig(2, 2, 2, max_em_iters=4, elbo_rel_tol=0.0, seed=2),
+            corpus,
+            threads=2,
+        )
+        trace = np.array(report.elbo_trace)
+        assert (
+            np.diff(trace) >= -1e-6 * np.maximum(1.0, np.abs(trace[:-1]))
+        ).all()
+
+
 class TestModelLevelInvariants:
     def test_fit_beats_uniform_topics_model(self):
         gen = random_model_params(2, 2, 2, 12, seed=20)
