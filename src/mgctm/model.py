@@ -21,6 +21,8 @@ logger = logging.getLogger(__name__)
 
 SIMPLEX_ATOL = 1e-9
 TOPIC_SMOOTHING = 1e-8
+# Tolerance of ``rng.choice`` on the sum of ``p``.
+CHOICE_ATOL = np.sqrt(np.finfo(np.float64).eps)
 
 
 @dataclass
@@ -258,6 +260,26 @@ class HiddenAssignments:
     global_z: list[np.ndarray]
 
 
+def _choice_cdf(p):
+    """Cumulative sums of probability rows, normalized as ``rng.choice`` does.
+
+    ``rng.choice(n, p=row)`` checks ``row``, takes ``c = row.cumsum();
+    c /= c[-1]`` and returns ``c.searchsorted(rng.random(), side="right")``;
+    cumulative sums along the last axis give the same bits row by row.
+    The same checks run here, once per row.
+    """
+    p = np.asarray(p, dtype=float)
+    if np.isnan(p).any():
+        raise ValueError("probabilities contain NaN")
+    if (p < 0).any():
+        raise ValueError("probabilities are not non-negative")
+    if (np.abs(p.sum(axis=-1) - 1.0) > CHOICE_ATOL).any():
+        raise ValueError("probabilities do not sum to 1")
+    cdf = np.cumsum(p, axis=-1)
+    cdf /= cdf[..., -1:]
+    return cdf
+
+
 def sample_corpus(params, num_docs, doc_length, seed=0):
     """Draw a corpus from the generative process.
 
@@ -265,6 +287,14 @@ def sample_corpus(params, num_docs, doc_length, seed=0):
     chosen cluster's prior; global proportions ~ Dir(global_prior);
     coin bias omega ~ Beta(gamma). Per word: indicator ~ Bern(omega);
     the indicated pathway picks a topic and the topic emits the word.
+
+    The output equals, bit for bit and for every seed, that of drawing
+    each categorical variable with ``rng.choice(n, p=row)`` in the
+    order: length, cluster, both proportions, omega, the n_d
+    indicators, then per token its topic and its word. Each such draw
+    consumes one ``rng.random()``, so a document's 2 * n_d topic and
+    word uniforms are drawn in one call and looked up in cumulative
+    tables built once per row.
 
     Args:
         params: generating ModelParams (validated here).
@@ -283,8 +313,14 @@ def sample_corpus(params, num_docs, doc_length, seed=0):
     if num_docs < 1:
         raise ConfigError("num_docs must be >= 1")
     rng = np.random.default_rng(seed)
-    j_dim = params.num_clusters
+    k_dim = params.local_topics_per_cluster
     v_dim = params.vocab_size
+    pi_cdf = _choice_cdf(params.pi)
+    # Rows of both tables, indexed by local topic (j, z) at j * K + z
+    # and global topic z at J * K + z.
+    word_cdf = list(_choice_cdf(params.local_topics).reshape(-1, v_dim))
+    word_cdf += list(_choice_cdf(params.global_topics))
+    global_row0 = params.num_clusters * k_dim
 
     docs = []
     clusters = np.empty(num_docs, dtype=np.int64)
@@ -294,27 +330,25 @@ def sample_corpus(params, num_docs, doc_length, seed=0):
         n_d = doc_length(rng) if callable(doc_length) else int(doc_length)
         if n_d < 1:
             raise ConfigError("document length must be >= 1")
-        eta = rng.choice(j_dim, p=params.pi)
-        theta_l = rng.dirichlet(params.local_priors[eta])
-        theta_g = rng.dirichlet(params.global_prior)
+        eta = int(pi_cdf.searchsorted(rng.random(), side="right"))
+        theta_l = _choice_cdf(rng.dirichlet(params.local_priors[eta]))
+        theta_g = _choice_cdf(rng.dirichlet(params.global_prior))
         omega = rng.beta(params.gamma[0], params.gamma[1])
 
         delta = rng.random(n_d) < omega
+        u_topic, u_word = rng.random((n_d, 2)).T
         z_l = np.full(n_d, -1, dtype=np.int64)
         z_g = np.full(n_d, -1, dtype=np.int64)
+        z_l[delta] = theta_l.searchsorted(u_topic[delta], side="right")
+        z_g[~delta] = theta_g.searchsorted(u_topic[~delta], side="right")
+        rows = np.where(delta, eta * k_dim + z_l, global_row0 + z_g)
         words = np.empty(n_d, dtype=np.int64)
-        for i in range(n_d):
-            if delta[i]:
-                z = rng.choice(params.local_topics_per_cluster, p=theta_l)
-                z_l[i] = z
-                words[i] = rng.choice(v_dim, p=params.local_topics[eta, z])
-            else:
-                z = rng.choice(params.num_global_topics, p=theta_g)
-                z_g[i] = z
-                words[i] = rng.choice(v_dim, p=params.global_topics[z])
+        for row in np.unique(rows):
+            at = rows == row
+            words[at] = word_cdf[row].searchsorted(u_word[at], side="right")
 
         ids, counts = np.unique(words, return_counts=True)
-        docs.append(Document(ids, counts, label=int(eta)))
+        docs.append(Document(ids, counts, label=eta))
         clusters[d] = eta
         omegas[d] = omega
         indicators.append(delta.astype(np.int64))

@@ -15,8 +15,9 @@ from scipy import integrate
 from scipy.optimize import minimize, minimize_scalar
 from scipy.special import gammaln, psi
 
-from mgctm.corpus import Document
-from mgctm.model import DocVariational, ModelParams
+from mgctm.corpus import Corpus, Document
+from mgctm.errors import ConfigError
+from mgctm.model import DocVariational, HiddenAssignments, ModelParams
 
 
 def _plogp(p):
@@ -681,3 +682,79 @@ def small_instance(seed, **dims):
     doc = random_small_doc(rng, params.vocab_size)
     state = random_doc_state(params, doc.word_ids.size, rng)
     return params, doc, state, rng
+
+
+# ---------------------------------------------------------------------------
+# Generative process.
+# ---------------------------------------------------------------------------
+
+
+def reference_sample_corpus(params, num_docs, doc_length, seed=0):
+    """Draw a corpus from the generative process, one ``rng.choice`` per token.
+
+    Every categorical variable is drawn with its own ``rng.choice`` call;
+    ``sample_corpus`` draws in bulk and must match this bit for bit.
+
+    Per document: cluster ~ Multi(pi); local proportions ~ Dir of the
+    chosen cluster's prior; global proportions ~ Dir(global_prior);
+    coin bias omega ~ Beta(gamma). Per word: indicator ~ Bern(omega);
+    the indicated pathway picks a topic and the topic emits the word.
+
+    Args:
+        params: generating ModelParams (validated here).
+        num_docs: number of documents to draw (>= 1).
+        doc_length: fixed token count per document, or a callable
+            rng -> int drawn per document.
+        seed: integer seed; output is deterministic given it.
+
+    Returns:
+        (Corpus, HiddenAssignments); Corpus documents carry the sampled
+        cluster as their ground-truth label.
+    """
+    params.validate()
+    if params.num_global_topics < 1:
+        raise ConfigError("sampler needs at least one global topic")
+    if num_docs < 1:
+        raise ConfigError("num_docs must be >= 1")
+    rng = np.random.default_rng(seed)
+    j_dim = params.num_clusters
+    v_dim = params.vocab_size
+
+    docs = []
+    clusters = np.empty(num_docs, dtype=np.int64)
+    omegas = np.empty(num_docs)
+    indicators, local_zs, global_zs = [], [], []
+    for d in range(num_docs):
+        n_d = doc_length(rng) if callable(doc_length) else int(doc_length)
+        if n_d < 1:
+            raise ConfigError("document length must be >= 1")
+        eta = rng.choice(j_dim, p=params.pi)
+        theta_l = rng.dirichlet(params.local_priors[eta])
+        theta_g = rng.dirichlet(params.global_prior)
+        omega = rng.beta(params.gamma[0], params.gamma[1])
+
+        delta = rng.random(n_d) < omega
+        z_l = np.full(n_d, -1, dtype=np.int64)
+        z_g = np.full(n_d, -1, dtype=np.int64)
+        words = np.empty(n_d, dtype=np.int64)
+        for i in range(n_d):
+            if delta[i]:
+                z = rng.choice(params.local_topics_per_cluster, p=theta_l)
+                z_l[i] = z
+                words[i] = rng.choice(v_dim, p=params.local_topics[eta, z])
+            else:
+                z = rng.choice(params.num_global_topics, p=theta_g)
+                z_g[i] = z
+                words[i] = rng.choice(v_dim, p=params.global_topics[z])
+
+        ids, counts = np.unique(words, return_counts=True)
+        docs.append(Document(ids, counts, label=int(eta)))
+        clusters[d] = eta
+        omegas[d] = omega
+        indicators.append(delta.astype(np.int64))
+        local_zs.append(z_l)
+        global_zs.append(z_g)
+
+    corpus = Corpus(docs=docs, vocab_size=v_dim)
+    hidden = HiddenAssignments(clusters, omegas, indicators, local_zs, global_zs)
+    return corpus, hidden

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from mgctm.errors import ConfigError, DimensionError
 from mgctm.model import (
     DocVariational,
@@ -11,6 +12,7 @@ from mgctm.model import (
     perturbed_uniform_rows,
     predict_cluster,
     random_model_params,
+    _choice_cdf,
     sample_corpus,
     top_words,
 )
@@ -247,6 +249,101 @@ class TestSampler:
             sample_corpus(params, 0, 10)
         with pytest.raises(ConfigError):
             sample_corpus(params, 3, 0)
+
+
+def _sparse_params():
+    """Point-mass rows and rows with zero-probability words, first and last."""
+    local = np.zeros((2, 2, 8))
+    local[0, 0, 3] = 1.0
+    local[0, 1, 1:7] = 1.0 / 6
+    local[1, 0, :4] = [0.5, 0.0, 0.25, 0.25]
+    local[1, 1, 7] = 1.0
+    glob = np.zeros((2, 8))
+    glob[0, 0] = 1.0
+    glob[1, 2:5] = [0.2, 0.0, 0.8]
+    return ModelParams(
+        pi=np.array([0.4, 0.6]),
+        gamma=np.array([2.0, 2.0]),
+        local_priors=np.full((2, 2), 0.7),
+        global_prior=np.full(2, 0.7),
+        local_topics=local,
+        global_topics=glob,
+    )
+
+
+def _zero_pi_params():
+    params = random_model_params(3, 2, 2, 10, seed=4)
+    params.pi = np.array([0.5, 0.0, 0.5])
+    return params
+
+
+def _random_length(rng):
+    return int(rng.integers(1, 40))
+
+
+class TestSamplerMatchesPerTokenReference:
+    """``sample_corpus`` equals the per-token ``rng.choice`` process bit for bit."""
+
+    @pytest.mark.parametrize(
+        "make_params, num_docs, doc_length",
+        [
+            pytest.param(lambda: random_model_params(1, 1, 1, 5, seed=0), 12, 9, id="J=K=R=1"),
+            pytest.param(_sparse_params, 15, 25, id="point-mass-and-zero-words"),
+            pytest.param(_zero_pi_params, 20, 10, id="pi-with-zero"),
+            pytest.param(tiny_params, 30, 1, id="length-1"),
+            pytest.param(tiny_params, 25, _random_length, id="callable-length"),
+            pytest.param(
+                lambda: random_model_params(2, 2, 2, 20000, seed=5), 6, 120, id="V=20000"
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bit_identical(self, make_params, num_docs, doc_length, seed):
+        params = make_params()
+        corpus, hidden = sample_corpus(params, num_docs, doc_length, seed=seed)
+        ref_corpus, ref_hidden = oracles.reference_sample_corpus(
+            params, num_docs, doc_length, seed=seed
+        )
+        assert corpus.vocab_size == ref_corpus.vocab_size
+        assert corpus.num_docs == ref_corpus.num_docs
+        for doc, ref in zip(corpus.docs, ref_corpus.docs):
+            assert type(doc.label) is type(ref.label) and doc.label == ref.label
+            for got, want in ((doc.word_ids, ref.word_ids), (doc.counts, ref.counts)):
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
+        for name in ("cluster", "omega", "indicator", "local_z", "global_z"):
+            got, want = getattr(hidden, name), getattr(ref_hidden, name)
+            if isinstance(want, np.ndarray):
+                got, want = [got], [want]
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype
+                np.testing.assert_array_equal(g, w)
+
+    @pytest.mark.parametrize(
+        "row, accepted",
+        [
+            ([0.5, np.nan, 0.5], False),
+            ([1.2, -0.2], False),
+            ([0.5, 0.4], False),
+            ([0.5, 0.5 + 2e-8], False),
+            ([0.5, 0.5 + 1e-8], True),
+            ([0.0, 1.0, 0.0], True),
+        ],
+    )
+    def test_row_checks_match_choice(self, row, accepted):
+        rng = np.random.default_rng(0)
+        if accepted:
+            cdf = _choice_cdf(row)
+            assert cdf[-1] == 1.0
+            assert rng.choice(len(row), p=row) == cdf.searchsorted(
+                np.random.default_rng(0).random(), side="right"
+            )
+            return
+        with pytest.raises(ValueError):
+            rng.choice(len(row), p=row)
+        with pytest.raises(ValueError):
+            _choice_cdf(row)
 
 
 class TestInitModel:
