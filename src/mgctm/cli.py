@@ -56,15 +56,6 @@ def _add_shared(parser):
     parser.add_argument("--config", help="JSON run-config file with defaults")
 
 
-def _add_schedule(parser):
-    """Flags that ``_fit_mgctm`` reads, shared by train and bench."""
-    parser.add_argument("--max-em-iters", type=int, help="EM iteration cap (default 100)")
-    parser.add_argument("--e-step-iters", type=int, help="coordinate sweeps per document (default 20)")
-    parser.add_argument("--tol", type=float, help="relative bound tolerance (default 1e-5; 0 disables)")
-    parser.add_argument("--init", choices=["random", "lda-naive"], help="initialization (default random)")
-    parser.add_argument("--prior-update", choices=["every-iter", "fixed"], help="prior re-estimation (default every-iter)")
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="mgctm",
@@ -77,7 +68,11 @@ def build_parser():
     p_train.add_argument("--clusters", type=int, help="number of clusters J")
     p_train.add_argument("--local-topics", type=int, help="local topics per cluster K")
     p_train.add_argument("--global-topics", type=int, help="shared global topics R")
-    _add_schedule(p_train)
+    p_train.add_argument("--max-em-iters", type=int, help="EM iteration cap (default 100)")
+    p_train.add_argument("--e-step-iters", type=int, help="coordinate sweeps per document (default 20)")
+    p_train.add_argument("--tol", type=float, help="relative bound tolerance (default 1e-5; 0 disables)")
+    p_train.add_argument("--init", choices=["random", "lda-naive"], help="initialization (default random)")
+    p_train.add_argument("--prior-update", choices=["every-iter", "fixed"], help="prior re-estimation (default every-iter)")
 
     p_eval = sub.add_parser("eval", help="score a clustering against true labels")
     _add_shared(p_eval)
@@ -111,7 +106,9 @@ def build_parser():
     p_bench.add_argument("--local-topics", type=int, help="local topics per cluster (default 1)")
     p_bench.add_argument("--global-topics", type=int, help="global topics (default 1)")
     p_bench.add_argument("--lda-topics", type=int, help="LDA topic count for lda-kmeans (default 60)")
-    _add_schedule(p_bench)
+    p_bench.add_argument("--max-em-iters", type=int, help="EM iteration cap (default 100)")
+    p_bench.add_argument("--tol", type=float, help="relative bound tolerance (default 1e-5)")
+    p_bench.add_argument("--init", choices=["random", "lda-naive"], help="model initialization (default random)")
     return parser
 
 
@@ -176,18 +173,21 @@ def _load_truth(ns, corpus):
     return truth
 
 
-def _fit_mgctm(ns, corpus, k, seed):
-    """Fit MGCTM with the shape, schedule and --init flags in ``ns``."""
+def _fit_mgctm(ns, corpus, k, seed, **schedule):
+    """Fit MGCTM with the shared shape, schedule and --init flags.
+
+    ``schedule`` holds the HyperConfig fields a subcommand sets beyond
+    those; the rest keep HyperConfig's defaults.
+    """
     config = HyperConfig(
         num_clusters=k,
         local_topics_per_cluster=ns.local_topics,
         num_global_topics=ns.global_topics,
         max_em_iters=ns.max_em_iters,
-        e_step_iters=ns.e_step_iters,
         elbo_rel_tol=ns.tol,
         seed=seed,
         init_scheme="from_labels" if ns.init == "lda-naive" else "random",
-        prior_update=ns.prior_update.replace("-", "_"),
+        **schedule,
     )
     init_labels = None
     if ns.init == "lda-naive":
@@ -199,7 +199,14 @@ def _fit_mgctm(ns, corpus, k, seed):
 def cmd_train(ns):
     _require(ns, "corpus", "model", "clusters", "local_topics", "global_topics")
     corpus = _load_corpus(ns)
-    params, _, report = _fit_mgctm(ns, corpus, ns.clusters, ns.seed)
+    params, _, report = _fit_mgctm(
+        ns,
+        corpus,
+        ns.clusters,
+        ns.seed,
+        e_step_iters=ns.e_step_iters,
+        prior_update=ns.prior_update.replace("-", "_"),
+    )
     for i, value in enumerate(report.elbo_trace):
         print(f"iter={i} elbo={value:.6f}")
     print(f"converged={str(report.converged).lower()} iterations={report.iterations_run}")

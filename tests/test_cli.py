@@ -4,7 +4,6 @@ import re
 import numpy as np
 import pytest
 
-from mgctm import cli
 from mgctm.baselines import LdaModel
 from mgctm.cli import main
 from mgctm.corpus import load_bow, load_labels
@@ -594,45 +593,6 @@ class TestBench:
         assert "mgctm.ac=" in out
         lines = out_path.read_text().strip().split("\n")
         assert lines[1].startswith("mgctm\t0\t")
-
-    def test_config_schedule_reaches_fit(self, tmp_path, capsys, monkeypatch):
-        seen = []
-        real_fit = cli.fit
-
-        def spy(config, *args, **kwargs):
-            seen.append(config)
-            return real_fit(config, *args, **kwargs)
-
-        monkeypatch.setattr(cli, "fit", spy)
-        paths = write_two_block_corpus(tmp_path)
-        config_path = tmp_path / "run.json"
-        config_path.write_text(
-            json.dumps(
-                {
-                    "format": "run-config",
-                    "version": 1,
-                    "max_em_iters": 2,
-                    "e_step_iters": 3,
-                    "prior_update": "fixed",
-                }
-            )
-        )
-        code, out, _ = run(
-            capsys,
-            "bench",
-            "--corpus", paths["bow"],
-            "--labels", paths["labels"],
-            "--methods", "mgctm",
-            "--seeds", "0,1",
-            "--config", str(config_path),
-            "--out", str(tmp_path / "report.tsv"),
-        )
-        assert code == 0
-        assert "mgctm.ac=" in out
-        assert [(c.seed, c.max_em_iters, c.e_step_iters, c.prior_update) for c in seen] == [
-            (0, 2, 3, "fixed"),
-            (1, 2, 3, "fixed"),
-        ]
 
     def test_partial_failure_reports_and_exits_nonzero(self, tmp_path, capsys):
         rows = ["1 1 2", "1 2 1", "2 3 2", "2 4 1"]
