@@ -7,6 +7,14 @@ the matching log-prior term so the trace stays monotone. Clustering
 baselines derive labels from it two ways (argmax of the document's topic
 proportions, or k-means on the proportion vectors) and k-means can also
 run directly on tf-idf vectors.
+
+LDA shares the main model's flat layout: the documents' distinct terms
+sit end to end, one row per (document, term) pair, and the E-step and
+the bound run over the same fixed batches of documents, with segment
+sums collecting row quantities per document. Results therefore depend
+on nothing but the inputs and the seed. Within a batch, every document
+sweeps until its bound stalls, and the sweeps go on over the documents
+still running.
 """
 
 import logging
@@ -14,12 +22,21 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, psi, xlogy
+from scipy.special import gammaln, xlogy
 
 from .errors import ConfigError, DegenerateInputError, NumericalError
-from .inference import DECREASE_SLACK, DOC_SWEEP_REL_TOL, _dir_ep, _safe_log
+from .inference import (
+    DECREASE_SLACK,
+    DOC_SWEEP_REL_TOL,
+    _batch_slices,
+    _dir_ep,
+    _elog_dir,
+    _gdot,
+    _safe_log,
+    _segsum,
+)
 from .model import FitReport, perturbed_uniform_rows
-from .numerics import log_normalize
+from .numerics import log_normalize_with_norm
 
 logger = logging.getLogger(__name__)
 
@@ -39,18 +56,90 @@ class LdaModel:
     alpha: float
 
 
-def _lda_doc_bound(alpha, num_topics, c, lb, gamma_d, phi):
-    # lb: (M, T) log word probabilities for this doc's distinct terms
-    elog = psi(gamma_d) - psi(gamma_d.sum())
-    t_prior = (
+def _lda_doc_terms(alpha, gamma, elog):
+    # per-document bound terms of the proportions: the expected log prior
+    # minus the expected log variational Dirichlet
+    num_topics = gamma.shape[-1]
+    return (
         gammaln(num_topics * alpha)
         - num_topics * gammaln(alpha)
-        + (alpha - 1.0) * elog.sum()
+        + (alpha - 1.0) * elog.sum(axis=-1)
+        - _dir_ep(gamma, elog)
     )
-    x = elog[None, :] + lb
-    t_words = (c[:, None] * phi * np.where(phi > 0, x, 0.0)).sum()
-    t_entropy = -_dir_ep(gamma_d, elog) - (c[:, None] * xlogy(phi, phi)).sum()
-    return t_prior + t_words + t_entropy
+
+
+def _lda_bound(alpha, gamma, phi, lb, c, bounds):
+    """Per-document bounds of a block of documents at a given phi.
+
+    gamma is (n, T); phi, the log topic probabilities lb and the counts c
+    hold one row per (document, term) pair, the rows of document i being
+    bounds[i]:bounds[i + 1].
+    """
+    elog = _elog_dir(gamma)
+    seg = np.repeat(np.arange(gamma.shape[0]), np.diff(bounds))
+    x = elog[seg] + lb
+    words = c * (_gdot(phi, x, axis=-1) - xlogy(phi, phi).sum(axis=-1))
+    return _lda_doc_terms(alpha, gamma, elog) + _segsum(words, bounds)
+
+
+def _lda_sweep(alpha, gamma, lb, c, bounds):
+    """One coordinate sweep on a block of documents (layout as _lda_bound).
+
+    phi = softmax(E[log theta][seg] + lb) row by row, then gamma = alpha
+    + per-document sums of c * phi. Returns (gamma, phi, bound), the
+    bound taken at the new gamma and phi in collapsed form: log phi is
+    x_old - logsumexp(x_old) with x_old = E[log theta]_old[seg] + lb, so
+    the word and phi-entropy terms sum to
+    (E[log theta]_new - E[log theta]_old) . (gamma_new - alpha)
+    + sum over rows of c * logsumexp(x_old), and no second pass over the
+    rows is needed.
+    """
+    seg = np.repeat(np.arange(gamma.shape[0]), np.diff(bounds))
+    elog = _elog_dir(gamma)
+    phi, log_norm = log_normalize_with_norm(elog[seg] + lb, axis=-1)
+    expected = _segsum(c[:, None] * phi, bounds)
+    gamma = alpha + expected
+    new_elog = _elog_dir(gamma)
+    bound = (
+        _lda_doc_terms(alpha, gamma, new_elog)
+        + ((new_elog - elog) * expected).sum(axis=-1)
+        + _segsum(c * log_norm, bounds)
+    )
+    return gamma, phi, bound
+
+
+def _lda_e_step(alpha, gamma, phi, lb, c, bounds, prev, sweeps):
+    """Up to ``sweeps`` sweeps on a block of documents, in place.
+
+    Layout as _lda_bound; prev holds each document's bound at the start.
+    A document stops once a sweep gains less than DOC_SWEEP_REL_TOL
+    relative: its gamma and phi are written back and the sweeps go on
+    over the documents still running. Returns per-document sweep counts.
+    """
+    docs = np.arange(gamma.shape[0])
+    rows = np.arange(c.size)
+    ran = np.zeros(docs.size, dtype=np.int64)
+    cur = gamma
+    for sweep in range(sweeps):
+        cur, cur_phi, val = _lda_sweep(alpha, cur, lb, c, bounds)
+        ran[docs] += 1
+        done = (val - prev < DOC_SWEEP_REL_TOL * np.maximum(1.0, np.abs(prev))) | (
+            sweep + 1 == sweeps
+        )
+        if not done.any():
+            prev = val
+            continue
+        sizes = np.diff(bounds)
+        row_done = np.repeat(done, sizes)
+        gamma[docs[done]] = cur[done]
+        phi[rows[row_done]] = cur_phi[row_done]
+        keep, row_keep = ~done, ~row_done
+        docs, rows, lb, c = docs[keep], rows[row_keep], lb[row_keep], c[row_keep]
+        cur, prev = cur[keep], val[keep]
+        bounds = np.concatenate([[0], np.cumsum(sizes[keep])])
+        if not docs.size:
+            break
+    return ran
 
 
 def fit_lda(
@@ -83,50 +172,54 @@ def fit_lda(
     num_docs, v_dim = corpus.num_docs, corpus.vocab_size
     rng = np.random.default_rng(seed)
     topics = perturbed_uniform_rows((num_topics, v_dim), rng)
-    counts = [doc.counts.astype(float) for doc in corpus.docs]
+    words = np.concatenate([doc.word_ids for doc in corpus.docs])
+    counts = np.concatenate([doc.counts for doc in corpus.docs]).astype(float)
+    starts = np.concatenate([[0], np.cumsum([doc.word_ids.size for doc in corpus.docs])])
     gammas = np.full((num_docs, num_topics), alpha)
-    gammas += np.array([c.sum() for c in counts])[:, None] / num_topics
-    phis = [np.full((c.size, num_topics), 1.0 / num_topics) for c in counts]
+    gammas += _segsum(counts, starts)[:, None] / num_topics
+    phi = np.full((words.size, num_topics), 1.0 / num_topics)
+    # per batch: its documents, their rows, and row bounds within the batch
+    batches = []
+    for docs in _batch_slices(num_docs):
+        b = starts[docs.start : docs.stop + 1]
+        batches.append((docs, slice(b[0], b[-1]), b - b[0]))
+    # each document's bound under the current topics, gamma and phi: the
+    # objective's terms and the next E-step's starting point
+    doc_bounds = np.empty(num_docs)
 
-    def objective(log_topics):
-        total = eta * log_topics.sum()
-        for d, doc in enumerate(corpus.docs):
-            lb = log_topics[:, doc.word_ids].T
-            total += _lda_doc_bound(
-                alpha, num_topics, counts[d], lb, gammas[d], phis[d]
+    def objective(log_beta):
+        for docs, rows, bounds in batches:
+            doc_bounds[docs] = _lda_bound(
+                alpha, gammas[docs], phi[rows], log_beta[words[rows]], counts[rows], bounds
             )
-        return total
+        return eta * log_beta.sum() + doc_bounds.sum()
 
-    log_topics = _safe_log(topics)
-    trace = [objective(log_topics)]
+    # log topics term-major, so that a row gather by word id is contiguous
+    log_beta = _safe_log(topics).T.copy()
+    trace = [objective(log_beta)]
     converged = False
     iterations = 0
     for _ in range(max_em_iters):
-        weights = np.zeros((num_topics, v_dim))
-        for d, doc in enumerate(corpus.docs):
-            c = counts[d]
-            lb = log_topics[:, doc.word_ids].T
-            gamma_d = gammas[d]
-            phi = phis[d]
-            prev_bound = _lda_doc_bound(alpha, num_topics, c, lb, gamma_d, phi)
-            for _ in range(e_step_iters):
-                elog = psi(gamma_d) - psi(gamma_d.sum())
-                phi = log_normalize(elog[None, :] + lb, axis=-1)
-                gamma_d = alpha + c @ phi
-                bound = _lda_doc_bound(alpha, num_topics, c, lb, gamma_d, phi)
-                if bound - prev_bound < DOC_SWEEP_REL_TOL * max(1.0, abs(prev_bound)):
-                    break
-                prev_bound = bound
-            gammas[d] = gamma_d
-            phis[d] = phi
-            weights[:, doc.word_ids] += (c[:, None] * phi).T
+        for docs, rows, bounds in batches:
+            _lda_e_step(
+                alpha,
+                gammas[docs],
+                phi[rows],
+                log_beta[words[rows]],
+                counts[rows],
+                bounds,
+                doc_bounds[docs],
+                e_step_iters,
+            )
 
-        topics = weights + eta
+        weights = np.zeros((v_dim, num_topics))
+        np.add.at(weights, words, counts[:, None] * phi)
+        topics = np.ascontiguousarray(weights.T) + eta
         topics /= topics.sum(axis=-1, keepdims=True)
-        log_topics = _safe_log(topics)
+        log_beta = _safe_log(topics).T.copy()
         iterations += 1
 
-        value = objective(log_topics)
+        value = objective(log_beta)
         prev = trace[-1]
         trace.append(value)
         if value < prev - DECREASE_SLACK * max(1.0, abs(prev)):
@@ -153,20 +246,21 @@ def lda_naive_cluster(model):
     return np.argmax(model.doc_theta, axis=1).astype(np.int64)
 
 
-def _squared_distances(points, centers):
+def _squared_distances(points, point_norms, centers):
+    # point_norms: (points * points).sum(axis=1), computed once per kmeans call
     d2 = (
-        (points * points).sum(axis=1)[:, None]
+        point_norms[:, None]
         + (centers * centers).sum(axis=1)[None, :]
         - 2.0 * points @ centers.T
     )
     return np.maximum(d2, 0.0)
 
 
-def _kmeans_pp_seed(points, k, rng):
+def _kmeans_pp_seed(points, point_norms, k, rng):
     n = points.shape[0]
     centers = np.empty((k, points.shape[1]))
     centers[0] = points[rng.integers(n)]
-    d2 = _squared_distances(points, centers[:1])[:, 0]
+    d2 = _squared_distances(points, point_norms, centers[:1])[:, 0]
     for j in range(1, k):
         total = d2.sum()
         if total <= 0:
@@ -174,16 +268,18 @@ def _kmeans_pp_seed(points, k, rng):
         else:
             idx = int(rng.choice(n, p=d2 / total))
         centers[j] = points[idx]
-        d2 = np.minimum(d2, _squared_distances(points, centers[j : j + 1])[:, 0])
+        d2 = np.minimum(
+            d2, _squared_distances(points, point_norms, centers[j : j + 1])[:, 0]
+        )
     return centers
 
 
-def _lloyd(points, k, rng, max_iters, cost_trace=None):
+def _lloyd(points, point_norms, k, rng, max_iters, cost_trace=None):
     n = points.shape[0]
-    centers = _kmeans_pp_seed(points, k, rng)
+    centers = _kmeans_pp_seed(points, point_norms, k, rng)
     labels = None
     for _ in range(max_iters):
-        d2 = _squared_distances(points, centers)
+        d2 = _squared_distances(points, point_norms, centers)
         new_labels = d2.argmin(axis=1)
         assigned = d2[np.arange(n), new_labels]
         for j in range(k):
@@ -198,9 +294,9 @@ def _lloyd(points, k, rng, max_iters, cost_trace=None):
         for j in range(k):
             centers[j] = points[labels == j].mean(axis=0)
         if cost_trace is not None:
-            d2 = _squared_distances(points, centers)
+            d2 = _squared_distances(points, point_norms, centers)
             cost_trace.append(float(d2[np.arange(n), labels].sum()))
-    d2 = _squared_distances(points, centers)
+    d2 = _squared_distances(points, point_norms, centers)
     wcss = float(d2[np.arange(n), labels].sum())
     return labels.astype(np.int64), centers, wcss
 
@@ -226,10 +322,11 @@ def kmeans(points, num_clusters, seed=0, restarts=10, max_iters=100):
     if restarts < 1 or max_iters < 1:
         raise ConfigError("restarts and max_iters must be >= 1")
 
+    point_norms = (points * points).sum(axis=1)
     best = None
     for r in range(restarts):
         rng = np.random.default_rng([seed, r])
-        labels, centers, wcss = _lloyd(points, num_clusters, rng, max_iters)
+        labels, centers, wcss = _lloyd(points, point_norms, num_clusters, rng, max_iters)
         if best is None or wcss < best[2]:
             best = (labels, centers, wcss)
     return best

@@ -316,7 +316,7 @@ def cmd_synth(ns):
     return 0
 
 
-def _bench_predictions(method, corpus, k, seed, ns):
+def _bench_predictions(method, corpus, k, seed, ns, vectors):
     if method == "mgctm":
         _, states, _ = _fit_mgctm(ns, corpus, k, seed)
         return np.array([predict_cluster(s) for s in states], dtype=np.int64)
@@ -334,7 +334,6 @@ def _bench_predictions(method, corpus, k, seed, ns):
             max_em_iters=ns.max_em_iters,
             elbo_rel_tol=ns.tol,
         )
-    vectors = corpus_mod.tfidf_vectors(corpus)
     labels, _, _ = baselines.kmeans(vectors, k, seed=seed)
     return labels
 
@@ -371,6 +370,9 @@ def cmd_bench(ns):
             raise CliError("--seeds selected nothing")
     k = ns.clusters if ns.clusters is not None else len(np.unique(truth))
 
+    # only the k-means seed changes between runs, so tf-idf is built once
+    vectors = corpus_mod.tfidf_vectors(corpus) if "kmeans" in methods else None
+
     lines = ["method\tseed\tac\tnmi\tstatus"]
     any_failed = False
     summary = []
@@ -378,7 +380,7 @@ def cmd_bench(ns):
         scores = []
         for seed in seeds:
             try:
-                pred = _bench_predictions(method, corpus, k, seed, ns)
+                pred = _bench_predictions(method, corpus, k, seed, ns, vectors)
                 ac = 100.0 * clustering_accuracy(pred, truth)
                 mi = 100.0 * nmi(pred, truth)
                 scores.append((ac, mi))

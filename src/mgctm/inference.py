@@ -111,6 +111,20 @@ def _safe_log(p):
         return np.log(p)
 
 
+def _segsum(rows, bounds):
+    """Per-document sums of row quantities, documents laid end to end.
+
+    The rows of document i are bounds[i]:bounds[i + 1]; a document with
+    no rows sums to 0.
+    """
+    out = np.zeros((bounds.size - 1,) + rows.shape[1:])
+    # reduceat needs strictly increasing starts below the row count,
+    # so only documents with rows get a segment
+    nonempty = bounds[:-1] < bounds[1:]
+    out[nonempty] = np.add.reduceat(rows, bounds[:-1][nonempty], axis=0)
+    return out
+
+
 class _Batch:
     """A block of documents with their distinct terms laid end to end.
 
@@ -143,15 +157,6 @@ class _Batch:
         self.phi_l = np.concatenate([s.phi_local for s in states])
         self.phi_g = np.concatenate([s.phi_global for s in states])
 
-    def _segsum(self, rows):
-        """Per-document sums of row quantities; a document with no terms sums to 0."""
-        out = np.zeros((self.num_docs,) + rows.shape[1:])
-        # reduceat needs strictly increasing starts below the row count,
-        # so only documents with terms get a segment
-        nonempty = self.bounds[:-1] < self.bounds[1:]
-        out[nonempty] = np.add.reduceat(rows, self.bounds[:-1][nonempty], axis=0)
-        return out
-
     def _update_phi_local(self):
         x_l = _elog_dir(self.mu_l)[self.seg] + self.lb_l
         scale = (self.tau[:, None] * self.zeta[self.seg])[..., None]
@@ -182,20 +187,22 @@ class _Batch:
         ct = self.counts * self.tau
         self.mu_l = (
             zeta * self.params.local_priors[None]
-            + zeta * self._segsum(ct[:, None, None] * self.phi_l)
+            + zeta * _segsum(ct[:, None, None] * self.phi_l, self.bounds)
             + (1.0 - zeta)
         )
 
     def _update_mu_global(self):
         cg = self.counts * (1.0 - self.tau)
-        self.mu_g = self.params.global_prior[None] + self._segsum(
-            cg[:, None] * self.phi_g
+        self.mu_g = self.params.global_prior[None] + _segsum(
+            cg[:, None] * self.phi_g, self.bounds
         )
 
     def _update_lam(self):
         ct = self.counts * self.tau
         cg = self.counts * (1.0 - self.tau)
-        self.lam = self.params.gamma[None] + self._segsum(np.stack([ct, cg], axis=1))
+        self.lam = self.params.gamma[None] + _segsum(
+            np.stack([ct, cg], axis=1), self.bounds
+        )
 
     def _update_zeta(self):
         elog_l = _elog_dir(self.mu_l)
@@ -204,7 +211,7 @@ class _Batch:
         cluster_logit = (
             _safe_log(self.params.pi)[None]
             + _dir_ep(self.params.local_priors[None], elog_l)
-            + self._segsum(ct[:, None] * local_score)
+            + _segsum(ct[:, None] * local_score, self.bounds)
         )
         self.zeta = log_normalize(cluster_logit, axis=-1)
 
@@ -259,8 +266,9 @@ class _Batch:
             + xlogy(phi_l, phi_l).sum(axis=(1, 2))
             + xlogy(phi_g, phi_g).sum(axis=-1)
         )
-        t_pathway, t_local_z, t_global_z, t_emission, t_words_entropy = self._segsum(
-            np.stack([r_pathway, r_local_z, r_global_z, r_emission, r_entropy], axis=1)
+        t_pathway, t_local_z, t_global_z, t_emission, t_words_entropy = _segsum(
+            np.stack([r_pathway, r_local_z, r_global_z, r_emission, r_entropy], axis=1),
+            self.bounds,
         ).T
 
         t_entropy = (

@@ -47,13 +47,32 @@ def log_normalize(log_weights, axis=-1):
     exact zeros; if an entire slice along ``axis`` is -inf there is
     nothing to normalize and DegenerateInputError is raised.
     """
+    p, _, total = _shifted_exp(log_weights, axis)
+    p /= total
+    return p
+
+
+def log_normalize_with_norm(log_weights, axis=-1):
+    """log_normalize that also returns the log normalizer.
+
+    Returns (p, log_norm): p is exactly log_normalize's result, and
+    log_norm is the log-sum-exp along ``axis`` (that axis removed), taken
+    from the same max-shifted exponentials.
+    """
+    p, shift, total = _shifted_exp(log_weights, axis)
+    p /= total
+    return p, np.squeeze(shift + np.log(total), axis=axis)
+
+
+def _shifted_exp(log_weights, axis):
+    # (exp(lw - max), max, sum of the exponentials), max and sum keeping axis
     lw = np.asarray(log_weights, dtype=float)
     m = np.max(lw, axis=axis, keepdims=True)
     if not np.all(np.isfinite(m)):
         raise DegenerateInputError("log_normalize: no finite entry to normalize")
-    p = np.exp(lw - m)
-    p /= p.sum(axis=axis, keepdims=True)
-    return p
+    p = lw - m
+    np.exp(p, out=p)
+    return p, m, p.sum(axis=axis, keepdims=True)
 
 
 @dataclass

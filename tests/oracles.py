@@ -3,7 +3,8 @@
 Everything here is written directly from the model's definition with
 plain formulas, scalar loops, and generic numerical tools (quadrature,
 derivative-free maximization, grid search). None of the package's
-inference code is reused; the only package imports are data containers.
+inference code is reused; the only package imports are data containers
+and the stopping tolerances the package's loops share.
 Tests compare package outputs against these references.
 """
 
@@ -13,11 +14,13 @@ from itertools import permutations
 import numpy as np
 from scipy import integrate
 from scipy.optimize import minimize, minimize_scalar
-from scipy.special import gammaln, psi
+from scipy.special import gammaln, psi, xlogy
 
+from mgctm.baselines import LdaModel
 from mgctm.corpus import Corpus, Document
-from mgctm.errors import ConfigError
-from mgctm.model import DocVariational, HiddenAssignments, ModelParams
+from mgctm.errors import ConfigError, DegenerateInputError, NumericalError
+from mgctm.inference import DECREASE_SLACK, DOC_SWEEP_REL_TOL
+from mgctm.model import DocVariational, FitReport, HiddenAssignments, ModelParams
 
 
 def _plogp(p):
@@ -758,3 +761,131 @@ def reference_sample_corpus(params, num_docs, doc_length, seed=0):
     corpus = Corpus(docs=docs, vocab_size=v_dim)
     hidden = HiddenAssignments(clusters, omegas, indicators, local_zs, global_zs)
     return corpus, hidden
+
+
+# ---------------------------------------------------------------------------
+# LDA baseline, one document at a time.
+# ---------------------------------------------------------------------------
+
+
+def _softmax_rows(x):
+    """Max-shifted exponentials normalized along the last axis."""
+    p = np.exp(x - np.max(x, axis=-1, keepdims=True))
+    p /= p.sum(axis=-1, keepdims=True)
+    return p
+
+
+def _lda_doc_bound(alpha, num_topics, c, lb, gamma_d, phi):
+    # lb: (M, T) log word probabilities for this doc's distinct terms
+    elog = psi(gamma_d) - psi(gamma_d.sum())
+    t_prior = (
+        gammaln(num_topics * alpha)
+        - num_topics * gammaln(alpha)
+        + (alpha - 1.0) * elog.sum()
+    )
+    x = elog[None, :] + lb
+    t_words = (c[:, None] * phi * np.where(phi > 0, x, 0.0)).sum()
+    t_entropy = -dir_expected_logpdf(gamma_d, elog) - (c[:, None] * xlogy(phi, phi)).sum()
+    return t_prior + t_words + t_entropy
+
+
+def reference_fit_lda(
+    corpus,
+    num_topics,
+    seed=0,
+    alpha=0.1,
+    eta=0.01,
+    max_em_iters=100,
+    e_step_iters=20,
+    elbo_rel_tol=1e-5,
+):
+    """Fit LDA by variational EM, one document at a time.
+
+    Same algorithm, initialization and stopping rules as
+    ``mgctm.baselines.fit_lda``: per document, sweeps of
+    phi = softmax(E[log theta] + log topics) and gamma = alpha + c @ phi,
+    stopping once a sweep gains less than DOC_SWEEP_REL_TOL relative,
+    with the bound recomputed term by term after every sweep.
+
+    Returns (LdaModel, FitReport, sweeps), sweeps being an
+    (iterations run, D) array of per-document sweep counts.
+    """
+    if num_topics < 1:
+        raise ConfigError("num_topics must be >= 1")
+    if corpus.num_docs < 1:
+        raise DegenerateInputError("cannot fit an empty corpus")
+    if alpha <= 0 or eta <= 0:
+        raise ConfigError("alpha and eta must be > 0")
+
+    num_docs, v_dim = corpus.num_docs, corpus.vocab_size
+    rng = np.random.default_rng(seed)
+    # perturbed-uniform rows, as the package's init draws them
+    topics = (1.0 - 0.05) / v_dim + 0.05 * rng.dirichlet(np.ones(v_dim), size=num_topics)
+    counts = [doc.counts.astype(float) for doc in corpus.docs]
+    gammas = np.full((num_docs, num_topics), alpha)
+    gammas += np.array([c.sum() for c in counts])[:, None] / num_topics
+    phis = [np.full((c.size, num_topics), 1.0 / num_topics) for c in counts]
+
+    def objective(log_topics):
+        total = eta * log_topics.sum()
+        for d, doc in enumerate(corpus.docs):
+            lb = log_topics[:, doc.word_ids].T
+            total += _lda_doc_bound(
+                alpha, num_topics, counts[d], lb, gammas[d], phis[d]
+            )
+        return total
+
+    log_topics = _log0(topics)
+    trace = [objective(log_topics)]
+    sweeps = []
+    converged = False
+    iterations = 0
+    for _ in range(max_em_iters):
+        weights = np.zeros((num_topics, v_dim))
+        ran = np.zeros(num_docs, dtype=np.int64)
+        for d, doc in enumerate(corpus.docs):
+            c = counts[d]
+            lb = log_topics[:, doc.word_ids].T
+            gamma_d = gammas[d]
+            phi = phis[d]
+            prev_bound = _lda_doc_bound(alpha, num_topics, c, lb, gamma_d, phi)
+            for _ in range(e_step_iters):
+                ran[d] += 1
+                elog = psi(gamma_d) - psi(gamma_d.sum())
+                phi = _softmax_rows(elog[None, :] + lb)
+                gamma_d = alpha + c @ phi
+                bound = _lda_doc_bound(alpha, num_topics, c, lb, gamma_d, phi)
+                if bound - prev_bound < DOC_SWEEP_REL_TOL * max(1.0, abs(prev_bound)):
+                    break
+                prev_bound = bound
+            gammas[d] = gamma_d
+            phis[d] = phi
+            weights[:, doc.word_ids] += (c[:, None] * phi).T
+        sweeps.append(ran)
+
+        topics = weights + eta
+        topics /= topics.sum(axis=-1, keepdims=True)
+        log_topics = _log0(topics)
+        iterations += 1
+
+        value = objective(log_topics)
+        prev = trace[-1]
+        trace.append(value)
+        if value < prev - DECREASE_SLACK * max(1.0, abs(prev)):
+            raise NumericalError(
+                f"objective decreased from {prev:.10g} to {value:.10g} "
+                f"at iteration {iterations}",
+                details={"previous": prev, "current": value, "trace": list(trace)},
+            )
+        if elbo_rel_tol > 0 and value - prev < elbo_rel_tol * max(1.0, abs(prev)):
+            converged = True
+            break
+
+    report = FitReport(
+        elbo_trace=trace,
+        iterations_run=iterations,
+        converged=converged,
+        wall_time=0.0,
+    )
+    model = LdaModel(topics=topics, doc_theta=gammas, alpha=alpha)
+    return model, report, np.array(sweeps, dtype=np.int64).reshape(-1, num_docs)

@@ -1,8 +1,12 @@
 import numpy as np
+import oracles
 import pytest
 
+import mgctm.baselines as baselines_mod
+import mgctm.inference as inference_mod
 from mgctm.baselines import (
     LdaModel,
+    _lda_sweep,
     _lloyd,
     fit_lda,
     kmeans,
@@ -87,6 +91,106 @@ class TestFitLda:
             fit_lda(corpus, 2, eta=-0.1)
         with pytest.raises(DegenerateInputError):
             fit_lda(Corpus(docs=[], vocab_size=3), 2)
+
+
+def ragged_corpus(seed=0):
+    """Twelve documents of uneven length over a ten-word vocabulary, with
+    empty documents first, in the middle and last, and a one-term one."""
+    rng = np.random.default_rng(seed)
+    empty = Document(np.array([], dtype=np.int64), np.array([], dtype=np.int64))
+    docs = [empty]
+    for d in range(10):
+        half = d % 2
+        words = rng.integers(5 * half, 5 * half + 5, rng.integers(2, 30))
+        words[: words.size // 4] = rng.integers(0, 10, words.size // 4)
+        ids, counts = np.unique(words, return_counts=True)
+        docs.append(Document(ids, counts))
+        if d == 4:
+            docs.append(empty)
+    docs[3] = Document(np.array([7]), np.array([3]))
+    docs.append(empty)
+    return Corpus(docs=docs, vocab_size=10)
+
+
+def fit_recording_sweeps(monkeypatch, corpus, num_topics, **opts):
+    """fit_lda plus its per-document sweep counts, (iterations, D)."""
+    counts = []
+    real = baselines_mod._lda_e_step
+
+    def recording(*args):
+        ran = real(*args)
+        counts.append(ran)
+        return ran
+
+    monkeypatch.setattr(baselines_mod, "_lda_e_step", recording)
+    model, report = fit_lda(corpus, num_topics, **opts)
+    return model, report, np.concatenate(counts).reshape(-1, corpus.num_docs)
+
+
+class TestLdaMatchesReference:
+    @pytest.mark.parametrize(
+        "num_topics, batch_docs, opts",
+        [
+            (3, None, {}),
+            (1, None, {}),
+            (3, 2, {}),
+            (4, None, {"e_step_iters": 0}),
+            (4, 2, {"e_step_iters": 1}),
+            (4, 3, {"e_step_iters": 3}),
+        ],
+    )
+    def test_batched_fit_matches_per_document_loop(
+        self, monkeypatch, num_topics, batch_docs, opts
+    ):
+        if batch_docs is not None:
+            monkeypatch.setattr(inference_mod, "BATCH_DOCS", batch_docs)
+        corpus = ragged_corpus()
+        opts = dict(seed=4, max_em_iters=6, elbo_rel_tol=0.0, **opts)
+        model, report, sweeps = fit_recording_sweeps(
+            monkeypatch, corpus, num_topics, **opts
+        )
+        ref, ref_report, ref_sweeps = oracles.reference_fit_lda(
+            corpus, num_topics, **opts
+        )
+        np.testing.assert_array_equal(sweeps, ref_sweeps)
+        cap = opts.get("e_step_iters", 20)
+        if cap == 3:
+            # some documents run into the sweep cap, others stop early
+            assert (sweeps == cap).any() and (sweeps < cap).any()
+        np.testing.assert_allclose(report.elbo_trace, ref_report.elbo_trace, rtol=1e-10)
+        np.testing.assert_allclose(model.doc_theta, ref.doc_theta, rtol=1e-10)
+        np.testing.assert_allclose(model.topics, ref.topics, rtol=1e-10)
+        np.testing.assert_array_equal(lda_naive_cluster(model), lda_naive_cluster(ref))
+
+    def test_collapsed_sweep_bound_equals_full_bound(self):
+        rng = np.random.default_rng(11)
+        num_topics, v_dim, alpha = 4, 12, 0.05
+        topics = rng.dirichlet(np.ones(v_dim), size=num_topics)
+        # one topic nearly absent from most words, so that its phi entries
+        # there are subnormal or zero
+        topics[2, 3:] = 1e-320
+        topics /= topics.sum(axis=1, keepdims=True)
+        log_beta = np.log(topics).T
+        docs = [
+            np.array([], dtype=np.int64),
+            np.array([5]),
+            np.array([0, 1, 2, 3, 7, 11]),
+            np.arange(v_dim),
+        ]
+        counts = [rng.integers(1, 6, d.size).astype(float) for d in docs]
+        bounds = np.concatenate([[0], np.cumsum([d.size for d in docs])])
+        lb = log_beta[np.concatenate(docs)]
+        c = np.concatenate(counts)
+        gamma = rng.uniform(0.05, 5.0, (len(docs), num_topics))
+        for _ in range(5):
+            gamma, phi, bound = _lda_sweep(alpha, gamma, lb, c, bounds)
+            for d in range(len(docs)):
+                rows = slice(bounds[d], bounds[d + 1])
+                full = oracles._lda_doc_bound(
+                    alpha, num_topics, counts[d], lb[rows], gamma[d], phi[rows]
+                )
+                assert bound[d] == pytest.approx(full, rel=1e-10)
+        assert (phi == 0).any()
 
 
 class TestLdaNaive:
@@ -178,7 +282,14 @@ class TestKmeans:
         )
         for run_seed in range(5):
             trace = []
-            _lloyd(points, 3, np.random.default_rng(run_seed), 100, cost_trace=trace)
+            _lloyd(
+                points,
+                (points * points).sum(axis=1),
+                3,
+                np.random.default_rng(run_seed),
+                100,
+                cost_trace=trace,
+            )
             diffs = np.diff(np.array(trace))
             assert (diffs <= 1e-9).all()
 

@@ -620,6 +620,50 @@ class TestBench:
         assert "kmeans.ac=" not in out
         assert "lda-naive.ac=" in out
 
+    def test_tfidf_built_once_across_seeds(self, tmp_path, capsys, monkeypatch):
+        import mgctm.corpus as corpus_mod
+
+        argv, paths = synth_args(tmp_path, docs=30)
+        assert run(capsys, *argv)[0] == 0
+        calls = []
+        real = corpus_mod.tfidf_vectors
+
+        def counting(corpus):
+            calls.append(corpus.num_docs)
+            return real(corpus)
+
+        monkeypatch.setattr(corpus_mod, "tfidf_vectors", counting)
+        out_path = tmp_path / "report.tsv"
+        code, _, _ = run(
+            capsys,
+            "bench",
+            "--corpus", paths["corpus"],
+            "--labels", paths["labels"],
+            "--methods", "kmeans,lda-naive,lda-kmeans",
+            "--lda-topics", "3",
+            "--seeds", "0,1,2",
+            "--max-em-iters", "10",
+            "--out", str(out_path),
+        )
+        assert code == 0
+        assert calls == [30]
+        # the report written when tf-idf was rebuilt for every seed
+        assert out_path.read_bytes() == (
+            b"method\tseed\tac\tnmi\tstatus\n"
+            b"kmeans\t0\t100.00\t100.00\tok\n"
+            b"kmeans\t1\t100.00\t100.00\tok\n"
+            b"kmeans\t2\t100.00\t100.00\tok\n"
+            b"kmeans\tmean\t100.00\t100.00\tok\n"
+            b"lda-naive\t0\t100.00\t100.00\tok\n"
+            b"lda-naive\t1\t80.00\t43.25\tok\n"
+            b"lda-naive\t2\t100.00\t100.00\tok\n"
+            b"lda-naive\tmean\t93.33\t81.08\tok\n"
+            b"lda-kmeans\t0\t96.67\t81.56\tok\n"
+            b"lda-kmeans\t1\t100.00\t100.00\tok\n"
+            b"lda-kmeans\t2\t100.00\t100.00\tok\n"
+            b"lda-kmeans\tmean\t98.89\t93.85\tok\n"
+        )
+
     def test_unknown_method_rejected(self, tmp_path, capsys):
         paths = write_two_block_corpus(tmp_path)
         code, _, err = run(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from mgctm.errors import DegenerateInputError, EstimationError
 from mgctm.numerics import (
@@ -13,6 +14,7 @@ from mgctm.numerics import (
     dirichlet_objective,
     log_gamma,
     log_normalize,
+    log_normalize_with_norm,
 )
 
 
@@ -125,6 +127,19 @@ class TestLogNormalize:
         moved = log_normalize(logs + shift)
         np.testing.assert_allclose(base, moved, rtol=0, atol=1e-12)
         assert math.isclose(base.sum(), 1.0, abs_tol=1e-12)
+
+
+    @pytest.mark.parametrize("axis", [0, -1])
+    def test_with_norm_matches_log_normalize_and_logsumexp(self, axis):
+        logs = np.random.default_rng(0).normal(0.0, 30.0, (5, 7))
+        logs[1, 2] = -np.inf
+        p, log_norm = log_normalize_with_norm(logs, axis=axis)
+        np.testing.assert_array_equal(p, log_normalize(logs, axis=axis))
+        np.testing.assert_allclose(log_norm, logsumexp(logs, axis=axis), rtol=1e-14)
+
+    def test_with_norm_all_minus_inf_rejected(self):
+        with pytest.raises(DegenerateInputError):
+            log_normalize_with_norm(np.array([-np.inf, -np.inf]))
 
 
 class TestDirichletStats:
