@@ -78,24 +78,24 @@ def _lda_bound(alpha, gamma, phi, lb, c, bounds):
     elog = _elog_dir(gamma)
     seg = np.repeat(np.arange(gamma.shape[0]), np.diff(bounds))
     x = elog[seg] + lb
-    words = c * (_gdot(phi, x, axis=-1) - xlogy(phi, phi).sum(axis=-1))
+    words = c * (_gdot(phi, x) - xlogy(phi, phi).sum(axis=-1))
     return _lda_doc_terms(alpha, gamma, elog) + _segsum(words, bounds)
 
 
-def _lda_sweep(alpha, gamma, lb, c, bounds):
+def _lda_sweep(alpha, elog, lb, c, bounds):
     """One coordinate sweep on a block of documents (layout as _lda_bound).
 
-    phi = softmax(E[log theta][seg] + lb) row by row, then gamma = alpha
-    + per-document sums of c * phi. Returns (gamma, phi, bound), the
-    bound taken at the new gamma and phi in collapsed form: log phi is
+    elog is E[log theta] at the current gamma. phi = softmax(elog[seg] +
+    lb) row by row, then gamma = alpha + per-document sums of c * phi.
+    Returns (gamma, its E[log theta], phi, bound), the bound taken at the
+    new gamma and phi in collapsed form: log phi is
     x_old - logsumexp(x_old) with x_old = E[log theta]_old[seg] + lb, so
     the word and phi-entropy terms sum to
     (E[log theta]_new - E[log theta]_old) . (gamma_new - alpha)
     + sum over rows of c * logsumexp(x_old), and no second pass over the
     rows is needed.
     """
-    seg = np.repeat(np.arange(gamma.shape[0]), np.diff(bounds))
-    elog = _elog_dir(gamma)
+    seg = np.repeat(np.arange(elog.shape[0]), np.diff(bounds))
     phi, log_norm = log_normalize_with_norm(elog[seg] + lb, axis=-1)
     expected = _segsum(c[:, None] * phi, bounds)
     gamma = alpha + expected
@@ -105,7 +105,7 @@ def _lda_sweep(alpha, gamma, lb, c, bounds):
         + ((new_elog - elog) * expected).sum(axis=-1)
         + _segsum(c * log_norm, bounds)
     )
-    return gamma, phi, bound
+    return gamma, new_elog, phi, bound
 
 
 def _lda_e_step(alpha, gamma, phi, lb, c, bounds, prev, sweeps):
@@ -119,9 +119,9 @@ def _lda_e_step(alpha, gamma, phi, lb, c, bounds, prev, sweeps):
     docs = np.arange(gamma.shape[0])
     rows = np.arange(c.size)
     ran = np.zeros(docs.size, dtype=np.int64)
-    cur = gamma
+    cur, elog = gamma, _elog_dir(gamma)
     for sweep in range(sweeps):
-        cur, cur_phi, val = _lda_sweep(alpha, cur, lb, c, bounds)
+        cur, elog, cur_phi, val = _lda_sweep(alpha, elog, lb, c, bounds)
         ran[docs] += 1
         done = (val - prev < DOC_SWEEP_REL_TOL * np.maximum(1.0, np.abs(prev))) | (
             sweep + 1 == sweeps
@@ -135,7 +135,7 @@ def _lda_e_step(alpha, gamma, phi, lb, c, bounds, prev, sweeps):
         phi[rows[row_done]] = cur_phi[row_done]
         keep, row_keep = ~done, ~row_done
         docs, rows, lb, c = docs[keep], rows[row_keep], lb[row_keep], c[row_keep]
-        cur, prev = cur[keep], val[keep]
+        cur, elog, prev = cur[keep], elog[keep], val[keep]
         bounds = np.concatenate([[0], np.cumsum(sizes[keep])])
         if not docs.size:
             break

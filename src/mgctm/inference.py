@@ -23,6 +23,16 @@ documents' distinct terms sit end to end, one row per (document, term)
 pair, with no padding: a row-to-document index broadcasts per-document
 quantities to the rows, and segment sums collect row quantities per
 document. The same rows feed the M-step's scatter-add of expected counts.
+
+A document's coordinate sweeps stop once its bound stalls. The bound
+after a sweep comes in collapsed form from quantities the block updates
+computed anyway: each phi block is a softmax of scaled row scores, so the
+entropy of phi is its log normalizer minus the scaled expected score, and
+no second pass over the rows is needed. The full term-by-term bound
+(``_Batch.bound_terms``) stays the reference and gives the bound before
+the first sweep, ``doc_elbo`` and ``elbo_breakdown``. States written
+back from a batch are checked once per batch, vectorized, with exactly
+``DocVariational.validate``'s conditions and error messages.
 """
 
 import logging
@@ -34,12 +44,19 @@ from scipy.special import expit, gammaln, psi, xlogy
 
 from .errors import DegenerateInputError, NumericalError
 from .model import (
+    SIMPLEX_ATOL,
     TOPIC_SMOOTHING,
     DocVariational,
     FitReport,
     ModelParams,
 )
-from .numerics import DirichletStats, dirichlet_mle, log_normalize
+from .numerics import (
+    DirichletStats,
+    dirichlet_mle,
+    log_normalize,
+    log_normalize_with_norm,
+    sum_last,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -87,13 +104,21 @@ def _elog_dir(alpha):
 
 
 def _scale0(c, x):
-    # c * x under the convention 0 * (-inf) = 0; c must be >= 0
-    return c * np.where(c > 0, x, 0.0)
+    # c * x under the convention 0 * (-inf) = 0; c must be >= 0. Same
+    # bits as c * np.where(c > 0, x, 0.0), without a full-size temporary:
+    # where c > 0 fails the product is redone as c * 0.0.
+    with np.errstate(invalid="ignore"):
+        out = c * x
+    redo = np.logical_not(c > 0)
+    if redo.any():
+        np.multiply(c, 0.0, out=out, where=redo)
+    return out
 
 
-def _gdot(p, x, axis=None):
-    # sum(p * x) with p == 0 entries contributing nothing even at x = -inf
-    return np.sum(p * np.where(p > 0, x, 0.0), axis=axis)
+def _gdot(p, x):
+    # sum(p * x) along the last axis, p == 0 entries contributing nothing
+    # even at x = -inf
+    return sum_last(_scale0(p, x))
 
 
 def _dir_ep(alpha, elog):
@@ -134,6 +159,15 @@ class _Batch:
     document. Document quantities reach the rows by indexing with
     ``seg``, and row quantities reach the documents by segment sums, so
     no cell is padding.
+
+    The row scores x_l = E[log theta_l][seg] + log beta_l and x_g (the
+    same for the global pathway) are built once per value of mu_l and
+    mu_g and shared by every block that reads them. The blocks also keep
+    what they compute on the way: the phi blocks their scales and log
+    normalizers, the tau block phi . x at the scores phi was drawn from,
+    and the zeta block phi_l . x_l at the new mu_l. From these ``sweep``
+    returns the new bound without another pass over the rows;
+    ``bound_terms`` is the full reference.
     """
 
     def __init__(self, params, docs, states):
@@ -156,28 +190,46 @@ class _Batch:
         self.tau = np.concatenate([s.tau for s in states])
         self.phi_l = np.concatenate([s.phi_local for s in states])
         self.phi_g = np.concatenate([s.phi_global for s in states])
+        # (E[log theta], row scores x) per pathway; None once its mu moves
+        self._scores_l = None
+        self._scores_g = None
+
+    def _local_scores(self):
+        if self._scores_l is None:
+            elog = _elog_dir(self.mu_l)
+            self._scores_l = elog, elog[self.seg] + self.lb_l
+        return self._scores_l
+
+    def _global_scores(self):
+        if self._scores_g is None:
+            elog = _elog_dir(self.mu_g)
+            self._scores_g = elog, elog[self.seg] + self.lb_g
+        return self._scores_g
 
     def _update_phi_local(self):
-        x_l = _elog_dir(self.mu_l)[self.seg] + self.lb_l
-        scale = (self.tau[:, None] * self.zeta[self.seg])[..., None]
-        self.phi_l = log_normalize(_scale0(scale, x_l), axis=-1)
+        # phi_l = softmax(s_l * x_l) with s_l = tau * zeta[seg]
+        self.s_l = self.tau[:, None] * self.zeta[self.seg]
+        self.phi_l, self.lse_l = log_normalize_with_norm(
+            _scale0(self.s_l[..., None], self._local_scores()[1]), axis=-1
+        )
 
     def _update_phi_global(self):
-        x_g = _elog_dir(self.mu_g)[self.seg] + self.lb_g
-        scale = (1.0 - self.tau)[:, None]
-        self.phi_g = log_normalize(_scale0(scale, x_g), axis=-1)
+        # phi_g = softmax(s_g * x_g) with s_g = 1 - tau
+        self.s_g = 1.0 - self.tau
+        self.phi_g, self.lse_g = log_normalize_with_norm(
+            _scale0(self.s_g[:, None], self._global_scores()[1]), axis=-1
+        )
 
     def _update_tau(self):
-        x_l = _elog_dir(self.mu_l)[self.seg] + self.lb_l
-        x_g = _elog_dir(self.mu_g)[self.seg] + self.lb_g
-        local_score = _gdot(self.phi_l, x_l, axis=-1)
-        global_score = _gdot(self.phi_g, x_g, axis=-1)
+        # phi . x at the scores the phi blocks saw (mu has not moved since)
+        self.px_l = _gdot(self.phi_l, self._local_scores()[1])
+        self.px_g = _gdot(self.phi_g, self._global_scores()[1])
         coin = psi(self.lam[:, 0]) - psi(self.lam[:, 1])
         logit = (
             coin[self.seg]
-            + _gdot(self.zeta[self.seg], local_score, axis=-1)
+            + _gdot(self.zeta[self.seg], self.px_l)
             + self.log_k
-            - global_score
+            - self.px_g
             - self.log_r
         )
         self.tau = expit(logit)
@@ -190,12 +242,14 @@ class _Batch:
             + zeta * _segsum(ct[:, None, None] * self.phi_l, self.bounds)
             + (1.0 - zeta)
         )
+        self._scores_l = None
 
     def _update_mu_global(self):
         cg = self.counts * (1.0 - self.tau)
         self.mu_g = self.params.global_prior[None] + _segsum(
             cg[:, None] * self.phi_g, self.bounds
         )
+        self._scores_g = None
 
     def _update_lam(self):
         ct = self.counts * self.tau
@@ -205,13 +259,14 @@ class _Batch:
         )
 
     def _update_zeta(self):
-        elog_l = _elog_dir(self.mu_l)
-        local_score = _gdot(self.phi_l, elog_l[self.seg] + self.lb_l, axis=-1)
+        elog_l, x_l = self._local_scores()
+        # phi_l . x_l at the new mu_l
+        self.px_l_new = _gdot(self.phi_l, x_l)
         ct = self.counts * self.tau
         cluster_logit = (
             _safe_log(self.params.pi)[None]
             + _dir_ep(self.params.local_priors[None], elog_l)
-            + _segsum(ct[:, None] * local_score, self.bounds)
+            + _segsum(ct[:, None] * self.px_l_new, self.bounds)
         )
         self.zeta = log_normalize(cluster_logit, axis=-1)
 
@@ -222,62 +277,95 @@ class _Batch:
         getattr(self, "_update_" + block)()
 
     def sweep(self):
-        """One coordinate pass over every document."""
+        """One coordinate pass over every document; returns their new bounds.
+
+        The bounds equal ``bound_terms().sum(axis=1)`` up to rounding, in
+        collapsed form. Each phi block sets phi = softmax(s * x) with
+        log normalizer lse, so the entropy of phi is lse - s * (phi . x),
+        from the scales and normalizers the phi blocks kept and the phi . x
+        the tau block computed. The topic-choice and emission terms need
+        phi . x at the new mu: the zeta block computed it for the local
+        pathway, and only phi_g . x_g, one (rows, R) product, is left.
+        """
         for block in E_STEP_BLOCKS:
             self.update(block)
+        c, tau, seg = self.counts, self.tau, self.seg
+        zeta_rows = self.zeta[seg]
+        elog_l, _ = self._local_scores()
+        elog_g, x_g = self._global_scores()
+        elog_w = _elog_dir(self.lam)
+        rows = c * (
+            tau * elog_w[seg, 0]
+            + (1.0 - tau) * elog_w[seg, 1]
+            - xlogy(tau, tau)
+            - xlogy(1.0 - tau, 1.0 - tau)
+            + _scale0(tau, _gdot(zeta_rows, self.px_l_new))
+            - sum_last(1.0 - zeta_rows * tau[:, None]) * self.log_k
+            + sum_last(self.lse_l)
+            - _gdot(self.s_l, self.px_l)
+            + _scale0(1.0 - tau, _gdot(self.phi_g, x_g))
+            - tau * self.log_r
+            + self.lse_g
+            - _scale0(self.s_g, self.px_g)
+        )
+        return sum(self._doc_terms(elog_l, elog_g, elog_w)) + _segsum(rows, self.bounds)
+
+    def _doc_terms(self, elog_l, elog_g, elog_w):
+        # the four prior groups and the entropy of zeta, lam and mu
+        params = self.params
+        zeta = self.zeta
+        t_cluster = _gdot(zeta, _safe_log(params.pi)[None])
+        t_coin = _dir_ep(params.gamma[None], elog_w)
+        t_local_prop = (zeta * _dir_ep(params.local_priors[None], elog_l)).sum(
+            axis=-1
+        ) + (1.0 - zeta).sum(axis=-1) * gammaln(params.local_topics_per_cluster)
+        t_global_prop = _dir_ep(params.global_prior[None], elog_g)
+        t_entropy = (
+            -xlogy(zeta, zeta).sum(axis=-1)
+            - _dir_ep(self.lam, elog_w)
+            - _dir_ep(self.mu_l, elog_l).sum(axis=-1)
+            - _dir_ep(self.mu_g, elog_g)
+        )
+        return t_cluster, t_coin, t_local_prop, t_global_prop, t_entropy
 
     def bound_terms(self):
         """Per-document bound split into the nine term groups, (n, 9)."""
-        params = self.params
         seg = self.seg
         c = self.counts
         zeta = self.zeta
         tau = self.tau
-        lam = self.lam
         phi_l = self.phi_l
         phi_g = self.phi_g
-        k_dim = params.local_topics_per_cluster
 
         elog_l = _elog_dir(self.mu_l)
         elog_g = _elog_dir(self.mu_g)
-        elog_w = _elog_dir(lam)
-
-        t_cluster = _gdot(zeta, _safe_log(params.pi)[None], axis=-1)
-        t_coin = _dir_ep(params.gamma[None], elog_w)
-        t_local_prop = (zeta * _dir_ep(params.local_priors[None], elog_l)).sum(
-            axis=-1
-        ) + (1.0 - zeta).sum(axis=-1) * gammaln(k_dim)
-        t_global_prop = _dir_ep(params.global_prior[None], elog_g)
+        elog_w = _elog_dir(self.lam)
+        t_cluster, t_coin, t_local_prop, t_global_prop, t_doc_entropy = (
+            self._doc_terms(elog_l, elog_g, elog_w)
+        )
 
         # term-level groups, one row per (document, term), summed per document
         r_pathway = c * (tau * elog_w[seg, 0] + (1.0 - tau) * elog_w[seg, 1])
         scale = zeta[seg] * tau[:, None]
-        phi_elog = (phi_l * elog_l[seg]).sum(axis=-1)
-        r_local_z = c * (scale * phi_elog - (1.0 - scale) * self.log_k).sum(axis=-1)
+        phi_elog = sum_last(phi_l * elog_l[seg])
+        r_local_z = c * sum_last(scale * phi_elog - (1.0 - scale) * self.log_k)
         r_global_z = c * (
-            (1.0 - tau) * (phi_g * elog_g[seg]).sum(axis=-1) - tau * self.log_r
+            (1.0 - tau) * sum_last(phi_g * elog_g[seg]) - tau * self.log_r
         )
-        em_l = _scale0(tau, _gdot(zeta[seg], _gdot(phi_l, self.lb_l, axis=-1), axis=-1))
-        em_g = _scale0(1.0 - tau, _gdot(phi_g, self.lb_g, axis=-1))
+        em_l = _scale0(tau, _gdot(zeta[seg], _gdot(phi_l, self.lb_l)))
+        em_g = _scale0(1.0 - tau, _gdot(phi_g, self.lb_g))
         r_emission = c * (em_l + em_g)
         r_entropy = -c * (
             xlogy(tau, tau)
             + xlogy(1.0 - tau, 1.0 - tau)
             + xlogy(phi_l, phi_l).sum(axis=(1, 2))
-            + xlogy(phi_g, phi_g).sum(axis=-1)
+            + sum_last(xlogy(phi_g, phi_g))
         )
         t_pathway, t_local_z, t_global_z, t_emission, t_words_entropy = _segsum(
             np.stack([r_pathway, r_local_z, r_global_z, r_emission, r_entropy], axis=1),
             self.bounds,
         ).T
 
-        t_entropy = (
-            -xlogy(zeta, zeta).sum(axis=-1)
-            - _dir_ep(lam, elog_w)
-            - _dir_ep(self.mu_l, elog_l).sum(axis=-1)
-            - _dir_ep(self.mu_g, elog_g)
-            + t_words_entropy
-        )
         return np.stack(
             [
                 t_cluster,
@@ -288,7 +376,7 @@ class _Batch:
                 t_local_z,
                 t_global_z,
                 t_emission,
-                t_entropy,
+                t_doc_entropy + t_words_entropy,
             ],
             axis=1,
         )
@@ -296,26 +384,63 @@ class _Batch:
     def bound(self):
         return self.bound_terms().sum(axis=1)
 
+    def _doc_state(self, i):
+        # document i's state as views of the batch arrays
+        rows = slice(self.bounds[i], self.bounds[i + 1])
+        return DocVariational(
+            zeta=self.zeta[i],
+            lam=self.lam[i],
+            mu_local=self.mu_l[i],
+            mu_global=self.mu_g[i],
+            tau=self.tau[rows],
+            phi_local=self.phi_l[rows],
+            phi_global=self.phi_g[rows],
+        )
+
+    def validate(self):
+        """DocVariational.validate on every document, in one vectorized pass.
+
+        The conditions are validate's, with the same reductions. Should any
+        document fail, validate itself runs on the first one, so the error
+        raised, text included, is validate's.
+        """
+        ok = dict(rtol=0, atol=SIMPLEX_ATOL)
+        bad = (
+            ~np.isclose(self.zeta.sum(axis=-1), 1.0, **ok)
+            | (self.zeta < 0).any(axis=-1)
+            | (self.lam <= 0).any(axis=-1)
+            | (self.mu_l <= 0).any(axis=(1, 2))
+            | (self.mu_g <= 0).any(axis=-1)
+        )
+        bad_rows = (
+            (self.tau < 0)
+            | (self.tau > 1)
+            | (self.phi_l < 0).any(axis=(1, 2))
+            | ~np.isclose(self.phi_l.sum(axis=-1), 1.0, **ok).all(axis=-1)
+            | (self.phi_g < 0).any(axis=-1)
+            | ~np.isclose(self.phi_g.sum(axis=-1), 1.0, **ok)
+        )
+        bad[self.seg[bad_rows]] = True
+        for i in np.flatnonzero(bad):
+            self._doc_state(i).validate()
+
     def writeback(self, states):
+        """Copy each document's state out, after one check of the batch."""
+        self.validate()
         for i, state in enumerate(states):
-            rows = slice(self.bounds[i], self.bounds[i + 1])
-            state.zeta = self.zeta[i].copy()
-            state.lam = self.lam[i].copy()
-            state.mu_local = self.mu_l[i].copy()
-            state.mu_global = self.mu_g[i].copy()
-            state.tau = self.tau[rows].copy()
-            state.phi_local = self.phi_l[rows].copy()
-            state.phi_global = self.phi_g[rows].copy()
-            state.validate()
+            vars(state).update(vars(self._doc_state(i).copy()))
 
 
 def _coordinate_ascent(params, docs, states, sweeps, rel_tol=DOC_SWEEP_REL_TOL):
     """Coordinate sweeps with per-document early exit, in place.
 
     A document stops once a sweep improves its bound by less than
-    ``rel_tol`` relative. When one stops, every state is written back
-    and the batch is rebuilt from the documents still running. Returns
-    per-document sweep counts.
+    ``rel_tol`` relative. The bound before the first sweep comes from
+    ``bound_terms``; after each sweep it is the collapsed bound the sweep
+    returns, so no sweep pays for a second pass over the rows. When one
+    document stops, every state is written back (one validation of the
+    whole batch) and the batch is rebuilt from the documents still
+    running. Returns per-document sweep counts.
     """
     running = np.arange(len(docs))
     ran = np.zeros(len(docs), dtype=np.int64)
@@ -327,10 +452,9 @@ def _coordinate_ascent(params, docs, states, sweeps, rel_tol=DOC_SWEEP_REL_TOL):
             prev = batch.bound()
         keep = np.ones(running.size, dtype=bool)
         while keep.all() and done < sweeps:
-            batch.sweep()
+            val = batch.sweep()
             done += 1
             ran[running] += 1
-            val = batch.bound()
             keep = val - prev >= rel_tol * np.maximum(1.0, np.abs(prev))
             prev = val
         batch.writeback([states[i] for i in running])

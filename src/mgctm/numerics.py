@@ -67,12 +67,46 @@ def log_normalize_with_norm(log_weights, axis=-1):
 def _shifted_exp(log_weights, axis):
     # (exp(lw - max), max, sum of the exponentials), max and sum keeping axis
     lw = np.asarray(log_weights, dtype=float)
-    m = np.max(lw, axis=axis, keepdims=True)
+    last = lw.ndim > 0 and axis % lw.ndim == lw.ndim - 1
+    if last:
+        m = max_last(lw)[..., None]
+    else:
+        m = np.max(lw, axis=axis, keepdims=True)
     if not np.all(np.isfinite(m)):
         raise DegenerateInputError("log_normalize: no finite entry to normalize")
     p = lw - m
     np.exp(p, out=p)
-    return p, m, p.sum(axis=axis, keepdims=True)
+    total = sum_last(p)[..., None] if last else p.sum(axis=axis, keepdims=True)
+    return p, m, total
+
+
+# NumPy reduces every row separately, which on a last axis of a few
+# entries costs ~100x an elementwise pass. Fewer than this many terms it
+# adds one after another, starting from 0.0, so slices taken in that
+# order give the same bits.
+_SHORT_AXIS = 8
+
+
+def sum_last(x):
+    """x.sum(axis=-1), bit for bit, fast when the last axis is short."""
+    k = x.shape[-1]
+    if not 0 < k < _SHORT_AXIS:
+        return x.sum(axis=-1)
+    out = x[..., 0] + 0.0
+    for i in range(1, k):
+        out += x[..., i]
+    return out
+
+
+def max_last(x):
+    """x.max(axis=-1), fast when the last axis is short."""
+    k = x.shape[-1]
+    if not 0 < k < _SHORT_AXIS:
+        return x.max(axis=-1)
+    out = x[..., 0].copy()
+    for i in range(1, k):
+        np.maximum(out, x[..., i], out=out)
+    return out
 
 
 @dataclass

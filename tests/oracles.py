@@ -4,7 +4,10 @@ Everything here is written directly from the model's definition with
 plain formulas, scalar loops, and generic numerical tools (quadrature,
 derivative-free maximization, grid search). None of the package's
 inference code is reused; the only package imports are data containers
-and the stopping tolerances the package's loops share.
+and the stopping tolerances the package's loops share. The one exception
+is ``reference_coordinate_ascent``: it drives the package's own block
+updates and full bound, so that the E-step's collapsed per-sweep bound
+can be checked against the loop it replaced.
 Tests compare package outputs against these references.
 """
 
@@ -19,7 +22,7 @@ from scipy.special import gammaln, psi, xlogy
 from mgctm.baselines import LdaModel
 from mgctm.corpus import Corpus, Document
 from mgctm.errors import ConfigError, DegenerateInputError, NumericalError
-from mgctm.inference import DECREASE_SLACK, DOC_SWEEP_REL_TOL
+from mgctm.inference import DECREASE_SLACK, DOC_SWEEP_REL_TOL, E_STEP_BLOCKS, _Batch
 from mgctm.model import DocVariational, FitReport, HiddenAssignments, ModelParams
 
 
@@ -118,6 +121,42 @@ def reference_corpus_bound(params, corpus, states):
     return sum(
         reference_doc_bound(params, doc, st) for doc, st in zip(corpus.docs, states)
     )
+
+
+def reference_coordinate_ascent(
+    params, docs, states, sweeps, rel_tol=DOC_SWEEP_REL_TOL
+):
+    """Coordinate sweeps with per-document early exit, in place.
+
+    The E-step loop with a full bound after every sweep: each sweep
+    applies ``_Batch.update`` over E_STEP_BLOCKS, then ``_Batch.bound()``
+    (the sum of bound_terms) decides which documents stop. When one
+    stops, every state is written back and checked on its own, and the
+    batch is rebuilt from the documents still running. Returns
+    per-document sweep counts.
+    """
+    running = np.arange(len(docs))
+    ran = np.zeros(len(docs), dtype=np.int64)
+    done = 0
+    prev = None
+    while running.size and done < sweeps:
+        batch = _Batch(params, [docs[i] for i in running], [states[i] for i in running])
+        if prev is None:
+            prev = batch.bound()
+        keep = np.ones(running.size, dtype=bool)
+        while keep.all() and done < sweeps:
+            for block in E_STEP_BLOCKS:
+                batch.update(block)
+            done += 1
+            ran[running] += 1
+            val = batch.bound()
+            keep = val - prev >= rel_tol * np.maximum(1.0, np.abs(prev))
+            prev = val
+        batch.writeback([states[i] for i in running])
+        for i in running:
+            states[i].validate()
+        running, prev = running[keep], prev[keep]
+    return ran
 
 
 # ---------------------------------------------------------------------------

@@ -182,8 +182,10 @@ class TestLdaMatchesReference:
         lb = log_beta[np.concatenate(docs)]
         c = np.concatenate(counts)
         gamma = rng.uniform(0.05, 5.0, (len(docs), num_topics))
+        elog = oracles.dir_elog(gamma)
         for _ in range(5):
-            gamma, phi, bound = _lda_sweep(alpha, gamma, lb, c, bounds)
+            gamma, elog, phi, bound = _lda_sweep(alpha, elog, lb, c, bounds)
+            np.testing.assert_array_equal(elog, oracles.dir_elog(gamma))
             for d in range(len(docs)):
                 rows = slice(bounds[d], bounds[d + 1])
                 full = oracles._lda_doc_bound(

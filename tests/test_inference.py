@@ -11,6 +11,8 @@ from mgctm.inference import (
     E_STEP_BLOCKS,
     ELBO_TERM_NAMES,
     TOPIC_SMOOTHING,
+    _Batch,
+    _coordinate_ascent,
     doc_elbo,
     e_step_doc,
     elbo,
@@ -35,6 +37,18 @@ def small_fit_corpus(seed=0, num_docs=20, doc_length=25):
     params = random_model_params(2, 2, 2, 12, seed=seed)
     corpus, _ = sample_corpus(params, num_docs, doc_length, seed=seed)
     return corpus
+
+
+STATE_FIELDS = (
+    "zeta", "lam", "mu_local", "mu_global", "tau", "phi_local", "phi_global",
+)
+
+
+def assert_states_equal(got, want, context=None):
+    for field in STATE_FIELDS:
+        np.testing.assert_array_equal(
+            getattr(got, field), getattr(want, field), err_msg=f"{field} {context}"
+        )
 
 
 class TestDocBound:
@@ -118,17 +132,38 @@ class TestBlockUpdates:
                 assert after >= before - slack, (seed, block)
 
     def test_sweep_is_blocks_applied_in_order(self):
-        params, doc, state, _ = oracles.small_instance(5)
-        by_blocks = state.copy()
-        for block in E_STEP_BLOCKS:
-            update_block(params, doc, by_blocks, block)
-        by_sweep = state.copy()
-        e_step_doc(params, doc, by_sweep, sweeps=1, rel_tol=0.0)
-        np.testing.assert_array_equal(by_blocks.zeta, by_sweep.zeta)
-        np.testing.assert_array_equal(by_blocks.tau, by_sweep.tau)
-        np.testing.assert_array_equal(by_blocks.mu_local, by_sweep.mu_local)
-        np.testing.assert_array_equal(by_blocks.phi_local, by_sweep.phi_local)
-        np.testing.assert_array_equal(by_blocks.lam, by_sweep.lam)
+        for seed in range(10):
+            params, doc, state, _ = oracles.small_instance(seed)
+            by_blocks = state.copy()
+            for block in E_STEP_BLOCKS:
+                update_block(params, doc, by_blocks, block)
+            by_sweep = state.copy()
+            e_step_doc(params, doc, by_sweep, sweeps=1, rel_tol=0.0)
+            assert_states_equal(by_sweep, by_blocks, seed)
+
+    def test_batch_sweep_is_blocks_applied_per_document(self):
+        # One sweep over a batch of several documents, an empty one among
+        # them, equals each document's blocks applied on their own.
+        for seed in range(6):
+            rng = np.random.default_rng([29, seed])
+            params = oracles.random_small_params(rng)
+            docs = [
+                oracles.random_small_doc(rng, params.vocab_size, max_tokens=12)
+                for _ in range(4)
+            ]
+            docs.insert(2, Document([], []))
+            states = [
+                oracles.random_doc_state(params, doc.word_ids.size, rng)
+                for doc in docs
+            ]
+            swept = [st.copy() for st in states]
+            ran = _coordinate_ascent(params, docs, swept, sweeps=1, rel_tol=0.0)
+            np.testing.assert_array_equal(ran, 1)
+            for doc, st, got in zip(docs, states, swept):
+                alone = st.copy()
+                for block in E_STEP_BLOCKS:
+                    update_block(params, doc, alone, block)
+                assert_states_equal(got, alone, seed)
 
     def test_requested_sweeps_run_without_tolerance(self):
         params, doc, state, _ = oracles.small_instance(2)
@@ -426,6 +461,286 @@ class TestRaggedBatches:
         assert (
             np.diff(trace) >= -1e-6 * np.maximum(1.0, np.abs(trace[:-1]))
         ).all()
+
+
+def edge_case_params(gamma):
+    # Topics with exact zeros (log beta = -inf) and with 1e-320 entries
+    # (phi underflows to 0 at finite scores), a cluster with pi = 0.
+    rng = np.random.default_rng(3)
+    v_dim = 8
+    local = rng.dirichlet(np.ones(v_dim), size=(3, 2))
+    local[0, 1, :4] = 0.0
+    local[1, 0, 2:] = 1e-320
+    glob = rng.dirichlet(np.ones(v_dim), size=2)
+    glob[1, 5:] = 0.0
+    return ModelParams(
+        pi=np.array([0.6, 0.4, 0.0]),
+        gamma=np.array(gamma),
+        local_priors=rng.uniform(0.5, 2.0, (3, 2)),
+        global_prior=rng.uniform(0.5, 2.0, 2),
+        local_topics=local / local.sum(axis=-1, keepdims=True),
+        global_topics=glob / glob.sum(axis=-1, keepdims=True),
+    )
+
+
+def edge_case_batch(params):
+    # A long document, a one-term document, an empty one and a short one;
+    # phi starts at the topics' word posteriors (zero where beta is), and
+    # tau and zeta sit at 0 or 1 in places.
+    rng = np.random.default_rng(5)
+    docs = [
+        Document(np.arange(8), [1, 2, 3, 1, 1, 4, 2, 1]),
+        Document([3], [2]),
+        Document([], []),
+        Document([1, 6], [5, 1]),
+    ]
+    states = []
+    for doc in docs:
+        state = oracles.random_doc_state(params, doc.word_ids.size, rng)
+        local = params.local_topics[:, :, doc.word_ids].transpose(2, 0, 1)
+        state.phi_local = local / local.sum(axis=-1, keepdims=True)
+        glob = params.global_topics[:, doc.word_ids].T
+        state.phi_global = glob / glob.sum(axis=-1, keepdims=True)
+        states.append(state)
+    states[0].tau[[4, 5]] = [0.0, 1.0]
+    states[0].zeta = np.array([1.0, 0.0, 0.0])
+    states[3].zeta = np.array([0.0, 1.0, 0.0])
+    states[3].tau[:] = 1.0
+    return _Batch(params, docs, states)
+
+
+class TestCollapsedSweepBound:
+    @pytest.mark.parametrize("gamma", [[1.5, 0.8], [1e20, 1.0], [1.0, 1e20]])
+    def test_equals_full_bound_after_each_sweep(self, gamma):
+        batch = edge_case_batch(edge_case_params(gamma))
+        for _ in range(5):
+            collapsed = batch.sweep()
+            full = batch.bound_terms().sum(axis=1)
+            assert np.isfinite(full).all()
+            np.testing.assert_allclose(collapsed, full, rtol=1e-10, atol=0)
+        assert (batch.phi_l == 0).any()
+        assert (batch.zeta == 0).any() and (batch.zeta == 1).any()
+        if gamma[0] > 1e10:
+            # the coin prior saturates tau to exactly 1 (phi_g is uniform)
+            assert (batch.tau == 1).all()
+        else:
+            # tau stays at 1 where the start put it on a word the second
+            # global topic cannot emit
+            assert (batch.phi_g == 0).any() and (batch.tau == 1).any()
+
+    def test_equals_full_bound_on_random_instances(self):
+        for seed in range(20):
+            rng = np.random.default_rng([31, seed])
+            params = oracles.random_small_params(rng)
+            docs = [
+                oracles.random_small_doc(rng, params.vocab_size, max_tokens=10)
+                for _ in range(3)
+            ]
+            states = [
+                oracles.random_doc_state(params, doc.word_ids.size, rng)
+                for doc in docs
+            ]
+            batch = _Batch(params, docs, states)
+            for _ in range(5):
+                collapsed = batch.sweep()
+                np.testing.assert_allclose(
+                    collapsed, batch.bound_terms().sum(axis=1), rtol=1e-10, atol=0,
+                    err_msg=str(seed),
+                )
+
+
+def validation_instance():
+    rng = np.random.default_rng(41)
+    params = oracles.random_small_params(rng, num_j=3, num_k=2, num_r=3, num_v=9)
+    docs = [
+        oracles.random_small_doc(rng, params.vocab_size, max_tokens=8)
+        for _ in range(4)
+    ]
+    docs.insert(1, Document([], []))
+    states = [
+        oracles.random_doc_state(params, doc.word_ids.size, rng) for doc in docs
+    ]
+    return params, docs, states
+
+
+def validate_error(check):
+    # the ValueError text check() raises, or None when it accepts
+    try:
+        check()
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+def set_entry(field, index, value):
+    def corrupt(state):
+        arr = getattr(state, field).copy()
+        arr[index] = value
+        setattr(state, field, arr)
+    return corrupt
+
+
+def scale_entry(field, index, factor):
+    def corrupt(state):
+        arr = getattr(state, field).copy()
+        arr[index] *= factor
+        setattr(state, field, arr)
+    return corrupt
+
+
+CORRUPTIONS = {
+    "zeta off the simplex": scale_entry("zeta", 0, 1.5),
+    "zeta negative": lambda st: setattr(st, "zeta", np.array([1.5, -0.5, 0.0])),
+    "lam zero": set_entry("lam", 1, 0.0),
+    "mu_local negative": set_entry("mu_local", (2, 1), -1.0),
+    "mu_global zero": set_entry("mu_global", 0, 0.0),
+    "tau below 0": set_entry("tau", 0, -1e-12),
+    "tau above 1": set_entry("tau", -1, 1.0 + 1e-12),
+    "phi_local row off 1": scale_entry("phi_local", (0, 1), 1.01),
+    "phi_local negative": lambda st: setattr(
+        st, "phi_local", np.tile([-0.5, 1.5], st.phi_local.shape[:2] + (1,))
+    ),
+    "phi_global row off 1": scale_entry("phi_global", -1, 0.9),
+    "phi_global negative": lambda st: setattr(
+        st, "phi_global", np.tile([-1.0, 1.0, 1.0], (st.tau.size, 1))
+    ),
+    # accepted by validate, so they must pass here too
+    "tau NaN": set_entry("tau", 0, np.nan),
+    "zeta sum within tolerance": scale_entry("zeta", 0, 1.0 + 1e-10),
+    "phi_local row sum within tolerance": scale_entry("phi_local", (0, 2), 1.0 + 1e-10),
+}
+
+
+class TestBatchValidation:
+    @pytest.mark.parametrize("name", sorted(CORRUPTIONS))
+    @pytest.mark.parametrize("doc", [0, 4])
+    def test_same_verdict_and_text_as_validate(self, name, doc):
+        params, docs, states = validation_instance()
+        CORRUPTIONS[name](states[doc])
+        want = validate_error(states[doc].validate)
+        if not name.endswith(("NaN", "tolerance")):
+            assert want is not None
+        assert validate_error(_Batch(params, docs, states).validate) == want
+        targets = [st.copy() for st in states]
+        assert validate_error(
+            lambda: _Batch(params, docs, states).writeback(targets)
+        ) == want
+
+    def test_first_failing_document_is_reported(self):
+        params, docs, states = validation_instance()
+        CORRUPTIONS["lam zero"](states[4])
+        CORRUPTIONS["phi_global row off 1"](states[2])
+        CORRUPTIONS["tau below 0"](states[2])
+        want = validate_error(states[2].validate)
+        assert want == "tau entries must lie in [0, 1]"
+        assert validate_error(_Batch(params, docs, states).validate) == want
+
+    def test_random_perturbations_match_validate(self):
+        # Perturb every field around the tolerances; the batch raises
+        # exactly when some state fails, with the first failing state's text.
+        params, docs, base = validation_instance()
+        rng = np.random.default_rng(43)
+        verdicts = set()
+        for _ in range(200):
+            states = [st.copy() for st in base]
+            for st in states:
+                for field in STATE_FIELDS:
+                    arr = getattr(st, field)
+                    pick = rng.random(arr.shape) < 0.1
+                    noise = rng.choice([-2e-9, -5e-10, 5e-10, 2e-9], arr.shape)
+                    moved = arr * (1.0 + noise) + noise * 1e-3
+                    setattr(st, field, np.where(pick, moved, arr))
+            errors = [validate_error(st.validate) for st in states]
+            want = next((e for e in errors if e is not None), None)
+            verdicts.add(want is None)
+            assert validate_error(_Batch(params, docs, states).validate) == want
+        assert verdicts == {True, False}
+
+
+def ragged_corpus(seed):
+    # Empty documents (one of them last), a one-term document and one
+    # document far longer than the rest.
+    params = random_model_params(2, 2, 2, 60, seed=seed)
+    sampled, _ = sample_corpus(params, 9, 12, seed=seed)
+    docs = [
+        sampled.docs[0],
+        Document([7], [3]),
+        Document([], []),
+        Document(np.arange(0, 60, 2), np.arange(1, 31)),
+        *sampled.docs[1:],
+        Document([], []),
+    ]
+    return params, Corpus(docs=docs, vocab_size=60)
+
+
+def run_recording_sweeps(monkeypatch, loop, run):
+    """run() with the E-step loop replaced by ``loop``; also returns the
+    per-document sweep counts of every call, in call order."""
+    counts = []
+
+    def recording(*args, **kwargs):
+        ran = loop(*args, **kwargs)
+        counts.append(np.array(ran))
+        return ran
+
+    monkeypatch.setattr(inference_mod, "_coordinate_ascent", recording)
+    return run(), np.concatenate(counts)
+
+
+class TestMatchesFullBoundLoop:
+    """The E-step against oracles.reference_coordinate_ascent, which runs
+    the same blocks but takes the full bound after every sweep."""
+
+    @pytest.mark.parametrize("batch_docs", [None, 2])
+    def test_infer_doc_states(self, monkeypatch, batch_docs):
+        if batch_docs is not None:
+            monkeypatch.setattr(inference_mod, "BATCH_DOCS", batch_docs)
+        params, corpus = ragged_corpus(33)
+        sweeps = 40
+
+        def run():
+            return infer_doc_states(params, corpus, sweeps=sweeps)
+
+        got, ran = run_recording_sweeps(monkeypatch, _coordinate_ascent, run)
+        want, ref_ran = run_recording_sweeps(
+            monkeypatch, oracles.reference_coordinate_ascent, run
+        )
+        np.testing.assert_array_equal(ran, ref_ran)
+        # documents stopped early, at different sweeps
+        assert (ran < sweeps).any() and np.unique(ran[ran > 0]).size > 2
+        for a, b in zip(got, want):
+            assert_states_equal(a, b)
+
+    @pytest.mark.parametrize("batch_docs", [None, 2])
+    def test_fit(self, monkeypatch, batch_docs):
+        if batch_docs is not None:
+            monkeypatch.setattr(inference_mod, "BATCH_DOCS", batch_docs)
+        _, corpus = ragged_corpus(34)
+        cfg = HyperConfig(
+            2, 2, 2, max_em_iters=4, e_step_iters=15, elbo_rel_tol=0.0, seed=3
+        )
+
+        def run():
+            return fit(cfg, corpus)
+
+        (params, states, report), ran = run_recording_sweeps(
+            monkeypatch, _coordinate_ascent, run
+        )
+        (ref_params, ref_states, ref_report), ref_ran = run_recording_sweeps(
+            monkeypatch, oracles.reference_coordinate_ascent, run
+        )
+        np.testing.assert_array_equal(ran, ref_ran)
+        assert (ran < cfg.e_step_iters).any() and (ran == cfg.e_step_iters).any()
+        np.testing.assert_allclose(
+            report.elbo_trace, ref_report.elbo_trace, rtol=1e-10, atol=0
+        )
+        for a, b in zip(states, ref_states):
+            assert_states_equal(a, b)
+        for name in ("pi", "gamma", "local_priors", "global_prior",
+                     "local_topics", "global_topics"):
+            np.testing.assert_array_equal(
+                getattr(params, name), getattr(ref_params, name), err_msg=name
+            )
 
 
 class TestModelLevelInvariants:

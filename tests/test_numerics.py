@@ -15,6 +15,8 @@ from mgctm.numerics import (
     log_gamma,
     log_normalize,
     log_normalize_with_norm,
+    max_last,
+    sum_last,
 )
 
 
@@ -140,6 +142,48 @@ class TestLogNormalize:
     def test_with_norm_all_minus_inf_rejected(self):
         with pytest.raises(DegenerateInputError):
             log_normalize_with_norm(np.array([-np.inf, -np.inf]))
+
+
+def short_axis_arrays(seed):
+    # contiguous and strided arrays, last axis 1..12 long, with magnitudes
+    # far apart (so the order of the sum shows), signed zeros, inf and nan
+    rng = np.random.default_rng(seed)
+    for k in range(1, 13):
+        for lead in [(), (7,), (40, 3)]:
+            shape = lead + (k,)
+            x = rng.normal(size=shape) * 10.0 ** rng.integers(-17, 2, size=shape)
+            special = rng.random(shape)
+            x[special < 0.05] = -0.0
+            x[(special >= 0.05) & (special < 0.08)] = 0.0
+            if k > 2:
+                x[..., 1][special[..., 1] < 0.02] = np.inf
+                x[..., 2][special[..., 2] < 0.02] = np.nan
+            yield x
+            yield np.ascontiguousarray(np.swapaxes(x, 0, -1)).swapaxes(0, -1)
+
+
+class TestShortAxisReductions:
+    def test_sum_last_has_numpy_sum_bits(self):
+        for seed in range(3):
+            for x in short_axis_arrays(seed):
+                want = x.sum(axis=-1)
+                got = sum_last(x)
+                assert got.shape == want.shape
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), x.shape
+
+    def test_max_last_has_numpy_max_values(self):
+        for seed in range(3):
+            for x in short_axis_arrays(seed):
+                np.testing.assert_array_equal(max_last(x), x.max(axis=-1))
+
+    def test_log_normalize_on_short_axis_matches_reduction(self):
+        rng = np.random.default_rng(5)
+        for k in range(1, 12):
+            logs = rng.normal(size=(30, 4, k)) * 50.0
+            m = logs.max(axis=-1, keepdims=True)
+            p = np.exp(logs - m)
+            want = p / p.sum(axis=-1, keepdims=True)
+            np.testing.assert_array_equal(log_normalize(logs), want)
 
 
 class TestDirichletStats:
