@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, xlogy
 
+from .corpus import flat_docs
 from .errors import ConfigError, DegenerateInputError, NumericalError
 from .inference import (
     DECREASE_SLACK,
@@ -172,9 +173,7 @@ def fit_lda(
     num_docs, v_dim = corpus.num_docs, corpus.vocab_size
     rng = np.random.default_rng(seed)
     topics = perturbed_uniform_rows((num_topics, v_dim), rng)
-    words = np.concatenate([doc.word_ids for doc in corpus.docs])
-    counts = np.concatenate([doc.counts for doc in corpus.docs]).astype(float)
-    starts = np.concatenate([[0], np.cumsum([doc.word_ids.size for doc in corpus.docs])])
+    starts, words, counts = flat_docs(corpus.docs)
     gammas = np.full((num_docs, num_topics), alpha)
     gammas += _segsum(counts, starts)[:, None] / num_topics
     phi = np.full((words.size, num_topics), 1.0 / num_topics)

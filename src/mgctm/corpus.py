@@ -127,6 +127,21 @@ class Corpus:
         return np.array([doc.label for doc in self.docs], dtype=np.int64)
 
 
+def flat_docs(docs):
+    """Documents in CSR form: ``(doc_ptr, words, counts)``.
+
+    Document i's distinct terms are entries doc_ptr[i]:doc_ptr[i + 1] of
+    ``words`` and ``counts``; counts come as floats. An empty list gives
+    doc_ptr [0] and empty arrays.
+    """
+    doc_ptr = np.zeros(len(docs) + 1, dtype=np.int64)
+    np.cumsum([doc.word_ids.size for doc in docs], out=doc_ptr[1:])
+    empty = np.empty(0, dtype=np.int64)
+    words = np.concatenate([empty] + [doc.word_ids for doc in docs])
+    counts = np.concatenate([empty] + [doc.counts for doc in docs]).astype(float)
+    return doc_ptr, words, counts
+
+
 def _parse_int_fields(line, n_fields, lineno, what):
     parts = line.split()
     if len(parts) != n_fields:

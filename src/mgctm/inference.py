@@ -17,12 +17,17 @@ reference over the other pathway's topic choice. The constants those
 references contribute (log-gamma of the local topic count, log of the
 topic counts) appear in the bound and the updates below.
 
-Documents are processed in batches of a fixed number of documents, so
-results are bitwise independent of the thread count. Within a batch the
-documents' distinct terms sit end to end, one row per (document, term)
-pair, with no padding: a row-to-document index broadcasts per-document
-quantities to the rows, and segment sums collect row quantities per
-document. The same rows feed the M-step's scatter-add of expected counts.
+Inside ``fit`` and ``infer_doc_states`` the states of the whole corpus
+live in one ``VariationalStore``: the documents' distinct terms end to
+end, one row per (document, term) pair, with no padding, beside one row
+per document. A row-to-document index broadcasts per-document quantities
+to the rows, and segment sums collect row quantities per document. The
+E-step runs on batches of a fixed number of documents, each a contiguous
+slice of the store, so results are bitwise independent of the thread
+count; the M-step and the corpus bound read the store batch by batch too.
+``DocVariational`` objects appear only at the API edge: the states
+returned are views into the store, and functions given a list of states
+gather a store from it.
 
 A document's coordinate sweeps stop once its bound stalls. The bound
 after a sweep comes in collapsed form from quantities the block updates
@@ -30,9 +35,11 @@ computed anyway: each phi block is a softmax of scaled row scores, so the
 entropy of phi is its log normalizer minus the scaled expected score, and
 no second pass over the rows is needed. The full term-by-term bound
 (``_Batch.bound_terms``) stays the reference and gives the bound before
-the first sweep, ``doc_elbo`` and ``elbo_breakdown``. States written
-back from a batch are checked once per batch, vectorized, with exactly
-``DocVariational.validate``'s conditions and error messages.
+the first sweep, ``doc_elbo`` and ``elbo_breakdown``. When some documents stop, the
+working set is checked, vectorized, with exactly
+``DocVariational.validate``'s conditions and error messages, scattered
+into the store, and the documents still running are gathered into a
+compact working set.
 """
 
 import logging
@@ -44,11 +51,13 @@ from scipy.special import expit, gammaln, psi, xlogy
 
 from .errors import DegenerateInputError, NumericalError
 from .model import (
-    SIMPLEX_ATOL,
     TOPIC_SMOOTHING,
+    DocStates,
     DocVariational,
     FitReport,
     ModelParams,
+    VariationalStore,
+    validate_flat,
 )
 from .numerics import (
     DirichletStats,
@@ -150,15 +159,25 @@ def _segsum(rows, bounds):
     return out
 
 
+def _subset(index, keep):
+    # the entries of a store index (a slice or an index array) where keep holds
+    if isinstance(index, slice):
+        return index.start + np.flatnonzero(keep)
+    return index[keep]
+
+
 class _Batch:
-    """A block of documents with their distinct terms laid end to end.
+    """A working set of documents of a VariationalStore, terms end to end.
 
     Term-level arrays (counts, log emissions, tau, phi) hold one row per
     (document, term) pair, documents in order; ``seg`` maps each row to
     its document. Document-level arrays (zeta, lam, mu) hold one row per
     document. Document quantities reach the rows by indexing with
     ``seg``, and row quantities reach the documents by segment sums, so
-    no cell is padding.
+    no cell is padding. ``docs`` and ``rows`` locate the working set in
+    the store: a slice at first, index arrays once ``compact`` drops
+    documents. The state arrays start as views of the store; the block
+    updates replace them, and ``scatter`` writes them back.
 
     The row scores x_l = E[log theta_l][seg] + log beta_l and x_g (the
     same for the global pathway) are built once per value of mu_l and
@@ -170,29 +189,59 @@ class _Batch:
     ``bound_terms`` is the full reference.
     """
 
-    def __init__(self, params, docs, states):
-        sizes = [doc.word_ids.size for doc in docs]
+    def __init__(self, params, store, docs=None):
+        # documents ``docs`` (a slice; all by default) of the store
+        docs = slice(0, store.num_docs) if docs is None else docs
+        ptr = store.doc_ptr[docs.start : docs.stop + 1]
         self.params = params
-        self.num_docs = len(docs)
-        # rows of document i are bounds[i]:bounds[i + 1]
-        self.bounds = np.concatenate([[0], np.cumsum(sizes)])
-        self.seg = np.repeat(np.arange(self.num_docs), sizes)
-        self.words = np.concatenate([doc.word_ids for doc in docs])
-        self.counts = np.concatenate([doc.counts for doc in docs]).astype(float)
+        self.store = store
+        self.docs = docs
+        self.rows = slice(ptr[0], ptr[-1])
+        words = store.words[self.rows]
+        self.counts = store.counts[self.rows]
         self.log_k = np.log(params.local_topics_per_cluster)
         self.log_r = np.log(params.num_global_topics)
-        self.lb_l = _safe_log(params.local_topics.transpose(2, 0, 1)[self.words])
-        self.lb_g = _safe_log(params.global_topics.T[self.words])
-        self.zeta = np.stack([s.zeta for s in states])
-        self.lam = np.stack([s.lam for s in states])
-        self.mu_l = np.stack([s.mu_local for s in states])
-        self.mu_g = np.stack([s.mu_global for s in states])
-        self.tau = np.concatenate([s.tau for s in states])
-        self.phi_l = np.concatenate([s.phi_local for s in states])
-        self.phi_g = np.concatenate([s.phi_global for s in states])
+        self.lb_l = _safe_log(params.local_topics.transpose(2, 0, 1)[words])
+        self.lb_g = _safe_log(params.global_topics.T[words])
+        self.zeta = store.zeta[docs]
+        self.lam = store.lam[docs]
+        self.mu_l = store.mu_l[docs]
+        self.mu_g = store.mu_g[docs]
+        self.tau = store.tau[self.rows]
+        self.phi_l = store.phi_l[self.rows]
+        self.phi_g = store.phi_g[self.rows]
+        self._set_bounds(ptr - ptr[0])
+
+    def _set_bounds(self, bounds):
+        # rows of document i are bounds[i]:bounds[i + 1]
+        self.bounds = bounds
+        self.num_docs = bounds.size - 1
+        self.seg = np.repeat(np.arange(self.num_docs), np.diff(bounds))
         # (E[log theta], row scores x) per pathway; None once its mu moves
         self._scores_l = None
         self._scores_g = None
+
+    def compact(self, keep):
+        """Keep the documents where ``keep`` holds, gathering their rows.
+
+        Counts and log emissions are gathered with the state, not rebuilt
+        from the topics; the row scores are rebuilt on first use.
+        """
+        rows = keep[self.seg]
+        self.docs = _subset(self.docs, keep)
+        self.rows = _subset(self.rows, rows)
+        self.counts = self.counts[rows]
+        self.lb_l = self.lb_l[rows]
+        self.lb_g = self.lb_g[rows]
+        self.zeta = self.zeta[keep]
+        self.lam = self.lam[keep]
+        self.mu_l = self.mu_l[keep]
+        self.mu_g = self.mu_g[keep]
+        self.tau = self.tau[rows]
+        self.phi_l = self.phi_l[rows]
+        self.phi_g = self.phi_g[rows]
+        sizes = np.diff(self.bounds)[keep]
+        self._set_bounds(np.concatenate([[0], np.cumsum(sizes)]))
 
     def _local_scores(self):
         if self._scores_l is None:
@@ -266,7 +315,7 @@ class _Batch:
         cluster_logit = (
             _safe_log(self.params.pi)[None]
             + _dir_ep(self.params.local_priors[None], elog_l)
-            + _segsum(ct[:, None] * self.px_l_new, self.bounds)
+            + _segsum(_scale0(ct[:, None], self.px_l_new), self.bounds)
         )
         self.zeta = log_normalize(cluster_logit, axis=-1)
 
@@ -384,8 +433,8 @@ class _Batch:
     def bound(self):
         return self.bound_terms().sum(axis=1)
 
-    def _doc_state(self, i):
-        # document i's state as views of the batch arrays
+    def state(self, i):
+        # document i's state as views of the working set's arrays
         rows = slice(self.bounds[i], self.bounds[i + 1])
         return DocVariational(
             zeta=self.zeta[i],
@@ -398,58 +447,45 @@ class _Batch:
         )
 
     def validate(self):
-        """DocVariational.validate on every document, in one vectorized pass.
+        """DocVariational.validate on every document, in one vectorized pass."""
+        validate_flat(self)
 
-        The conditions are validate's, with the same reductions. Should any
-        document fail, validate itself runs on the first one, so the error
-        raised, text included, is validate's.
-        """
-        ok = dict(rtol=0, atol=SIMPLEX_ATOL)
-        bad = (
-            ~np.isclose(self.zeta.sum(axis=-1), 1.0, **ok)
-            | (self.zeta < 0).any(axis=-1)
-            | (self.lam <= 0).any(axis=-1)
-            | (self.mu_l <= 0).any(axis=(1, 2))
-            | (self.mu_g <= 0).any(axis=-1)
-        )
-        bad_rows = (
-            (self.tau < 0)
-            | (self.tau > 1)
-            | (self.phi_l < 0).any(axis=(1, 2))
-            | ~np.isclose(self.phi_l.sum(axis=-1), 1.0, **ok).all(axis=-1)
-            | (self.phi_g < 0).any(axis=-1)
-            | ~np.isclose(self.phi_g.sum(axis=-1), 1.0, **ok)
-        )
-        bad[self.seg[bad_rows]] = True
-        for i in np.flatnonzero(bad):
-            self._doc_state(i).validate()
-
-    def writeback(self, states):
-        """Copy each document's state out, after one check of the batch."""
+    def scatter(self):
+        """Check the working set, then write it into the store."""
         self.validate()
-        for i, state in enumerate(states):
-            vars(state).update(vars(self._doc_state(i).copy()))
+        store, docs, rows = self.store, self.docs, self.rows
+        store.zeta[docs] = self.zeta
+        store.lam[docs] = self.lam
+        store.mu_l[docs] = self.mu_l
+        store.mu_g[docs] = self.mu_g
+        store.tau[rows] = self.tau
+        store.phi_l[rows] = self.phi_l
+        store.phi_g[rows] = self.phi_g
 
 
-def _coordinate_ascent(params, docs, states, sweeps, rel_tol=DOC_SWEEP_REL_TOL):
+def _coordinate_ascent(params, store, docs, sweeps, rel_tol=DOC_SWEEP_REL_TOL):
     """Coordinate sweeps with per-document early exit, in place.
 
-    A document stops once a sweep improves its bound by less than
-    ``rel_tol`` relative. The bound before the first sweep comes from
-    ``bound_terms``; after each sweep it is the collapsed bound the sweep
-    returns, so no sweep pays for a second pass over the rows. When one
-    document stops, every state is written back (one validation of the
-    whole batch) and the batch is rebuilt from the documents still
-    running. Returns per-document sweep counts.
+    Runs on documents ``docs`` (a slice) of the store. A document stops
+    once a sweep improves its bound by less than ``rel_tol`` relative.
+    The bound before the first sweep comes from ``bound_terms``; after
+    each sweep it is the collapsed bound the sweep returns, so no sweep
+    pays for a second pass over the rows. When one document stops, the
+    working set is checked and scattered into the store, and the
+    documents still running are gathered into a compact working set.
+    Returns per-document sweep counts.
     """
-    running = np.arange(len(docs))
-    ran = np.zeros(len(docs), dtype=np.int64)
+    batch = _Batch(params, store, docs)
+    running = np.arange(batch.num_docs)
+    ran = np.zeros(batch.num_docs, dtype=np.int64)
     done = 0
     prev = None
     while running.size and done < sweeps:
-        batch = _Batch(params, [docs[i] for i in running], [states[i] for i in running])
         if prev is None:
             prev = batch.bound()
+        else:
+            # drop the documents that stopped in the last round
+            batch.compact(keep)
         keep = np.ones(running.size, dtype=bool)
         while keep.all() and done < sweeps:
             val = batch.sweep()
@@ -457,7 +493,7 @@ def _coordinate_ascent(params, docs, states, sweeps, rel_tol=DOC_SWEEP_REL_TOL):
             ran[running] += 1
             keep = val - prev >= rel_tol * np.maximum(1.0, np.abs(prev))
             prev = val
-        batch.writeback([states[i] for i in running])
+        batch.scatter()
         running, prev = running[keep], prev[keep]
     return ran
 
@@ -465,20 +501,49 @@ def _coordinate_ascent(params, docs, states, sweeps, rel_tol=DOC_SWEEP_REL_TOL):
 def _batch_slices(num_docs):
     # A fixed batch size makes batch boundaries, and with them every
     # float result, independent of the worker count.
-    return [slice(lo, lo + BATCH_DOCS) for lo in range(0, num_docs, BATCH_DOCS)]
+    return [
+        slice(lo, min(lo + BATCH_DOCS, num_docs))
+        for lo in range(0, num_docs, BATCH_DOCS)
+    ]
+
+
+def _as_store(params, docs, states):
+    """``states`` of ``docs`` as a VariationalStore.
+
+    A store is returned as is; a list of DocVariational is gathered into
+    a new store, so the caller's objects are copied, not shared.
+    """
+    if isinstance(states, VariationalStore):
+        return states
+    return VariationalStore.gather(
+        docs,
+        states,
+        params.num_clusters,
+        params.local_topics_per_cluster,
+        params.num_global_topics,
+    )
+
+
+def _set_state(state, store):
+    # point a caller's state at the one document of ``store``
+    vars(state).update(vars(store.state(0)))
 
 
 def doc_elbo(params, doc, state):
     """Evidence lower bound contribution of one document."""
-    return float(_Batch(params, [doc], [state]).bound()[0])
+    return float(_Batch(params, _as_store(params, [doc], [state])).bound()[0])
 
 
 def elbo_breakdown(params, states, corpus):
-    """Corpus bound split by term group; keys name what each group scores."""
+    """Corpus bound split by term group; keys name what each group scores.
+
+    ``states`` is a list of DocVariational, one per document, or the
+    VariationalStore holding them.
+    """
+    store = _as_store(params, corpus.docs, states)
     acc = np.zeros(len(ELBO_TERM_NAMES))
-    for rows in _batch_slices(corpus.num_docs):
-        batch = _Batch(params, corpus.docs[rows], states[rows])
-        acc += batch.bound_terms().sum(axis=0)
+    for docs in _batch_slices(store.num_docs):
+        acc += _Batch(params, store, docs).bound_terms().sum(axis=0)
     return dict(zip(ELBO_TERM_NAMES, acc.tolist()))
 
 
@@ -493,7 +558,10 @@ def e_step_doc(params, doc, state, sweeps, rel_tol=DOC_SWEEP_REL_TOL):
     Stops early once a pass improves the document's bound by less than
     ``rel_tol`` relative. Returns the number of passes run.
     """
-    return int(_coordinate_ascent(params, [doc], [state], sweeps, rel_tol)[0])
+    store = _as_store(params, [doc], [state])
+    ran = _coordinate_ascent(params, store, slice(0, 1), sweeps, rel_tol)
+    _set_state(state, store)
+    return int(ran[0])
 
 
 def update_block(params, doc, state, block):
@@ -503,24 +571,26 @@ def update_block(params, doc, state, block):
     that order; this entry point exists so each closed-form update can be
     exercised (and checked for per-block bound improvement) in isolation.
     """
-    batch = _Batch(params, [doc], [state])
+    store = _as_store(params, [doc], [state])
+    batch = _Batch(params, store)
     batch.update(block)
-    batch.writeback([state])
+    batch.scatter()
+    _set_state(state, store)
     return state
 
 
-def _run_e_step(params, states, corpus, sweeps, threads):
-    def work(rows):
-        _coordinate_ascent(params, corpus.docs[rows], states[rows], sweeps)
+def _run_e_step(params, store, sweeps, threads):
+    def work(docs):
+        _coordinate_ascent(params, store, docs, sweeps)
 
-    slices = _batch_slices(corpus.num_docs)
+    slices = _batch_slices(store.num_docs)
     if threads is not None and threads > 1:
-        # Every batch touches a disjoint slice of states.
+        # Every batch touches a disjoint slice of the store.
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(work, slices))
     else:
-        for rows in slices:
-            work(rows)
+        for docs in slices:
+            work(docs)
 
 
 def infer_doc_states(params, corpus, sweeps=50, threads=None):
@@ -530,31 +600,35 @@ def infer_doc_states(params, corpus, sweeps=50, threads=None):
     responsibilities included, so the result is deterministic) and runs
     coordinate sweeps until the per-document bound stalls.
 
-    Returns a list of DocVariational, one per document.
+    Returns a DocStates list, one DocVariational per document: views into
+    one VariationalStore, so writing into one state's arrays writes into
+    the store; ``.copy()`` detaches a state.
     """
     j_dim = params.num_clusters
-    states = [
-        DocVariational.symmetric(
-            np.full(j_dim, 1.0 / j_dim),
-            doc.word_ids.size,
-            params.local_topics_per_cluster,
-            params.num_global_topics,
-        )
-        for doc in corpus.docs
-    ]
-    _run_e_step(params, states, corpus, sweeps, threads)
-    return states
+    store = VariationalStore.symmetric(
+        corpus.docs,
+        np.full((corpus.num_docs, j_dim), 1.0 / j_dim),
+        params.local_topics_per_cluster,
+        params.num_global_topics,
+    )
+    _run_e_step(params, store, sweeps, threads)
+    return DocStates(store)
 
 
 def m_step(params, states, corpus, config):
-    """Re-estimate global parameters from the per-document expectations."""
+    """Re-estimate global parameters from the per-document expectations.
+
+    ``states`` is a list of DocVariational, one per document, or the
+    VariationalStore holding them.
+    """
+    store = _as_store(params, corpus.docs, states)
     j_dim = params.num_clusters
     k_dim = params.local_topics_per_cluster
     r_dim = params.num_global_topics
     v_dim = params.vocab_size
     num_docs = corpus.num_docs
 
-    zeta_mat = np.stack([s.zeta for s in states])
+    zeta_mat = store.zeta
     occupancy = zeta_mat.sum(axis=0)
     pi = occupancy / num_docs
 
@@ -562,13 +636,15 @@ def m_step(params, states, corpus, config):
     # scatter must sum repeated indices.
     beta_l = np.zeros((v_dim, j_dim, k_dim))
     beta_g = np.zeros((v_dim, r_dim))
-    for rows in _batch_slices(num_docs):
-        batch = _Batch(params, corpus.docs[rows], states[rows])
-        ct = batch.counts * batch.tau
-        cg = batch.counts * (1.0 - batch.tau)
-        local_w = ct[:, None, None] * batch.phi_l
-        np.add.at(beta_l, batch.words, batch.zeta[batch.seg][:, :, None] * local_w)
-        np.add.at(beta_g, batch.words, cg[:, None] * batch.phi_g)
+    seg = store.seg
+    for docs in _batch_slices(num_docs):
+        rows = slice(store.doc_ptr[docs.start], store.doc_ptr[docs.stop])
+        words, counts, tau = store.words[rows], store.counts[rows], store.tau[rows]
+        ct = counts * tau
+        cg = counts * (1.0 - tau)
+        local_w = ct[:, None, None] * store.phi_l[rows]
+        np.add.at(beta_l, words, store.zeta[seg[rows]][:, :, None] * local_w)
+        np.add.at(beta_g, words, cg[:, None] * store.phi_g[rows])
     beta_l = beta_l.transpose(1, 2, 0).copy()
     beta_g = beta_g.T.copy()
 
@@ -589,9 +665,9 @@ def m_step(params, states, corpus, config):
     global_prior = params.global_prior.copy()
     gamma = params.gamma.copy()
     if config.prior_update == "every_iter":
-        elog_l_docs = _elog_dir(np.stack([s.mu_local for s in states]))
-        elog_g_docs = _elog_dir(np.stack([s.mu_global for s in states]))
-        elog_w_docs = _elog_dir(np.stack([s.lam for s in states]))
+        elog_l_docs = _elog_dir(store.mu_l)
+        elog_g_docs = _elog_dir(store.mu_g)
+        elog_w_docs = _elog_dir(store.lam)
         for j in range(j_dim):
             if empty[j]:
                 continue
@@ -632,6 +708,7 @@ def _copy_params(params):
 
 
 def _check_initial(params, states, corpus, config):
+    """Check a caller's starting point; returns its states gathered."""
     params.validate()
     if params.num_clusters != config.num_clusters:
         raise DegenerateInputError("initial params disagree with config shape")
@@ -640,9 +717,12 @@ def _check_initial(params, states, corpus, config):
     if len(states) != corpus.num_docs:
         raise DegenerateInputError("need one variational state per document")
     for doc, state in zip(corpus.docs, states):
-        if state.tau.shape[0] != doc.word_ids.size:
+        rows = {state.tau.shape[0], state.phi_local.shape[0], state.phi_global.shape[0]}
+        if rows != {doc.word_ids.size}:
             raise DegenerateInputError("variational state does not match document")
-        state.validate()
+    store = _as_store(params, corpus.docs, states)
+    store.validate()
+    return store
 
 
 def fit(config, corpus, init_labels=None, initial=None, threads=None):
@@ -659,7 +739,10 @@ def fit(config, corpus, init_labels=None, initial=None, threads=None):
             identical for any value.
 
     Returns:
-        (ModelParams, list[DocVariational], FitReport). The report's
+        (ModelParams, DocStates, FitReport). The states, one
+        DocVariational per document, are views into one VariationalStore:
+        writing into one writes into the store; ``.copy()`` detaches a
+        state. The report's
         elbo_trace holds the initial bound followed by one value per EM
         iteration; a bound decrease beyond float slack raises
         NumericalError with a per-term breakdown attached.
@@ -672,20 +755,20 @@ def fit(config, corpus, init_labels=None, initial=None, threads=None):
     if initial is not None:
         params, states = initial
         params = _copy_params(params)
-        states = [s.copy() for s in states]
-        _check_initial(params, states, corpus, config)
+        store = _check_initial(params, states, corpus, config)
     else:
         params, states = init_model(config, corpus, init_labels)
+        store = states.store
 
-    trace = [elbo(params, states, corpus)]
+    trace = [elbo(params, store, corpus)]
     converged = False
     iterations = 0
     for _ in range(config.max_em_iters):
-        _run_e_step(params, states, corpus, config.e_step_iters, threads)
-        params = m_step(params, states, corpus, config)
+        _run_e_step(params, store, config.e_step_iters, threads)
+        params = m_step(params, store, corpus, config)
         params.validate()
         iterations += 1
-        value = elbo(params, states, corpus)
+        value = elbo(params, store, corpus)
         prev = trace[-1]
         trace.append(value)
         slack = DECREASE_SLACK * max(1.0, abs(prev))
@@ -697,7 +780,7 @@ def fit(config, corpus, init_labels=None, initial=None, threads=None):
                     "iteration": iterations,
                     "previous": prev,
                     "current": value,
-                    "breakdown": elbo_breakdown(params, states, corpus),
+                    "breakdown": elbo_breakdown(params, store, corpus),
                     "trace": list(trace),
                 },
             )
@@ -713,4 +796,4 @@ def fit(config, corpus, init_labels=None, initial=None, threads=None):
         converged=converged,
         wall_time=time.perf_counter() - start,
     )
-    return params, states, report
+    return params, DocStates(store), report

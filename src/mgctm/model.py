@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Corpus, Document
+from .corpus import Corpus, Document, flat_docs
 from .errors import ConfigError, DimensionError
 
 logger = logging.getLogger(__name__)
@@ -200,20 +200,6 @@ class DocVariational:
         if self.phi_global.size:
             _check_rows_stochastic(self.phi_global, "phi_global")
 
-    @classmethod
-    def symmetric(cls, zeta, num_terms, num_local, num_global):
-        """State with the given responsibilities and every other field flat."""
-        num_clusters = zeta.shape[0]
-        return cls(
-            zeta=zeta,
-            lam=np.ones(2),
-            mu_local=np.ones((num_clusters, num_local)),
-            mu_global=np.ones(num_global),
-            tau=np.full(num_terms, 0.5),
-            phi_local=np.full((num_terms, num_clusters, num_local), 1.0 / num_local),
-            phi_global=np.full((num_terms, num_global), 1.0 / num_global),
-        )
-
     def copy(self):
         return DocVariational(
             zeta=self.zeta.copy(),
@@ -232,6 +218,147 @@ class DocVariational:
         out.mu_local = self.mu_local[perm]
         out.phi_local = self.phi_local[:, perm, :]
         return out
+
+
+def validate_flat(flat):
+    """DocVariational.validate on every document of flat states, vectorized.
+
+    ``flat`` has a VariationalStore's seven state arrays (``zeta``,
+    ``lam``, ``mu_l``, ``mu_g``, ``tau``, ``phi_l``, ``phi_g``), ``seg``
+    (the document of each row) and ``state(i)`` (document i's state as a
+    DocVariational): a VariationalStore or an E-step working set. The
+    conditions are validate's, with the same reductions. Should any
+    document fail, validate itself runs on the first one, so the error
+    raised, text included, is validate's.
+    """
+    ok = dict(rtol=0, atol=SIMPLEX_ATOL)
+    bad = (
+        ~np.isclose(flat.zeta.sum(axis=-1), 1.0, **ok)
+        | (flat.zeta < 0).any(axis=-1)
+        | (flat.lam <= 0).any(axis=-1)
+        | (flat.mu_l <= 0).any(axis=(1, 2))
+        | (flat.mu_g <= 0).any(axis=-1)
+    )
+    bad_rows = (
+        (flat.tau < 0)
+        | (flat.tau > 1)
+        | (flat.phi_l < 0).any(axis=(1, 2))
+        | ~np.isclose(flat.phi_l.sum(axis=-1), 1.0, **ok).all(axis=-1)
+        | (flat.phi_g < 0).any(axis=-1)
+        | ~np.isclose(flat.phi_g.sum(axis=-1), 1.0, **ok)
+    )
+    bad[flat.seg[bad_rows]] = True
+    for i in np.flatnonzero(bad):
+        flat.state(i).validate()
+
+
+@dataclass
+class VariationalStore:
+    """The variational states of a whole corpus, in flat arrays.
+
+    Documents sit in CSR form: document i's distinct terms are rows
+    doc_ptr[i]:doc_ptr[i + 1] of ``words`` and ``counts`` (floats). The
+    row arrays ``tau`` (N,), ``phi_l`` (N, J, K) and ``phi_g`` (N, R)
+    follow the same rows; the document arrays ``zeta`` (D, J), ``lam``
+    (D, 2), ``mu_l`` (D, J, K) and ``mu_g`` (D, R) hold one row per
+    document. ``state(i)`` is document i's DocVariational as views of
+    these arrays.
+    """
+
+    doc_ptr: np.ndarray
+    words: np.ndarray
+    counts: np.ndarray
+    zeta: np.ndarray
+    lam: np.ndarray
+    mu_l: np.ndarray
+    mu_g: np.ndarray
+    tau: np.ndarray
+    phi_l: np.ndarray
+    phi_g: np.ndarray
+
+    @classmethod
+    def symmetric(cls, docs, zeta, num_local, num_global):
+        """Store with the given (D, J) responsibilities, other fields flat."""
+        doc_ptr, words, counts = flat_docs(docs)
+        (num_docs, num_clusters), rows = zeta.shape, words.size
+        return cls(
+            doc_ptr,
+            words,
+            counts,
+            zeta=zeta,
+            lam=np.ones((num_docs, 2)),
+            mu_l=np.ones((num_docs, num_clusters, num_local)),
+            mu_g=np.ones((num_docs, num_global)),
+            tau=np.full(rows, 0.5),
+            phi_l=np.full((rows, num_clusters, num_local), 1.0 / num_local),
+            phi_g=np.full((rows, num_global), 1.0 / num_global),
+        )
+
+    @classmethod
+    def gather(cls, docs, states, num_clusters, num_local, num_global):
+        """Store holding copies of ``states``, one DocVariational per doc."""
+        doc_ptr, words, counts = flat_docs(docs)
+
+        def join(how, name, shape):
+            parts = [getattr(state, name) for state in states]
+            return how(parts) if parts else np.empty((0,) + shape)
+
+        j, k, r = num_clusters, num_local, num_global
+        return cls(
+            doc_ptr,
+            words,
+            counts,
+            zeta=join(np.stack, "zeta", (j,)),
+            lam=join(np.stack, "lam", (2,)),
+            mu_l=join(np.stack, "mu_local", (j, k)),
+            mu_g=join(np.stack, "mu_global", (r,)),
+            tau=join(np.concatenate, "tau", ()),
+            phi_l=join(np.concatenate, "phi_local", (j, k)),
+            phi_g=join(np.concatenate, "phi_global", (r,)),
+        )
+
+    @property
+    def num_docs(self):
+        return self.doc_ptr.size - 1
+
+    @property
+    def seg(self):
+        """The document of each row."""
+        return np.repeat(np.arange(self.num_docs), np.diff(self.doc_ptr))
+
+    def state(self, i):
+        rows = slice(self.doc_ptr[i], self.doc_ptr[i + 1])
+        return DocVariational(
+            zeta=self.zeta[i],
+            lam=self.lam[i],
+            mu_local=self.mu_l[i],
+            mu_global=self.mu_g[i],
+            tau=self.tau[rows],
+            phi_local=self.phi_l[rows],
+            phi_global=self.phi_g[rows],
+        )
+
+    def validate(self):
+        validate_flat(self)
+
+
+class DocStates(list):
+    """One DocVariational per document, as views into one VariationalStore.
+
+    A plain list otherwise; ``store`` is the store. Writing into a
+    state's arrays writes into the store, and ``copy()`` detaches a state.
+    """
+
+    def __init__(self, store):
+        ptr = store.doc_ptr.tolist()
+        tau, phi_l, phi_g = store.tau, store.phi_l, store.phi_g
+        super().__init__(
+            DocVariational(zeta, lam, mu_l, mu_g, tau[lo:hi], phi_l[lo:hi], phi_g[lo:hi])
+            for zeta, lam, mu_l, mu_g, lo, hi in zip(
+                store.zeta, store.lam, store.mu_l, store.mu_g, ptr[:-1], ptr[1:]
+            )
+        )
+        self.store = store
 
 
 @dataclass
@@ -376,6 +503,9 @@ def init_model(config, corpus, init_labels=None):
     cluster responsibilities put 0.9 on the given label and spread the
     rest evenly; under "random" they are drawn from a flat Dirichlet.
     All other variational fields start at their symmetric values.
+
+    The states come as a DocStates list: views into one VariationalStore,
+    so writing into one writes into the store; ``.copy()`` detaches one.
     """
     j, k, r = (
         config.num_clusters,
@@ -407,17 +537,16 @@ def init_model(config, corpus, init_labels=None):
         if labels.size and (labels.min() < 0 or labels.max() >= j):
             raise ConfigError("init_labels outside [0, num_clusters)")
 
-    states = []
-    for d, doc in enumerate(corpus.docs):
-        if j == 1:
-            zeta = np.ones(1)
-        elif labels is not None:
-            zeta = np.full(j, 0.1 / (j - 1))
-            zeta[labels[d]] = 0.9
-        else:
-            zeta = rng.dirichlet(np.ones(j))
-        states.append(DocVariational.symmetric(zeta, doc.word_ids.size, k, r))
-    return params, states
+    num_docs = corpus.num_docs
+    if j == 1:
+        zeta = np.ones((num_docs, 1))
+    elif labels is not None:
+        zeta = np.full((num_docs, j), 0.1 / (j - 1))
+        zeta[np.arange(num_docs), labels] = 0.9
+    else:
+        # the same draws as one rng.dirichlet call per document
+        zeta = rng.dirichlet(np.ones(j), size=num_docs)
+    return params, DocStates(VariationalStore.symmetric(corpus.docs, zeta, k, r))
 
 
 def random_model_params(

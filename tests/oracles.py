@@ -23,7 +23,13 @@ from mgctm.baselines import LdaModel
 from mgctm.corpus import Corpus, Document
 from mgctm.errors import ConfigError, DegenerateInputError, NumericalError
 from mgctm.inference import DECREASE_SLACK, DOC_SWEEP_REL_TOL, E_STEP_BLOCKS, _Batch
-from mgctm.model import DocVariational, FitReport, HiddenAssignments, ModelParams
+from mgctm.model import (
+    DocVariational,
+    FitReport,
+    HiddenAssignments,
+    ModelParams,
+    VariationalStore,
+)
 
 
 def _plogp(p):
@@ -124,23 +130,44 @@ def reference_corpus_bound(params, corpus, states):
 
 
 def reference_coordinate_ascent(
-    params, docs, states, sweeps, rel_tol=DOC_SWEEP_REL_TOL
+    params, store, docs, sweeps, rel_tol=DOC_SWEEP_REL_TOL
 ):
     """Coordinate sweeps with per-document early exit, in place.
 
-    The E-step loop with a full bound after every sweep: each sweep
-    applies ``_Batch.update`` over E_STEP_BLOCKS, then ``_Batch.bound()``
-    (the sum of bound_terms) decides which documents stop. When one
-    stops, every state is written back and checked on its own, and the
-    batch is rebuilt from the documents still running. Returns
-    per-document sweep counts.
+    The E-step loop on per-document objects, with a full bound after
+    every sweep, run on documents ``docs`` (a slice) of ``store``. Each
+    document's state is copied out of the store into its own
+    DocVariational. Each sweep applies ``_Batch.update`` over
+    E_STEP_BLOCKS to a batch stacked from the running documents' objects,
+    then ``_Batch.bound()`` (the sum of bound_terms) decides which
+    documents stop. When one stops, every running state is copied back
+    out of the batch and checked on its own, and the batch is restacked
+    from the documents still running. At the end each object is copied
+    into the store. Returns per-document sweep counts.
     """
-    running = np.arange(len(docs))
-    ran = np.zeros(len(docs), dtype=np.int64)
+    shape = (
+        params.num_clusters,
+        params.local_topics_per_cluster,
+        params.num_global_topics,
+    )
+    index = range(store.num_docs)[docs]
+    doc_objs = [
+        Document(
+            store.words[store.doc_ptr[i] : store.doc_ptr[i + 1]],
+            store.counts[store.doc_ptr[i] : store.doc_ptr[i + 1]],
+        )
+        for i in index
+    ]
+    states = [store.state(i).copy() for i in index]
+    running = np.arange(len(index))
+    ran = np.zeros(len(index), dtype=np.int64)
     done = 0
     prev = None
     while running.size and done < sweeps:
-        batch = _Batch(params, [docs[i] for i in running], [states[i] for i in running])
+        stacked = VariationalStore.gather(
+            [doc_objs[i] for i in running], [states[i] for i in running], *shape
+        )
+        batch = _Batch(params, stacked)
         if prev is None:
             prev = batch.bound()
         keep = np.ones(running.size, dtype=bool)
@@ -152,10 +179,15 @@ def reference_coordinate_ascent(
             val = batch.bound()
             keep = val - prev >= rel_tol * np.maximum(1.0, np.abs(prev))
             prev = val
-        batch.writeback([states[i] for i in running])
-        for i in running:
+        batch.scatter()
+        for k, i in enumerate(running):
+            vars(states[i]).update(vars(stacked.state(k).copy()))
             states[i].validate()
         running, prev = running[keep], prev[keep]
+    for i, state in zip(index, states):
+        view = store.state(i)
+        for name, arr in vars(view).items():
+            arr[...] = getattr(state, name)
     return ran
 
 

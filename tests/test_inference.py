@@ -11,6 +11,7 @@ from mgctm.inference import (
     E_STEP_BLOCKS,
     ELBO_TERM_NAMES,
     TOPIC_SMOOTHING,
+    _as_store,
     _Batch,
     _coordinate_ascent,
     doc_elbo,
@@ -42,6 +43,11 @@ def small_fit_corpus(seed=0, num_docs=20, doc_length=25):
 STATE_FIELDS = (
     "zeta", "lam", "mu_local", "mu_global", "tau", "phi_local", "phi_global",
 )
+
+
+def batch_of(params, docs, states):
+    # one E-step working set over copies of the given states
+    return _Batch(params, _as_store(params, docs, states))
 
 
 def assert_states_equal(got, want, context=None):
@@ -156,14 +162,50 @@ class TestBlockUpdates:
                 oracles.random_doc_state(params, doc.word_ids.size, rng)
                 for doc in docs
             ]
-            swept = [st.copy() for st in states]
-            ran = _coordinate_ascent(params, docs, swept, sweeps=1, rel_tol=0.0)
+            store = _as_store(params, docs, states)
+            ran = _coordinate_ascent(params, store, slice(0, 5), sweeps=1, rel_tol=0.0)
             np.testing.assert_array_equal(ran, 1)
+            swept = [store.state(i) for i in range(5)]
             for doc, st, got in zip(docs, states, swept):
                 alone = st.copy()
                 for block in E_STEP_BLOCKS:
                     update_block(params, doc, alone, block)
                 assert_states_equal(got, alone, seed)
+
+    def test_zero_tau_on_word_a_local_topic_cannot_emit(self):
+        # tau = 0 makes phi_local uniform, so phi_local . x_local is -inf
+        # where a local topic has beta = 0; the cluster logit weights it
+        # by counts * tau = 0, which must count as 0, not NaN.
+        local = np.full((1, 2, 2), 0.5)
+        local[0, 1] = [0.0, 1.0]
+        params = ModelParams(
+            pi=np.ones(1),
+            gamma=np.ones(2),
+            local_priors=np.ones((1, 2)),
+            global_prior=np.ones(2),
+            local_topics=local,
+            global_topics=np.full((2, 2), 0.5),
+        )
+        doc = Document([0], [3])
+        state = DocVariational(
+            zeta=np.ones(1),
+            lam=np.ones(2),
+            mu_local=np.ones((1, 2)),
+            mu_global=np.ones(2),
+            tau=np.array([0.0]),
+            phi_local=np.full((1, 1, 2), 0.5),
+            phi_global=np.full((1, 2), 0.5),
+        )
+        start = state.copy()
+        values = [doc_elbo(params, doc, state)]
+        for _ in range(4):
+            e_step_doc(params, doc, state, sweeps=1, rel_tol=0.0)
+            values.append(doc_elbo(params, doc, state))
+            ref = oracles.reference_doc_bound(params, doc, state)
+            assert math.isclose(values[-1], ref, rel_tol=1e-10)
+        assert np.isfinite(values).all()
+        assert (np.diff(values) >= -1e-9 * np.maximum(1.0, np.abs(values[:-1]))).all()
+        assert e_step_doc(params, doc, start, sweeps=50) == 2
 
     def test_requested_sweeps_run_without_tolerance(self):
         params, doc, state, _ = oracles.small_instance(2)
@@ -332,10 +374,27 @@ class TestFit:
         cfg = HyperConfig(2, 2, 2, max_em_iters=2, seed=7)
         init_params, init_states = init_model(cfg, corpus)
         pi_before = init_params.pi.copy()
-        zeta_before = init_states[0].zeta.copy()
+        states_before = [st.copy() for st in init_states]
         fit(cfg, corpus, initial=(init_params, init_states))
         np.testing.assert_array_equal(init_params.pi, pi_before)
-        np.testing.assert_array_equal(init_states[0].zeta, zeta_before)
+        # init_model's states are views into one store; none is written
+        assert len(init_states) == len(states_before)
+        for d, (st, before) in enumerate(zip(init_states, states_before)):
+            assert_states_equal(st, before, d)
+
+    @pytest.mark.parametrize(
+        "name", ["zeta off the simplex", "lam zero", "tau above 1", "phi_local row off 1"]
+    )
+    def test_invalid_initial_state_rejected_with_validate_text(self, name):
+        corpus = small_fit_corpus(seed=8)
+        cfg = HyperConfig(2, 2, 2, seed=8)
+        params, states = init_model(cfg, corpus)
+        broken = [st.copy() for st in states]
+        CORRUPTIONS[name](broken[5])
+        CORRUPTIONS["tau below 0"](broken[11])
+        want = validate_error(broken[5].validate)
+        assert want is not None
+        assert validate_error(lambda: fit(cfg, corpus, initial=(params, broken))) == want
 
     def test_empty_corpus_rejected(self):
         cfg = HyperConfig(2, 2, 2)
@@ -406,6 +465,63 @@ class TestInferDocStates:
         for doc, st, base in zip(corpus.docs, states_a, fresh):
             base.zeta = np.full(2, 0.5)
             assert doc_elbo(params, doc, st) >= doc_elbo(params, doc, base) - 1e-9
+
+    def test_same_bits_for_any_batch_size_and_thread_count(self, monkeypatch):
+        params, corpus = ragged_corpus(33)
+        runs = []
+        for batch_docs in (None, 2):
+            if batch_docs is not None:
+                monkeypatch.setattr(inference_mod, "BATCH_DOCS", batch_docs)
+            for threads in (None, 2, 3):
+                runs.append(infer_doc_states(params, corpus, sweeps=40, threads=threads))
+        for states in runs[1:]:
+            assert len(states) == corpus.num_docs
+            for got, want in zip(states, runs[0]):
+                assert_states_equal(got, want)
+
+    def test_empty_corpus(self):
+        params = random_model_params(2, 2, 2, 10, seed=13)
+        assert infer_doc_states(params, Corpus(docs=[], vocab_size=10)) == []
+
+
+def returned_states():
+    # (name, states) from every function that hands out states as views
+    params, corpus = ragged_corpus(35)
+    cfg = HyperConfig(2, 2, 2, max_em_iters=2, elbo_rel_tol=0.0, seed=5)
+    yield "infer_doc_states", infer_doc_states(params, corpus, sweeps=5)
+    yield "fit", fit(cfg, corpus)[1]
+    yield "init_model", init_model(cfg, corpus)[1]
+
+
+class TestReturnedStatesAreViews:
+    @pytest.mark.parametrize("source", ["infer_doc_states", "fit", "init_model"])
+    def test_writes_stay_in_their_document(self, source):
+        states = dict(returned_states())[source]
+        before = [st.copy() for st in states]
+        for i, st in enumerate(states):
+            for field in STATE_FIELDS:
+                getattr(st, field)[...] = -1.0 - i
+            for j in range(i + 1, len(states)):
+                assert_states_equal(states[j], before[j], (source, i, j))
+        for i, st in enumerate(states):
+            for field in STATE_FIELDS:
+                assert (getattr(st, field) == -1.0 - i).all(), (source, i, field)
+        # and each write landed in the one store the states share
+        np.testing.assert_array_equal(
+            states.store.zeta[:, 0], -1.0 - np.arange(len(states))
+        )
+
+    @pytest.mark.parametrize("source", ["infer_doc_states", "fit", "init_model"])
+    def test_copy_detaches(self, source):
+        states = dict(returned_states())[source]
+        detached = states[3].copy()
+        kept = detached.copy()
+        for field in STATE_FIELDS:
+            getattr(states[3], field)[...] = 7.0
+        assert_states_equal(detached, kept)
+        for field in STATE_FIELDS:
+            getattr(detached, field)[...] = 3.0
+            assert (getattr(states[3], field) == 7.0).all()
 
 
 class TestRaggedBatches:
@@ -506,7 +622,7 @@ def edge_case_batch(params):
     states[0].zeta = np.array([1.0, 0.0, 0.0])
     states[3].zeta = np.array([0.0, 1.0, 0.0])
     states[3].tau[:] = 1.0
-    return _Batch(params, docs, states)
+    return batch_of(params, docs, states)
 
 
 class TestCollapsedSweepBound:
@@ -540,7 +656,7 @@ class TestCollapsedSweepBound:
                 oracles.random_doc_state(params, doc.word_ids.size, rng)
                 for doc in docs
             ]
-            batch = _Batch(params, docs, states)
+            batch = batch_of(params, docs, states)
             for _ in range(5):
                 collapsed = batch.sweep()
                 np.testing.assert_allclose(
@@ -620,11 +736,9 @@ class TestBatchValidation:
         want = validate_error(states[doc].validate)
         if not name.endswith(("NaN", "tolerance")):
             assert want is not None
-        assert validate_error(_Batch(params, docs, states).validate) == want
-        targets = [st.copy() for st in states]
-        assert validate_error(
-            lambda: _Batch(params, docs, states).writeback(targets)
-        ) == want
+        assert validate_error(batch_of(params, docs, states).validate) == want
+        assert validate_error(batch_of(params, docs, states).scatter) == want
+        assert validate_error(_as_store(params, docs, states).validate) == want
 
     def test_first_failing_document_is_reported(self):
         params, docs, states = validation_instance()
@@ -633,7 +747,8 @@ class TestBatchValidation:
         CORRUPTIONS["tau below 0"](states[2])
         want = validate_error(states[2].validate)
         assert want == "tau entries must lie in [0, 1]"
-        assert validate_error(_Batch(params, docs, states).validate) == want
+        assert validate_error(batch_of(params, docs, states).validate) == want
+        assert validate_error(_as_store(params, docs, states).validate) == want
 
     def test_random_perturbations_match_validate(self):
         # Perturb every field around the tolerances; the batch raises
@@ -653,7 +768,8 @@ class TestBatchValidation:
             errors = [validate_error(st.validate) for st in states]
             want = next((e for e in errors if e is not None), None)
             verdicts.add(want is None)
-            assert validate_error(_Batch(params, docs, states).validate) == want
+            assert validate_error(batch_of(params, docs, states).validate) == want
+            assert validate_error(_as_store(params, docs, states).validate) == want
         assert verdicts == {True, False}
 
 
