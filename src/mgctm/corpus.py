@@ -17,7 +17,7 @@ before any empty documents are dropped).
 
 import logging
 import os
-import tempfile
+import secrets
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,11 +27,24 @@ from .errors import CorpusFormatError, DimensionError
 logger = logging.getLogger(__name__)
 
 
+def _create_temp(directory):
+    # Like tempfile.mkstemp, but with mode 0o666 as open() uses: the
+    # kernel applies the process umask at creation, so no thread has to
+    # read or change the umask.
+    while True:
+        tmp = os.path.join(directory, f"tmp{secrets.token_hex(8)}.tmp")
+        try:
+            return os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), tmp
+        except FileExistsError:
+            continue
+
+
 def atomic_write_text(path, text):
     """Write text through a temp file and rename, so readers never see
-    a partially written file."""
+    a partially written file. The file gets the mode open() would give
+    it (0o666 less the umask)."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    fd, tmp = _create_temp(directory)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)

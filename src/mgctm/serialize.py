@@ -1,14 +1,19 @@
 """Versioned JSON persistence for models, fit reports, and sampler output.
 
 Every file is a self-describing JSON object with "format" and "version"
-fields so a reader can refuse files it does not understand. Floats are
-written with full repr precision and arrays as nested lists, which makes
-outputs byte-identical across runs with the same seed. Writes go through
-a temp file in the target directory followed by os.replace, so a crash
-never leaves a half-written file behind.
+fields so a reader can refuse files it does not understand. Each array
+is written as one object holding its dtype, its shape and its C-order
+little-endian bytes in base64, so arrays round-trip bit for bit and a
+file costs no per-float text; scalars are written at full repr
+precision. Outputs are byte-identical across runs with the same seed.
+Version-1 files, which held arrays as nested lists, are still read.
+Writes go through a temp file in the target directory followed by
+os.replace, so a crash never leaves a half-written file behind.
 """
 
+import base64
 import json
+import math
 
 import numpy as np
 
@@ -20,22 +25,101 @@ MODEL_FORMAT = "mgctm-model"
 LDA_FORMAT = "lda-model"
 REPORT_FORMAT = "fit-report"
 HIDDEN_FORMAT = "mgctm-hidden"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+
+# Stored dtype for each dtype kind an array may have.
+_WIRE_DTYPES = {"f": "<f8", "i": "<i8"}
+_MODEL_ARRAYS = {
+    "pi": 1,
+    "gamma": 1,
+    "local_priors": 2,
+    "global_prior": 1,
+    "local_topics": 3,
+    "global_topics": 2,
+}
 
 
-class _FullPrecision(json.JSONEncoder):
+def _encode(arr):
+    wire = _WIRE_DTYPES.get(arr.dtype.kind)
+    if wire is None:
+        raise TypeError(f"cannot store an array of dtype {arr.dtype}")
+    data = np.asarray(arr, dtype=wire).tobytes(order="C")
+    return {
+        "dtype": wire,
+        "shape": list(arr.shape),
+        "data": base64.b64encode(data).decode("ascii"),
+    }
+
+
+class _Encoder(json.JSONEncoder):
     def default(self, o):
         if isinstance(o, np.integer):
             return int(o)
         if isinstance(o, np.floating):
             return float(o)
         if isinstance(o, np.ndarray):
-            return o.tolist()
+            return _encode(o)
         return super().default(o)
 
 
 def _dump(payload, path):
-    atomic_write_text(path, json.dumps(payload, cls=_FullPrecision, indent=1) + "\n")
+    atomic_write_text(path, json.dumps(payload, cls=_Encoder, indent=1) + "\n")
+
+
+def _array(value, dtype, ndim):
+    """Read one stored array as a writable, native, C-contiguous array.
+
+    ``value`` is an encoded array object (version 2) or a nested list
+    (version 1); ``dtype`` is float or np.int64. Raises
+    CorpusFormatError when the value is malformed or is not ``ndim``-D.
+    """
+    dtype = np.dtype(dtype)
+    if isinstance(value, dict):
+        arr = _decode(value, dtype)
+    else:
+        try:
+            arr = np.array(value)
+        except ValueError as exc:
+            raise CorpusFormatError(f"not a numeric array ({exc})") from exc
+        numeric = "iuf" if dtype.kind == "f" else "iu"
+        # an empty list carries no values to check, and numpy reads it as float
+        if arr.size and arr.dtype.kind not in numeric:
+            raise CorpusFormatError(f"not a numeric array of {dtype}")
+        arr = arr.astype(dtype)
+    if arr.ndim != ndim:
+        raise CorpusFormatError(f"{arr.ndim}-D array where {ndim}-D expected")
+    return arr
+
+
+def _decode(value, dtype):
+    wire = _WIRE_DTYPES[dtype.kind]
+    if value.get("dtype") != wire:
+        raise CorpusFormatError(f"array dtype {value.get('dtype')!r} where {wire!r} expected")
+    shape = value.get("shape")
+    if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+        raise CorpusFormatError(f"array shape {shape!r} is not a list of non-negative ints")
+    data = value.get("data")
+    if not isinstance(data, str):
+        raise CorpusFormatError("array data is not a base64 string")
+    try:
+        raw = base64.b64decode(data, validate=True)
+    except ValueError as exc:
+        raise CorpusFormatError(f"array data is not valid base64 ({exc})") from exc
+    need = 8 * math.prod(shape)
+    if len(raw) != need:
+        raise CorpusFormatError(
+            f"array data holds {len(raw)} bytes where shape {shape} needs {need}"
+        )
+    # frombuffer gives a read-only view of ``raw``; astype copies it into a
+    # writable array of native byte order
+    return np.frombuffer(raw, dtype=wire).astype(dtype).reshape(shape)
+
+
+def _field(path, name, value, dtype, ndim):
+    try:
+        return _array(value, dtype, ndim)
+    except CorpusFormatError as exc:
+        raise CorpusFormatError(f"{path}: {name}: {exc}") from exc
 
 
 def _load(path, expect_format):
@@ -52,7 +136,7 @@ def _load(path, expect_format):
             f"{path}: format {got!r} where {expect_format!r} expected"
         )
     version = payload.get("version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or not 1 <= version <= FORMAT_VERSION:
         raise CorpusFormatError(f"{path}: unsupported version {version!r}")
     return payload
 
@@ -83,23 +167,21 @@ def load_model(path):
     payload = _load(path, MODEL_FORMAT)
     try:
         params = ModelParams(
-            pi=np.array(payload["pi"], dtype=float),
-            gamma=np.array(payload["gamma"], dtype=float),
-            local_priors=np.array(payload["local_priors"], dtype=float),
-            global_prior=np.array(payload["global_prior"], dtype=float),
-            local_topics=np.array(payload["local_topics"], dtype=float),
-            global_topics=np.array(payload["global_topics"], dtype=float),
+            **{
+                name: _field(path, name, payload[name], float, ndim)
+                for name, ndim in _MODEL_ARRAYS.items()
+            }
         )
     except KeyError as exc:
         raise CorpusFormatError(f"{path}: missing field {exc}") from exc
-    params.validate()
+    try:
+        params.validate()
+    except ValueError as exc:
+        raise CorpusFormatError(f"{path}: {exc}") from exc
     for name in ("num_clusters", "local_topics_per_cluster", "num_global_topics", "vocab_size"):
         if payload.get(name) != getattr(params, name):
             raise CorpusFormatError(f"{path}: declared {name} disagrees with arrays")
-    report = None
-    if "report" in payload:
-        report = report_from_payload(payload["report"])
-    return params, report
+    return params, _report(path, payload)
 
 
 def report_payload(report):
@@ -115,13 +197,27 @@ def report_payload(report):
 
 
 def report_from_payload(payload):
-    if payload.get("format") != REPORT_FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != REPORT_FORMAT:
         raise CorpusFormatError("embedded report has wrong format tag")
-    return FitReport(
-        elbo_trace=[float(x) for x in payload["elbo_trace"]],
-        iterations_run=int(payload["iterations_run"]),
-        converged=bool(payload["converged"]),
-    )
+    try:
+        return FitReport(
+            elbo_trace=[float(x) for x in payload["elbo_trace"]],
+            iterations_run=int(payload["iterations_run"]),
+            converged=bool(payload["converged"]),
+        )
+    except KeyError as exc:
+        raise CorpusFormatError(f"embedded report: missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise CorpusFormatError(f"embedded report: {exc}") from exc
+
+
+def _report(path, payload):
+    if "report" not in payload:
+        return None
+    try:
+        return report_from_payload(payload["report"])
+    except CorpusFormatError as exc:
+        raise CorpusFormatError(f"{path}: {exc}") from exc
 
 
 def save_hidden(hidden, path):
@@ -131,22 +227,28 @@ def save_hidden(hidden, path):
         "version": FORMAT_VERSION,
         "cluster": hidden.cluster,
         "omega": hidden.omega,
-        "indicator": [a.tolist() for a in hidden.indicator],
-        "local_z": [a.tolist() for a in hidden.local_z],
-        "global_z": [a.tolist() for a in hidden.global_z],
+        "indicator": hidden.indicator,
+        "local_z": hidden.local_z,
+        "global_z": hidden.global_z,
     }
     _dump(payload, path)
 
 
 def load_hidden(path):
     payload = _load(path, HIDDEN_FORMAT)
-    return HiddenAssignments(
-        cluster=np.array(payload["cluster"], dtype=np.int64),
-        omega=np.array(payload["omega"], dtype=float),
-        indicator=[np.array(a, dtype=np.int64) for a in payload["indicator"]],
-        local_z=[np.array(a, dtype=np.int64) for a in payload["local_z"]],
-        global_z=[np.array(a, dtype=np.int64) for a in payload["global_z"]],
-    )
+    try:
+        fields = {
+            "cluster": _field(path, "cluster", payload["cluster"], np.int64, 1),
+            "omega": _field(path, "omega", payload["omega"], float, 1),
+        }
+        for name in ("indicator", "local_z", "global_z"):
+            fields[name] = [
+                _field(path, f"{name}[{d}]", value, np.int64, 1)
+                for d, value in enumerate(payload[name])
+            ]
+    except KeyError as exc:
+        raise CorpusFormatError(f"{path}: missing field {exc}") from exc
+    return HiddenAssignments(**fields)
 
 
 def save_lda(model, path, report=None):
@@ -169,16 +271,19 @@ def load_lda(path):
     from .baselines import LdaModel
 
     payload = _load(path, LDA_FORMAT)
-    model = LdaModel(
-        topics=np.array(payload["topics"], dtype=float),
-        doc_theta=np.array(payload["doc_theta"], dtype=float),
-        alpha=float(payload["alpha"]),
-    )
+    try:
+        topics = _field(path, "topics", payload["topics"], float, 2)
+        doc_theta = _field(path, "doc_theta", payload["doc_theta"], float, 2)
+        alpha = payload["alpha"]
+    except KeyError as exc:
+        raise CorpusFormatError(f"{path}: missing field {exc}") from exc
+    try:
+        alpha = float(alpha)
+    except (TypeError, ValueError) as exc:
+        raise CorpusFormatError(f"{path}: alpha: {exc}") from exc
+    model = LdaModel(topics=topics, doc_theta=doc_theta, alpha=alpha)
     if payload.get("num_topics") != model.topics.shape[0] or payload.get(
         "vocab_size"
     ) != model.topics.shape[1]:
         raise CorpusFormatError(f"{path}: declared shape disagrees with arrays")
-    report = None
-    if "report" in payload:
-        report = report_from_payload(payload["report"])
-    return model, report
+    return model, _report(path, payload)

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 
 import numpy as np
@@ -515,6 +516,68 @@ class TestTopics:
         )
         assert code == 2
         assert "model expects 4" in err
+
+
+class TestBadModelFile:
+    """A model file that fails its checks exits 2 with one stderr line."""
+
+    def broken_model(self, tmp_path, field, value):
+        path = tmp_path / "m.json"
+        save_model(random_model_params(2, 1, 1, 8, seed=3), str(path))
+        payload = json.loads(path.read_text())
+        payload[field] = value
+        path.write_text(json.dumps(payload))
+        return str(path)
+
+    def assert_one_line_error(self, code, err, message):
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert message in err
+
+    def test_topics_invalid_parameters(self, tmp_path, capsys):
+        model = self.broken_model(tmp_path, "pi", [0.9, 0.9])
+        paths = write_two_block_corpus(tmp_path)
+        code, out, err = run(capsys, "topics", "--model", model, "--vocab", paths["vocab"])
+        assert out == ""
+        self.assert_one_line_error(code, err, "pi must be a probability vector")
+
+    def test_eval_bad_base64(self, tmp_path, capsys):
+        paths = write_two_block_corpus(tmp_path)
+        model = self.broken_model(
+            tmp_path, "global_topics", {"dtype": "<f8", "shape": [1, 8], "data": "@@@@"}
+        )
+        code, _, err = run(
+            capsys,
+            "eval",
+            "--method", "mgctm",
+            "--model", model,
+            "--corpus", paths["bow"],
+            "--labels", paths["labels"],
+        )
+        self.assert_one_line_error(code, err, "global_topics: array data is not valid base64")
+
+    def test_synth_params_ragged_list(self, tmp_path, capsys):
+        model = self.broken_model(tmp_path, "local_priors", [[1.0], [1.0, 2.0]])
+        argv, paths = synth_args(tmp_path)
+        code, _, err = run(capsys, *argv, "--params", model)
+        self.assert_one_line_error(code, err, "local_priors: not a numeric array")
+        assert not any(os.path.exists(p) for p in paths.values())
+
+    def test_eval_lda_wrong_dtype(self, tmp_path, capsys):
+        paths = write_two_block_corpus(tmp_path)
+        lda_path = tmp_path / "lda.json"
+        save_lda(LdaModel(np.full((2, 8), 0.125), np.ones((12, 2)), 0.1), str(lda_path))
+        payload = json.loads(lda_path.read_text())
+        payload["doc_theta"]["dtype"] = "<i8"
+        lda_path.write_text(json.dumps(payload))
+        code, _, err = run(
+            capsys,
+            "eval",
+            "--method", "lda-naive",
+            "--model", str(lda_path),
+            "--labels", paths["labels"],
+        )
+        self.assert_one_line_error(code, err, "doc_theta: array dtype '<i8' where '<f8' expected")
 
 
 class TestBench:

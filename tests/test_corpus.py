@@ -48,6 +48,23 @@ class TestAtomicWrite:
         assert not target.exists()
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize(
+        "umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask022", "umask077"]
+    )
+    def test_mode_is_what_open_gives(self, tmp_path, umask, mode):
+        old = os.umask(umask)
+        try:
+            atomic_write_text(str(tmp_path / "new.txt"), "a\n")
+            with open(tmp_path / "plain.txt", "w") as handle:
+                handle.write("a\n")
+            (tmp_path / "old.txt").write_text("")
+            os.chmod(tmp_path / "old.txt", 0o600 if mode == 0o644 else 0o644)
+            save_labels([1, 2], str(tmp_path / "old.txt"))
+        finally:
+            os.umask(old)
+        for name in ("new.txt", "plain.txt", "old.txt"):
+            assert (tmp_path / name).stat().st_mode & 0o777 == mode
+
 
 class TestVocabulary:
     def test_lookup(self):
