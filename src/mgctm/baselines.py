@@ -8,35 +8,35 @@ baselines derive labels from it two ways (argmax of the document's topic
 proportions, or k-means on the proportion vectors) and k-means can also
 run directly on tf-idf vectors.
 
-LDA shares the main model's flat layout: the documents' distinct terms
-sit end to end, one row per (document, term) pair, and the E-step and
-the bound run over the same fixed batches of documents, with segment
-sums collecting row quantities per document. Results therefore depend
-on nothing but the inputs and the seed. Within a batch, every document
-sweeps until its bound stalls, and the sweeps go on over the documents
-still running.
+LDA shares the main model's flat layout and machinery: the documents'
+distinct terms sit end to end, one row per (document, term) pair, and
+``fit_lda`` runs on the EM driver ``fit`` runs on (``inference._run_em``).
+Its E-step is the same early-exit loop (``inference._coordinate_ascent``)
+over the same fixed batches, on an LDA working set (``_LdaBatch``), so
+results depend on nothing but the inputs and the seed.
 """
 
 import logging
-import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.special import gammaln, xlogy
 
 from .corpus import flat_docs
-from .errors import ConfigError, DegenerateInputError, NumericalError
+from .errors import ConfigError, DegenerateInputError, DimensionError
 from .inference import (
-    DECREASE_SLACK,
-    DOC_SWEEP_REL_TOL,
     _batch_slices,
     _dir_ep,
     _elog_dir,
     _gdot,
+    _run_e_step,
+    _run_em,
     _safe_log,
     _segsum,
+    _WorkingSet,
 )
-from .model import FitReport, perturbed_uniform_rows
+from .model import _check_positive, _check_rows_stochastic, perturbed_uniform_rows
 from .numerics import log_normalize_with_norm
 
 logger = logging.getLogger(__name__)
@@ -56,91 +56,84 @@ class LdaModel:
     doc_theta: np.ndarray
     alpha: float
 
-
-def _lda_doc_terms(alpha, gamma, elog):
-    # per-document bound terms of the proportions: the expected log prior
-    # minus the expected log variational Dirichlet
-    num_topics = gamma.shape[-1]
-    return (
-        gammaln(num_topics * alpha)
-        - num_topics * gammaln(alpha)
-        + (alpha - 1.0) * elog.sum(axis=-1)
-        - _dir_ep(gamma, elog)
-    )
+    def validate(self):
+        _check_rows_stochastic(self.topics, "topics")
+        if self.doc_theta.shape[1:] != self.topics.shape[:1]:
+            raise DimensionError("doc_theta must have one column per topic")
+        _check_positive(self.doc_theta, "doc_theta")
+        _check_positive(self.alpha, "alpha")
 
 
-def _lda_bound(alpha, gamma, phi, lb, c, bounds):
-    """Per-document bounds of a block of documents at a given phi.
+class _LdaBatch(_WorkingSet):
+    """LDA's E-step working set: documents ``docs`` (a slice) of the corpus.
 
-    gamma is (n, T); phi, the log topic probabilities lb and the counts c
-    hold one row per (document, term) pair, the rows of document i being
-    bounds[i]:bounds[i + 1].
+    ``flat`` is the corpus as ``corpus.flat_docs`` gives it, ``gammas``
+    (D, T) and ``phi`` (rows, T) the corpus-wide state, and ``log_beta``
+    the log topics, term-major.
     """
-    elog = _elog_dir(gamma)
-    seg = np.repeat(np.arange(gamma.shape[0]), np.diff(bounds))
-    x = elog[seg] + lb
-    words = c * (_gdot(phi, x) - xlogy(phi, phi).sum(axis=-1))
-    return _lda_doc_terms(alpha, gamma, elog) + _segsum(words, bounds)
 
+    DOC_FIELDS = ("gamma", "elog")
+    ROW_FIELDS = ("lb", "counts", "phi")
 
-def _lda_sweep(alpha, elog, lb, c, bounds):
-    """One coordinate sweep on a block of documents (layout as _lda_bound).
+    def __init__(self, alpha, log_beta, flat, gammas, phi, docs):
+        starts, words, counts = flat
+        ptr = starts[docs.start : docs.stop + 1]
+        self.alpha = alpha
+        self.store = gammas, phi
+        self.docs = docs
+        self.rows = slice(ptr[0], ptr[-1])
+        self.lb = log_beta[words[self.rows]]
+        self.counts = counts[self.rows]
+        self.gamma = gammas[docs]
+        self.elog = _elog_dir(self.gamma)
+        self.phi = phi[self.rows]
+        self._set_bounds(ptr - ptr[0])
 
-    elog is E[log theta] at the current gamma. phi = softmax(elog[seg] +
-    lb) row by row, then gamma = alpha + per-document sums of c * phi.
-    Returns (gamma, its E[log theta], phi, bound), the bound taken at the
-    new gamma and phi in collapsed form: log phi is
-    x_old - logsumexp(x_old) with x_old = E[log theta]_old[seg] + lb, so
-    the word and phi-entropy terms sum to
-    (E[log theta]_new - E[log theta]_old) . (gamma_new - alpha)
-    + sum over rows of c * logsumexp(x_old), and no second pass over the
-    rows is needed.
-    """
-    seg = np.repeat(np.arange(elog.shape[0]), np.diff(bounds))
-    phi, log_norm = log_normalize_with_norm(elog[seg] + lb, axis=-1)
-    expected = _segsum(c[:, None] * phi, bounds)
-    gamma = alpha + expected
-    new_elog = _elog_dir(gamma)
-    bound = (
-        _lda_doc_terms(alpha, gamma, new_elog)
-        + ((new_elog - elog) * expected).sum(axis=-1)
-        + _segsum(c * log_norm, bounds)
-    )
-    return gamma, new_elog, phi, bound
-
-
-def _lda_e_step(alpha, gamma, phi, lb, c, bounds, prev, sweeps):
-    """Up to ``sweeps`` sweeps on a block of documents, in place.
-
-    Layout as _lda_bound; prev holds each document's bound at the start.
-    A document stops once a sweep gains less than DOC_SWEEP_REL_TOL
-    relative: its gamma and phi are written back and the sweeps go on
-    over the documents still running. Returns per-document sweep counts.
-    """
-    docs = np.arange(gamma.shape[0])
-    rows = np.arange(c.size)
-    ran = np.zeros(docs.size, dtype=np.int64)
-    cur, elog = gamma, _elog_dir(gamma)
-    for sweep in range(sweeps):
-        cur, elog, cur_phi, val = _lda_sweep(alpha, elog, lb, c, bounds)
-        ran[docs] += 1
-        done = (val - prev < DOC_SWEEP_REL_TOL * np.maximum(1.0, np.abs(prev))) | (
-            sweep + 1 == sweeps
+    def _doc_terms(self, gamma, elog):
+        # per-document bound terms of the proportions: the expected log
+        # prior minus the expected log variational Dirichlet
+        alpha, num_topics = self.alpha, gamma.shape[-1]
+        return (
+            gammaln(num_topics * alpha)
+            - num_topics * gammaln(alpha)
+            + (alpha - 1.0) * elog.sum(axis=-1)
+            - _dir_ep(gamma, elog)
         )
-        if not done.any():
-            prev = val
-            continue
-        sizes = np.diff(bounds)
-        row_done = np.repeat(done, sizes)
-        gamma[docs[done]] = cur[done]
-        phi[rows[row_done]] = cur_phi[row_done]
-        keep, row_keep = ~done, ~row_done
-        docs, rows, lb, c = docs[keep], rows[row_keep], lb[row_keep], c[row_keep]
-        cur, elog, prev = cur[keep], elog[keep], val[keep]
-        bounds = np.concatenate([[0], np.cumsum(sizes[keep])])
-        if not docs.size:
-            break
-    return ran
+
+    def bound(self):
+        """Each document's bound at the current gamma and phi, term by term."""
+        c, phi = self.counts, self.phi
+        x = self.elog[self.seg] + self.lb
+        words = c * (_gdot(phi, x) - xlogy(phi, phi).sum(axis=-1))
+        return self._doc_terms(self.gamma, self.elog) + _segsum(words, self.bounds)
+
+    def sweep(self):
+        """phi = softmax(E[log theta][seg] + lb) row by row, then gamma =
+        alpha + per-document sums of c * phi; returns the new bounds.
+
+        The bound comes in collapsed form: log phi is x_old -
+        logsumexp(x_old) with x_old = E[log theta]_old[seg] + lb, so the
+        word and phi-entropy terms sum to (E[log theta]_new -
+        E[log theta]_old) . (gamma_new - alpha) + sum over rows of c *
+        logsumexp(x_old), and no second pass over the rows is needed.
+        """
+        c, bounds = self.counts, self.bounds
+        phi, log_norm = log_normalize_with_norm(self.elog[self.seg] + self.lb, axis=-1)
+        expected = _segsum(c[:, None] * phi, bounds)
+        gamma = self.alpha + expected
+        elog = _elog_dir(gamma)
+        bound = (
+            self._doc_terms(gamma, elog)
+            + ((elog - self.elog) * expected).sum(axis=-1)
+            + _segsum(c * log_norm, bounds)
+        )
+        self.gamma, self.elog, self.phi = gamma, elog, phi
+        return bound
+
+    def scatter(self):
+        gammas, phi = self.store
+        gammas[self.docs] = self.gamma
+        phi[self.rows] = self.phi
 
 
 def fit_lda(
@@ -168,75 +161,36 @@ def fit_lda(
         raise DegenerateInputError("cannot fit an empty corpus")
     if alpha <= 0 or eta <= 0:
         raise ConfigError("alpha and eta must be > 0")
+    if min(max_em_iters, e_step_iters, elbo_rel_tol) < 0:
+        raise ConfigError("iteration counts and elbo_rel_tol must be >= 0")
 
-    start = time.perf_counter()
     num_docs, v_dim = corpus.num_docs, corpus.vocab_size
     rng = np.random.default_rng(seed)
     topics = perturbed_uniform_rows((num_topics, v_dim), rng)
-    starts, words, counts = flat_docs(corpus.docs)
+    flat = flat_docs(corpus.docs)
+    starts, words, counts = flat
     gammas = np.full((num_docs, num_topics), alpha)
     gammas += _segsum(counts, starts)[:, None] / num_topics
     phi = np.full((words.size, num_topics), 1.0 / num_topics)
-    # per batch: its documents, their rows, and row bounds within the batch
-    batches = []
-    for docs in _batch_slices(num_docs):
-        b = starts[docs.start : docs.stop + 1]
-        batches.append((docs, slice(b[0], b[-1]), b - b[0]))
-    # each document's bound under the current topics, gamma and phi: the
-    # objective's terms and the next E-step's starting point
-    doc_bounds = np.empty(num_docs)
-
-    def objective(log_beta):
-        for docs, rows, bounds in batches:
-            doc_bounds[docs] = _lda_bound(
-                alpha, gammas[docs], phi[rows], log_beta[words[rows]], counts[rows], bounds
-            )
-        return eta * log_beta.sum() + doc_bounds.sum()
-
-    # log topics term-major, so that a row gather by word id is contiguous
+    # log topics term-major, so that a row gather by word id is contiguous;
+    # the M-step rewrites topics and log_beta in place
     log_beta = _safe_log(topics).T.copy()
-    trace = [objective(log_beta)]
-    converged = False
-    iterations = 0
-    for _ in range(max_em_iters):
-        for docs, rows, bounds in batches:
-            _lda_e_step(
-                alpha,
-                gammas[docs],
-                phi[rows],
-                log_beta[words[rows]],
-                counts[rows],
-                bounds,
-                doc_bounds[docs],
-                e_step_iters,
-            )
+    batch = partial(_LdaBatch, alpha, log_beta, flat, gammas, phi)
 
+    def bound():
+        doc_bounds = np.concatenate([batch(d).bound() for d in _batch_slices(num_docs)])
+        terms = {"topic_prior": eta * log_beta.sum(), "documents": doc_bounds.sum()}
+        return terms, doc_bounds
+
+    def m_step():
         weights = np.zeros((v_dim, num_topics))
         np.add.at(weights, words, counts[:, None] * phi)
-        topics = np.ascontiguousarray(weights.T) + eta
-        topics /= topics.sum(axis=-1, keepdims=True)
-        log_beta = _safe_log(topics).T.copy()
-        iterations += 1
+        np.add(weights.T, eta, out=topics)
+        np.divide(topics, topics.sum(axis=-1, keepdims=True), out=topics)
+        log_beta[...] = _safe_log(topics).T
 
-        value = objective(log_beta)
-        prev = trace[-1]
-        trace.append(value)
-        if value < prev - DECREASE_SLACK * max(1.0, abs(prev)):
-            raise NumericalError(
-                f"objective decreased from {prev:.10g} to {value:.10g} "
-                f"at iteration {iterations}",
-                details={"previous": prev, "current": value, "trace": list(trace)},
-            )
-        if elbo_rel_tol > 0 and value - prev < elbo_rel_tol * max(1.0, abs(prev)):
-            converged = True
-            break
-
-    report = FitReport(
-        elbo_trace=trace,
-        iterations_run=iterations,
-        converged=converged,
-        wall_time=time.perf_counter() - start,
-    )
+    e_step = partial(_run_e_step, batch, num_docs, sweeps=e_step_iters)
+    report = _run_em(bound, e_step, m_step, max_em_iters, elbo_rel_tol)
     return LdaModel(topics=topics, doc_theta=gammas, alpha=alpha), report
 
 

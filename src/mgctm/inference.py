@@ -29,22 +29,23 @@ count; the M-step and the corpus bound read the store batch by batch too.
 returned are views into the store, and functions given a list of states
 gather a store from it.
 
-A document's coordinate sweeps stop once its bound stalls. The bound
-after a sweep comes in collapsed form from quantities the block updates
-computed anyway: each phi block is a softmax of scaled row scores, so the
-entropy of phi is its log normalizer minus the scaled expected score, and
-no second pass over the rows is needed. The full term-by-term bound
-(``_Batch.bound_terms``) stays the reference and gives the bound before
-the first sweep, ``doc_elbo`` and ``elbo_breakdown``. When some documents stop, the
-working set is checked, vectorized, with exactly
-``DocVariational.validate``'s conditions and error messages, scattered
-into the store, and the documents still running are gathered into a
-compact working set.
+One EM driver (``_run_em``) runs ``fit`` and ``baselines.fit_lda``, and
+one early-exit loop (``_coordinate_ascent``) both E-steps. Each bound
+pass gives every document's bound too, and the next E-step starts from
+those. A document's sweeps stop once its bound stalls; it is then
+written back (here checked, vectorized, with exactly
+``DocVariational.validate``'s conditions and error messages), and the
+documents still running are gathered into a compact working set. The
+bound after a sweep comes in collapsed form: each phi block is a softmax
+of scaled row scores, so the entropy of phi is its log normalizer minus
+the scaled expected score, and no second pass over the rows is needed.
 """
 
+import copy
 import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 from scipy.special import expit, gammaln, psi, xlogy
@@ -166,18 +167,50 @@ def _subset(index, keep):
     return index[keep]
 
 
-class _Batch:
-    """A working set of documents of a VariationalStore, terms end to end.
+class _WorkingSet:
+    """E-step documents, terms end to end, for ``_coordinate_ascent``.
 
-    Term-level arrays (counts, log emissions, tau, phi) hold one row per
-    (document, term) pair, documents in order; ``seg`` maps each row to
-    its document. Document-level arrays (zeta, lam, mu) hold one row per
-    document. Document quantities reach the rows by indexing with
-    ``seg``, and row quantities reach the documents by segment sums, so
-    no cell is padding. ``docs`` and ``rows`` locate the working set in
-    the store: a slice at first, index arrays once ``compact`` drops
-    documents. The state arrays start as views of the store; the block
-    updates replace them, and ``scatter`` writes them back.
+    ``DOC_FIELDS`` name the arrays with one row per document, ``ROW_FIELDS``
+    those with one row per (document, term) pair; ``seg`` maps rows to
+    documents. ``docs`` and ``rows`` locate the set in the corpus-wide
+    arrays: slices at first, index arrays once ``compact`` drops documents.
+    """
+
+    def _set_bounds(self, bounds):
+        # rows of document i are bounds[i]:bounds[i + 1]
+        self.bounds = bounds
+        self.num_docs = bounds.size - 1
+        self.seg = np.repeat(np.arange(self.num_docs), np.diff(bounds))
+
+    def compact(self, keep):
+        """Keep the documents where ``keep`` holds, gathering their rows."""
+        rows = keep[self.seg]
+        self.docs = _subset(self.docs, keep)
+        self.rows = _subset(self.rows, rows)
+        for name in self.DOC_FIELDS:
+            setattr(self, name, getattr(self, name)[keep])
+        for name in self.ROW_FIELDS:
+            setattr(self, name, getattr(self, name)[rows])
+        sizes = np.diff(self.bounds)[keep]
+        self._set_bounds(np.concatenate([[0], np.cumsum(sizes)]))
+
+    def write_back(self, done):
+        """Scatter the documents where ``done`` holds; the set is unchanged."""
+        part = self
+        if not done.all():
+            part = copy.copy(self)
+            part.compact(done)
+        part.scatter()
+
+
+class _Batch(_WorkingSet):
+    """The MGCTM working set: documents of a VariationalStore.
+
+    Document quantities reach the rows by indexing with ``seg``, and row
+    quantities reach the documents by segment sums, so no cell is
+    padding. The state arrays start as views of the store; the block
+    updates replace them, and ``scatter`` checks them and writes them
+    back.
 
     The row scores x_l = E[log theta_l][seg] + log beta_l and x_g (the
     same for the global pathway) are built once per value of mu_l and
@@ -188,6 +221,10 @@ class _Batch:
     returns the new bound without another pass over the rows;
     ``bound_terms`` is the full reference.
     """
+
+    DOC_FIELDS = ("zeta", "lam", "mu_l", "mu_g")
+    # log emissions are gathered with the state, not rebuilt from the topics
+    ROW_FIELDS = ("counts", "lb_l", "lb_g", "tau", "phi_l", "phi_g")
 
     def __init__(self, params, store, docs=None):
         # documents ``docs`` (a slice; all by default) of the store
@@ -213,35 +250,11 @@ class _Batch:
         self._set_bounds(ptr - ptr[0])
 
     def _set_bounds(self, bounds):
-        # rows of document i are bounds[i]:bounds[i + 1]
-        self.bounds = bounds
-        self.num_docs = bounds.size - 1
-        self.seg = np.repeat(np.arange(self.num_docs), np.diff(bounds))
-        # (E[log theta], row scores x) per pathway; None once its mu moves
+        super()._set_bounds(bounds)
+        # (E[log theta], row scores x) per pathway; None once mu or the
+        # documents change
         self._scores_l = None
         self._scores_g = None
-
-    def compact(self, keep):
-        """Keep the documents where ``keep`` holds, gathering their rows.
-
-        Counts and log emissions are gathered with the state, not rebuilt
-        from the topics; the row scores are rebuilt on first use.
-        """
-        rows = keep[self.seg]
-        self.docs = _subset(self.docs, keep)
-        self.rows = _subset(self.rows, rows)
-        self.counts = self.counts[rows]
-        self.lb_l = self.lb_l[rows]
-        self.lb_g = self.lb_g[rows]
-        self.zeta = self.zeta[keep]
-        self.lam = self.lam[keep]
-        self.mu_l = self.mu_l[keep]
-        self.mu_g = self.mu_g[keep]
-        self.tau = self.tau[rows]
-        self.phi_l = self.phi_l[rows]
-        self.phi_g = self.phi_g[rows]
-        sizes = np.diff(self.bounds)[keep]
-        self._set_bounds(np.concatenate([[0], np.cumsum(sizes)]))
 
     def _local_scores(self):
         if self._scores_l is None:
@@ -463,38 +476,33 @@ class _Batch:
         store.phi_g[rows] = self.phi_g
 
 
-def _coordinate_ascent(params, store, docs, sweeps, rel_tol=DOC_SWEEP_REL_TOL):
+def _coordinate_ascent(work, start, sweeps, rel_tol=DOC_SWEEP_REL_TOL):
     """Coordinate sweeps with per-document early exit, in place.
 
-    Runs on documents ``docs`` (a slice) of the store. A document stops
-    once a sweep improves its bound by less than ``rel_tol`` relative.
-    The bound before the first sweep comes from ``bound_terms``; after
-    each sweep it is the collapsed bound the sweep returns, so no sweep
-    pays for a second pass over the rows. When one document stops, the
-    working set is checked and scattered into the store, and the
-    documents still running are gathered into a compact working set.
-    Returns per-document sweep counts.
+    ``work`` is a working set (``_Batch`` or the LDA one) and ``start``
+    its documents' bounds before the first sweep, or None to take them
+    from ``work.bound()``; later bounds are those ``work.sweep()`` returns.
+    A document stops once a sweep improves its bound by less than
+    ``rel_tol`` relative, or after ``sweeps`` sweeps, and is then written
+    back, once. Returns per-document sweep counts.
     """
-    batch = _Batch(params, store, docs)
-    running = np.arange(batch.num_docs)
-    ran = np.zeros(batch.num_docs, dtype=np.int64)
-    done = 0
-    prev = None
-    while running.size and done < sweeps:
+    running = np.arange(work.num_docs)
+    ran = np.zeros(work.num_docs, dtype=np.int64)
+    prev = start
+    for sweep in range(sweeps):
         if prev is None:
-            prev = batch.bound()
-        else:
-            # drop the documents that stopped in the last round
-            batch.compact(keep)
-        keep = np.ones(running.size, dtype=bool)
-        while keep.all() and done < sweeps:
-            val = batch.sweep()
-            done += 1
-            ran[running] += 1
-            keep = val - prev >= rel_tol * np.maximum(1.0, np.abs(prev))
-            prev = val
-        batch.scatter()
-        running, prev = running[keep], prev[keep]
+            prev = work.bound()
+        val = work.sweep()
+        ran[running] += 1
+        keep = val - prev >= rel_tol * np.maximum(1.0, np.abs(prev))
+        keep &= sweep + 1 < sweeps
+        if not keep.all():
+            work.write_back(~keep)
+            if not keep.any():
+                break
+            work.compact(keep)
+            running, val = running[keep], val[keep]
+        prev = val
     return ran
 
 
@@ -534,17 +542,24 @@ def doc_elbo(params, doc, state):
     return float(_Batch(params, _as_store(params, [doc], [state])).bound()[0])
 
 
+def _corpus_bound(params, store):
+    """({term name: corpus total}, per-document bounds), in one pass."""
+    acc = np.zeros(len(ELBO_TERM_NAMES))
+    doc_bounds = np.empty(store.num_docs)
+    for docs in _batch_slices(store.num_docs):
+        terms = _Batch(params, store, docs).bound_terms()
+        acc += terms.sum(axis=0)
+        doc_bounds[docs] = terms.sum(axis=1)
+    return dict(zip(ELBO_TERM_NAMES, acc.tolist())), doc_bounds
+
+
 def elbo_breakdown(params, states, corpus):
     """Corpus bound split by term group; keys name what each group scores.
 
     ``states`` is a list of DocVariational, one per document, or the
     VariationalStore holding them.
     """
-    store = _as_store(params, corpus.docs, states)
-    acc = np.zeros(len(ELBO_TERM_NAMES))
-    for docs in _batch_slices(store.num_docs):
-        acc += _Batch(params, store, docs).bound_terms().sum(axis=0)
-    return dict(zip(ELBO_TERM_NAMES, acc.tolist()))
+    return _corpus_bound(params, _as_store(params, corpus.docs, states))[0]
 
 
 def elbo(params, states, corpus):
@@ -559,7 +574,7 @@ def e_step_doc(params, doc, state, sweeps, rel_tol=DOC_SWEEP_REL_TOL):
     ``rel_tol`` relative. Returns the number of passes run.
     """
     store = _as_store(params, [doc], [state])
-    ran = _coordinate_ascent(params, store, slice(0, 1), sweeps, rel_tol)
+    ran = _coordinate_ascent(_Batch(params, store), None, sweeps, rel_tol)
     _set_state(state, store)
     return int(ran[0])
 
@@ -579,13 +594,15 @@ def update_block(params, doc, state, block):
     return state
 
 
-def _run_e_step(params, store, sweeps, threads):
+def _run_e_step(batch, num_docs, start, sweeps, threads=None):
+    # _coordinate_ascent on every batch; batch(docs) builds the working set
+    # of the slice ``docs``; ``start``: every document's bound, or None
     def work(docs):
-        _coordinate_ascent(params, store, docs, sweeps)
+        _coordinate_ascent(batch(docs), None if start is None else start[docs], sweeps)
 
-    slices = _batch_slices(store.num_docs)
+    slices = _batch_slices(num_docs)
     if threads is not None and threads > 1:
-        # Every batch touches a disjoint slice of the store.
+        # Every batch touches a disjoint slice of the corpus-wide arrays.
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(work, slices))
     else:
@@ -611,7 +628,7 @@ def infer_doc_states(params, corpus, sweeps=50, threads=None):
         params.local_topics_per_cluster,
         params.num_global_topics,
     )
-    _run_e_step(params, store, sweeps, threads)
+    _run_e_step(partial(_Batch, params, store), corpus.num_docs, None, sweeps, threads)
     return DocStates(store)
 
 
@@ -749,7 +766,6 @@ def fit(config, corpus, init_labels=None, initial=None, threads=None):
     """
     from .model import init_model
 
-    start = time.perf_counter()
     if corpus.num_docs < 1:
         raise DegenerateInputError("cannot fit an empty corpus")
     if initial is not None:
@@ -760,19 +776,43 @@ def fit(config, corpus, init_labels=None, initial=None, threads=None):
         params, states = init_model(config, corpus, init_labels)
         store = states.store
 
-    trace = [elbo(params, store, corpus)]
+    def update():
+        # in place, so that the partials below see the new parameters
+        vars(params).update(vars(m_step(params, store, corpus, config)))
+        params.validate()
+
+    batch = partial(_Batch, params, store)
+    e_step = partial(
+        _run_e_step, batch, corpus.num_docs, sweeps=config.e_step_iters, threads=threads
+    )
+    bound = partial(_corpus_bound, params, store)
+    report = _run_em(bound, e_step, update, config.max_em_iters, config.elbo_rel_tol)
+    return params, DocStates(store), report
+
+
+def _run_em(bound, e_step, m_step, max_iters, rel_tol):
+    """The EM loop of ``fit`` and ``baselines.fit_lda``; returns a FitReport.
+
+    ``bound()`` returns ({term name: total}, per-document bounds), the
+    bound being the sum of the terms; ``e_step(start)`` gets the last
+    per-document bounds as its start bounds. A decrease beyond
+    DECREASE_SLACK relative raises NumericalError; ``rel_tol`` = 0
+    disables early stopping.
+    """
+    start = time.perf_counter()
+    terms, doc_bounds = bound()
+    trace = [float(sum(terms.values()))]
     converged = False
     iterations = 0
-    for _ in range(config.max_em_iters):
-        _run_e_step(params, store, config.e_step_iters, threads)
-        params = m_step(params, store, corpus, config)
-        params.validate()
+    for _ in range(max_iters):
+        e_step(doc_bounds)
+        m_step()
         iterations += 1
-        value = elbo(params, store, corpus)
+        terms, doc_bounds = bound()
+        value = float(sum(terms.values()))
         prev = trace[-1]
         trace.append(value)
-        slack = DECREASE_SLACK * max(1.0, abs(prev))
-        if value < prev - slack:
+        if value < prev - DECREASE_SLACK * max(1.0, abs(prev)):
             raise NumericalError(
                 f"bound decreased from {prev:.10g} to {value:.10g} "
                 f"at iteration {iterations}",
@@ -780,20 +820,17 @@ def fit(config, corpus, init_labels=None, initial=None, threads=None):
                     "iteration": iterations,
                     "previous": prev,
                     "current": value,
-                    "breakdown": elbo_breakdown(params, store, corpus),
+                    "breakdown": terms,
                     "trace": list(trace),
                 },
             )
-        if config.elbo_rel_tol > 0 and value - prev < config.elbo_rel_tol * max(
-            1.0, abs(prev)
-        ):
+        if rel_tol > 0 and value - prev < rel_tol * max(1.0, abs(prev)):
             converged = True
             break
 
-    report = FitReport(
+    return FitReport(
         elbo_trace=trace,
         iterations_run=iterations,
         converged=converged,
         wall_time=time.perf_counter() - start,
     )
-    return params, DocStates(store), report

@@ -73,6 +73,13 @@ def _check_rows_stochastic(mat, name):
         raise ValueError(f"{name} rows must sum to 1 (max err {np.abs(sums - 1).max():.2e})")
 
 
+def _check_positive(arr, name):
+    # NaN fails both comparisons, +inf the second
+    arr = np.asarray(arr)
+    if not np.all((arr > 0) & (arr < np.inf)):
+        raise ValueError(f"{name} must be finite and > 0")
+
+
 @dataclass
 class ModelParams:
     """Global parameters of the fitted model.
@@ -135,13 +142,8 @@ class ModelParams:
             self.pi < 0
         ):
             raise ValueError("pi must be a probability vector")
-        for name, arr in (
-            ("gamma", self.gamma),
-            ("local_priors", self.local_priors),
-            ("global_prior", self.global_prior),
-        ):
-            if np.any(np.asarray(arr) <= 0):
-                raise ValueError(f"{name} entries must be > 0")
+        for name in ("gamma", "local_priors", "global_prior"):
+            _check_positive(getattr(self, name), name)
         _check_rows_stochastic(self.local_topics, "local_topics")
         _check_rows_stochastic(self.global_topics, "global_topics")
 

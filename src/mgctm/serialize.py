@@ -282,6 +282,10 @@ def load_lda(path):
     except (TypeError, ValueError) as exc:
         raise CorpusFormatError(f"{path}: alpha: {exc}") from exc
     model = LdaModel(topics=topics, doc_theta=doc_theta, alpha=alpha)
+    try:
+        model.validate()
+    except ValueError as exc:
+        raise CorpusFormatError(f"{path}: {exc}") from exc
     if payload.get("num_topics") != model.topics.shape[0] or payload.get(
         "vocab_size"
     ) != model.topics.shape[1]:

@@ -129,14 +129,15 @@ def reference_corpus_bound(params, corpus, states):
     )
 
 
-def reference_coordinate_ascent(
-    params, store, docs, sweeps, rel_tol=DOC_SWEEP_REL_TOL
-):
+def reference_coordinate_ascent(work, start, sweeps, rel_tol=DOC_SWEEP_REL_TOL):
     """Coordinate sweeps with per-document early exit, in place.
 
     The E-step loop on per-document objects, with a full bound after
-    every sweep, run on documents ``docs`` (a slice) of ``store``. Each
-    document's state is copied out of the store into its own
+    every sweep, run on the documents of ``work`` (a ``_Batch`` over a
+    slice of a store). ``start`` is ignored: the bound before the first
+    sweep is recomputed from the states, so equal sweep counts show that
+    the start bounds handed to the package's loop equal the recomputed
+    ones. Each document's state is copied out of the store into its own
     DocVariational. Each sweep applies ``_Batch.update`` over
     E_STEP_BLOCKS to a batch stacked from the running documents' objects,
     then ``_Batch.bound()`` (the sum of bound_terms) decides which
@@ -145,6 +146,7 @@ def reference_coordinate_ascent(
     from the documents still running. At the end each object is copied
     into the store. Returns per-document sweep counts.
     """
+    params, store, docs = work.params, work.store, work.docs
     shape = (
         params.num_clusters,
         params.local_topics_per_cluster,

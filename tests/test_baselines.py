@@ -6,7 +6,7 @@ import mgctm.baselines as baselines_mod
 import mgctm.inference as inference_mod
 from mgctm.baselines import (
     LdaModel,
-    _lda_sweep,
+    _LdaBatch,
     _lloyd,
     fit_lda,
     kmeans,
@@ -15,8 +15,10 @@ from mgctm.baselines import (
     theta_kmeans,
 )
 from mgctm.corpus import Corpus, Document
-from mgctm.errors import ConfigError, DegenerateInputError
+from mgctm.errors import ConfigError, DegenerateInputError, NumericalError
 from mgctm.evaluation import clustering_accuracy
+from mgctm.inference import fit
+from mgctm.model import HyperConfig
 
 
 def two_block_corpus(num_docs=30, doc_length=40, seed=0):
@@ -92,6 +94,46 @@ class TestFitLda:
         with pytest.raises(DegenerateInputError):
             fit_lda(Corpus(docs=[], vocab_size=3), 2)
 
+    @pytest.mark.parametrize(
+        "opts", [{"max_em_iters": -1}, {"e_step_iters": -1}, {"elbo_rel_tol": -1e-3}]
+    )
+    def test_negative_schedule_rejected(self, opts):
+        with pytest.raises(ConfigError, match="must be >= 0"):
+            fit_lda(two_block_corpus(num_docs=4), 2, **opts)
+
+    def test_bound_decrease_raises_with_details(self, monkeypatch):
+        corpus = two_block_corpus(num_docs=6)
+        opts = dict(seed=0, elbo_rel_tol=0.0)
+        _, start = fit_lda(corpus, 2, max_em_iters=0, **opts)
+        _, one = fit_lda(corpus, 2, max_em_iters=1, **opts)
+        real = baselines_mod._LdaBatch.bound
+        calls = []
+
+        def lowered(batch):
+            # every bound pass after the first reads 1000 lower per document
+            calls.append(batch)
+            return real(batch) - (1000.0 if len(calls) > 1 else 0.0)
+
+        monkeypatch.setattr(baselines_mod._LdaBatch, "bound", lowered)
+        with pytest.raises(NumericalError, match="bound decreased") as err:
+            fit_lda(corpus, 2, max_em_iters=3, **opts)
+        details = err.value.details
+        assert set(details) == {"iteration", "previous", "current", "breakdown", "trace"}
+        assert details["iteration"] == 1
+        assert details["previous"] == start.elbo_trace[0]
+        assert details["current"] == pytest.approx(
+            one.elbo_trace[1] - 1000.0 * corpus.num_docs, rel=1e-12
+        )
+        assert details["trace"] == [details["previous"], details["current"]]
+        assert all(type(x) is float for x in details["trace"])
+
+    def test_traces_hold_python_floats(self):
+        corpus = two_block_corpus(num_docs=6)
+        _, report = fit_lda(corpus, 2, max_em_iters=2)
+        _, _, mg_report = fit(HyperConfig(2, 1, 1, max_em_iters=2), corpus)
+        for trace in (report.elbo_trace, mg_report.elbo_trace):
+            assert len(trace) == 3 and all(type(x) is float for x in trace)
+
 
 def ragged_corpus(seed=0):
     """Twelve documents of uneven length over a ten-word vocabulary, with
@@ -115,14 +157,14 @@ def ragged_corpus(seed=0):
 def fit_recording_sweeps(monkeypatch, corpus, num_topics, **opts):
     """fit_lda plus its per-document sweep counts, (iterations, D)."""
     counts = []
-    real = baselines_mod._lda_e_step
+    real = inference_mod._coordinate_ascent
 
     def recording(*args):
         ran = real(*args)
         counts.append(ran)
         return ran
 
-    monkeypatch.setattr(baselines_mod, "_lda_e_step", recording)
+    monkeypatch.setattr(inference_mod, "_coordinate_ascent", recording)
     model, report = fit_lda(corpus, num_topics, **opts)
     return model, report, np.concatenate(counts).reshape(-1, corpus.num_docs)
 
@@ -182,9 +224,13 @@ class TestLdaMatchesReference:
         lb = log_beta[np.concatenate(docs)]
         c = np.concatenate(counts)
         gamma = rng.uniform(0.05, 5.0, (len(docs), num_topics))
-        elog = oracles.dir_elog(gamma)
+        phi = np.full((c.size, num_topics), 1.0 / num_topics)
+        flat = (bounds, np.concatenate(docs), c)
+        batch = _LdaBatch(alpha, log_beta, flat, gamma, phi, slice(0, len(docs)))
+        np.testing.assert_array_equal(batch.elog, oracles.dir_elog(gamma))
         for _ in range(5):
-            gamma, elog, phi, bound = _lda_sweep(alpha, elog, lb, c, bounds)
+            bound = batch.sweep()
+            gamma, elog, phi = batch.gamma, batch.elog, batch.phi
             np.testing.assert_array_equal(elog, oracles.dir_elog(gamma))
             for d in range(len(docs)):
                 rows = slice(bounds[d], bounds[d + 1])

@@ -580,7 +580,59 @@ class TestBadModelFile:
         self.assert_one_line_error(code, err, "doc_theta: array dtype '<i8' where '<f8' expected")
 
 
+    def test_eval_mgctm_non_finite_prior(self, tmp_path, capsys):
+        paths = write_two_block_corpus(tmp_path)
+        model = self.broken_model(tmp_path, "gamma", [float("nan"), 1.0])
+        code, _, err = run(
+            capsys,
+            "eval",
+            "--method", "mgctm",
+            "--model", model,
+            "--corpus", paths["bow"],
+            "--labels", paths["labels"],
+        )
+        self.assert_one_line_error(code, err, "gamma must be finite and > 0")
+
+    @pytest.mark.parametrize("method", ["lda-naive", "lda-kmeans"])
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("doc_theta", np.ones((12, 3)), "doc_theta must have one column per topic"),
+            ("alpha", -0.5, "alpha must be finite and > 0"),
+        ],
+    )
+    def test_eval_lda_bad_values(self, tmp_path, capsys, method, field, value, message):
+        paths = write_two_block_corpus(tmp_path)
+        lda_path = str(tmp_path / "lda.json")
+        model = LdaModel(np.full((2, 8), 0.125), np.ones((12, 2)), 0.1)
+        setattr(model, field, value)
+        save_lda(model, lda_path)
+        code, _, err = run(
+            capsys,
+            "eval",
+            "--method", method,
+            "--model", lda_path,
+            "--labels", paths["labels"],
+        )
+        self.assert_one_line_error(code, err, message)
+
+
 class TestBench:
+    @pytest.mark.parametrize("flag, value", [("--max-em-iters", "-1"), ("--tol", "-0.5")])
+    def test_lda_negative_schedule_rejected(self, tmp_path, capsys, flag, value):
+        paths = write_two_block_corpus(tmp_path)
+        code, out, err = run(
+            capsys,
+            "bench",
+            "--corpus", paths["bow"],
+            "--labels", paths["labels"],
+            "--methods", "lda-naive",
+            "--out", str(tmp_path / "report.tsv"),
+            flag, value,
+        )
+        assert code == 2
+        assert err.count("\n") == 1 and "must be >= 0" in err
+
     def test_two_methods_two_seeds(self, tmp_path, capsys):
         paths = write_two_block_corpus(tmp_path)
         out_path = tmp_path / "report.tsv"

@@ -50,6 +50,22 @@ def batch_of(params, docs, states):
     return _Batch(params, _as_store(params, docs, states))
 
 
+def force_corpus_bounds(monkeypatch, values):
+    """Make fit's corpus bound read ``values`` in turn: each value sits in
+    the first term, the other terms read 0, and the per-document bounds
+    are the real ones."""
+    real = inference_mod._corpus_bound
+    values = iter(values)
+
+    def forced(params, store):
+        terms, doc_bounds = real(params, store)
+        terms = dict.fromkeys(terms, 0.0)
+        terms[ELBO_TERM_NAMES[0]] = next(values)
+        return terms, doc_bounds
+
+    monkeypatch.setattr(inference_mod, "_corpus_bound", forced)
+
+
 def assert_states_equal(got, want, context=None):
     for field in STATE_FIELDS:
         np.testing.assert_array_equal(
@@ -163,7 +179,8 @@ class TestBlockUpdates:
                 for doc in docs
             ]
             store = _as_store(params, docs, states)
-            ran = _coordinate_ascent(params, store, slice(0, 5), sweeps=1, rel_tol=0.0)
+            batch = _Batch(params, store, slice(0, 5))
+            ran = _coordinate_ascent(batch, None, sweeps=1, rel_tol=0.0)
             np.testing.assert_array_equal(ran, 1)
             swept = [store.state(i) for i in range(5)]
             for doc, st, got in zip(docs, states, swept):
@@ -425,10 +442,7 @@ class TestFit:
     def test_bound_decrease_raises_with_details(self, monkeypatch):
         corpus = small_fit_corpus(seed=9)
         cfg = HyperConfig(2, 2, 2, max_em_iters=3, seed=9)
-        values = iter([0.0, -10.0])
-        monkeypatch.setattr(
-            inference_mod, "elbo", lambda *a, **k: next(values)
-        )
+        force_corpus_bounds(monkeypatch, [0.0, -10.0])
         with pytest.raises(NumericalError, match="decreased") as err:
             fit(cfg, corpus)
         details = err.value.details
@@ -443,10 +457,7 @@ class TestFit:
         cfg = HyperConfig(
             2, 2, 2, max_em_iters=2, elbo_rel_tol=0.0, seed=9
         )
-        values = iter([0.0, -1e-8, -2e-8])
-        monkeypatch.setattr(
-            inference_mod, "elbo", lambda *a, **k: next(values)
-        )
+        force_corpus_bounds(monkeypatch, [0.0, -1e-8, -2e-8])
         _, _, report = fit(cfg, corpus)
         assert report.elbo_trace == [0.0, -1e-8, -2e-8]
 

@@ -75,6 +75,14 @@ class TestModelParams:
         with pytest.raises(ValueError, match="> 0"):
             params.validate()
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_prior_rejected(self, value):
+        for name in ("gamma", "local_priors", "global_prior"):
+            params = tiny_params()
+            getattr(params, name).flat[-1] = value
+            with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
+                params.validate()
+
     def test_negative_topic_entry_rejected(self):
         params = tiny_params()
         params.local_topics[0, 0, 0] = -params.local_topics[0, 0, 0]

@@ -13,6 +13,7 @@ from mgctm.model import (
     random_model_params,
     sample_corpus,
 )
+from mgctm import serialize
 from mgctm.serialize import (
     FORMAT_VERSION,
     load_hidden,
@@ -131,6 +132,65 @@ class TestModelRoundTrip:
             load_model(str(path))
 
 
+class TestValuesCheckedOnLoad:
+    """Files whose arrays parse but hold values no fit produces are
+    refused with the file and the field named."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "field, index", [("gamma", 0), ("local_priors", (1, 2)), ("global_prior", 1)]
+    )
+    def test_non_finite_prior(self, tmp_path, field, index, value):
+        params = params_fixture()
+        getattr(params, field)[index] = value
+        path = tmp_path / "model.json"
+        save_model(params, str(path))
+        with pytest.raises(CorpusFormatError) as info:
+            load_model(str(path))
+        assert str(info.value) == f"{path}: {field} must be finite and > 0"
+
+    @staticmethod
+    def lda(**fields):
+        rng = np.random.default_rng(4)
+        base = dict(
+            topics=rng.dirichlet(np.ones(6), size=2),
+            doc_theta=rng.uniform(0.5, 2.0, (4, 2)),
+            alpha=0.1,
+        )
+        return LdaModel(**dict(base, **fields))
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("topics", (0, 0, np.nan), "topics rows must sum to 1"),
+            ("topics", (1, 5, np.inf), "topics rows must sum to 1"),
+            ("topics", (0, 3, 0.5), "topics rows must sum to 1"),
+            ("topics", (1, 0, -1e-3), "topics has negative entries"),
+            ("doc_theta", (2, 1, np.nan), "doc_theta must be finite and > 0"),
+            ("doc_theta", (0, 0, np.inf), "doc_theta must be finite and > 0"),
+            ("doc_theta", (3, 1, 0.0), "doc_theta must be finite and > 0"),
+            ("doc_theta", (1, 1, -2.0), "doc_theta must be finite and > 0"),
+            ("doc_theta", np.ones((4, 3)), "doc_theta must have one column per topic"),
+            ("alpha", -0.5, "alpha must be finite and > 0"),
+            ("alpha", 0.0, "alpha must be finite and > 0"),
+            ("alpha", np.nan, "alpha must be finite and > 0"),
+            ("alpha", np.inf, "alpha must be finite and > 0"),
+        ],
+    )
+    def test_bad_lda_values(self, tmp_path, field, value, message):
+        model = self.lda()
+        if isinstance(value, tuple):
+            *index, entry = value
+            getattr(model, field)[tuple(index)] = entry
+        else:
+            setattr(model, field, value)
+        path = tmp_path / "lda.json"
+        save_lda(model, str(path))
+        with pytest.raises(CorpusFormatError) as info:
+            load_lda(str(path))
+        assert str(info.value).startswith(f"{path}: {message}")
+
+
 class TestLdaRoundTrip:
     def make_model(self):
         rng = np.random.default_rng(2)
@@ -236,7 +296,7 @@ def odd_lda():
     """Topics as a transposed view, zero documents in doc_theta."""
     rng = np.random.default_rng(9)
     return LdaModel(
-        topics=rng.dirichlet(np.ones(3), size=5).T,
+        topics=np.ascontiguousarray(rng.dirichlet(np.ones(5), size=3).T).T,
         doc_theta=np.empty((0, 3)),
         alpha=0.1,
     )
@@ -264,7 +324,12 @@ class TestBinaryArrays:
     def test_lda_bitwise_round_trip(self, tmp_path, special):
         model = odd_lda()
         if special:
-            model.doc_theta = np.array([[-0.0, np.nan, 1.0], [np.inf, 5e-324, 2.0]])
+            # the smallest subnormal, the largest finite and the smallest
+            # normal double; -0.0, NaN and inf are refused on load and
+            # checked in test_special_floats_round_trip
+            model.doc_theta = np.array(
+                [[5e-324, 1.7976931348623157e308, 1.0], [2.0, 2.2250738585072014e-308, 3.0]]
+            )
         path = str(tmp_path / "lda.json")
         save_lda(model, path)
         loaded, _ = load_lda(path)
@@ -284,6 +349,12 @@ class TestBinaryArrays:
             assert len(got) == len(want)
             for a, b in zip(got, want):
                 assert_same_bits(a, b, np.int64)
+
+    def test_special_floats_round_trip(self):
+        # through the array codec and JSON text, as every file field goes
+        arr = np.array([[-0.0, np.nan, np.inf], [-np.inf, 5e-324, 2.0]])
+        text = json.dumps(arr, cls=serialize._Encoder)
+        assert_same_bits(serialize._array(json.loads(text), float, 2), arr, np.float64)
 
     def test_version_1_files_load_to_same_bits(self, tmp_path):
         params = awkward_params()

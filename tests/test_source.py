@@ -1,0 +1,47 @@
+"""Checks on the package source itself."""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "mgctm"
+
+
+def module_level_names(tree):
+    """Names bound by the module's top-level defs, classes and assignments."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    yield target.id
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            yield node.target.id
+
+
+def used_names(tree):
+    """Names read anywhere in the module: loads and attribute accesses.
+
+    An import alone is not a use; neither is a name's own definition.
+    """
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def test_every_private_module_level_name_is_used():
+    private, uses = [], Counter()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        private += [
+            (path.name, name)
+            for name in module_level_names(tree)
+            if name.startswith("_") and not name.startswith("__")
+        ]
+        uses.update(used_names(tree))
+    assert private, "no private names found; is SRC right?"
+    unused = [f"{module}: {name}" for module, name in private if not uses[name]]
+    assert not unused, "private names never used in src/: " + ", ".join(unused)
