@@ -11,14 +11,18 @@ run directly on tf-idf vectors.
 LDA shares the main model's flat layout and machinery: the documents'
 distinct terms sit end to end, one row per (document, term) pair, and
 ``fit_lda`` runs on the EM driver ``fit`` runs on (``inference._run_em``).
-Its E-step is the same early-exit loop (``inference._coordinate_ascent``)
-over the same fixed batches, on an LDA working set (``_LdaBatch``), so
-results depend on nothing but the inputs and the seed.
+Its state is a store like the main model's: the corpus in CSR form
+beside ``gamma`` per document and ``phi`` per row. Its E-step is the same
+early-exit loop (``inference._coordinate_ascent``) over the same fixed
+batches, on an LDA working set (``_LdaBatch``) that gathers, compacts and
+writes back through ``inference._WorkingSet`` as the main model's does,
+so results depend on nothing but the inputs and the seed.
 """
 
 import logging
 from dataclasses import dataclass
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.special import gammaln, xlogy
@@ -65,29 +69,22 @@ class LdaModel:
 
 
 class _LdaBatch(_WorkingSet):
-    """LDA's E-step working set: documents ``docs`` (a slice) of the corpus.
+    """LDA's E-step working set: documents ``docs`` (a slice) of ``store``.
 
-    ``flat`` is the corpus as ``corpus.flat_docs`` gives it, ``gammas``
-    (D, T) and ``phi`` (rows, T) the corpus-wide state, and ``log_beta``
-    the log topics, term-major.
+    ``store`` holds the corpus in CSR form (``doc_ptr``, ``words``,
+    ``counts``) beside the corpus-wide state: ``gamma`` (D, T) and
+    ``phi`` (rows, T). ``log_beta`` is the log topics, term-major.
     """
 
     DOC_FIELDS = ("gamma", "elog")
     ROW_FIELDS = ("lb", "counts", "phi")
+    STATE = ("gamma", "phi")
 
-    def __init__(self, alpha, log_beta, flat, gammas, phi, docs):
-        starts, words, counts = flat
-        ptr = starts[docs.start : docs.stop + 1]
+    def __init__(self, alpha, log_beta, store, docs):
+        super().__init__(store, docs)
         self.alpha = alpha
-        self.store = gammas, phi
-        self.docs = docs
-        self.rows = slice(ptr[0], ptr[-1])
-        self.lb = log_beta[words[self.rows]]
-        self.counts = counts[self.rows]
-        self.gamma = gammas[docs]
+        self.lb = log_beta[store.words[self.rows]]
         self.elog = _elog_dir(self.gamma)
-        self.phi = phi[self.rows]
-        self._set_bounds(ptr - ptr[0])
 
     def _doc_terms(self, gamma, elog):
         # per-document bound terms of the proportions: the expected log
@@ -130,11 +127,6 @@ class _LdaBatch(_WorkingSet):
         self.gamma, self.elog, self.phi = gamma, elog, phi
         return bound
 
-    def scatter(self):
-        gammas, phi = self.store
-        gammas[self.docs] = self.gamma
-        phi[self.rows] = self.phi
-
 
 def fit_lda(
     corpus,
@@ -167,15 +159,17 @@ def fit_lda(
     num_docs, v_dim = corpus.num_docs, corpus.vocab_size
     rng = np.random.default_rng(seed)
     topics = perturbed_uniform_rows((num_topics, v_dim), rng)
-    flat = flat_docs(corpus.docs)
-    starts, words, counts = flat
+    doc_ptr, words, counts = flat_docs(corpus.docs)
     gammas = np.full((num_docs, num_topics), alpha)
-    gammas += _segsum(counts, starts)[:, None] / num_topics
+    gammas += _segsum(counts, doc_ptr)[:, None] / num_topics
     phi = np.full((words.size, num_topics), 1.0 / num_topics)
+    store = SimpleNamespace(
+        doc_ptr=doc_ptr, words=words, counts=counts, gamma=gammas, phi=phi
+    )
     # log topics term-major, so that a row gather by word id is contiguous;
     # the M-step rewrites topics and log_beta in place
     log_beta = _safe_log(topics).T.copy()
-    batch = partial(_LdaBatch, alpha, log_beta, flat, gammas, phi)
+    batch = partial(_LdaBatch, alpha, log_beta, store)
 
     def bound():
         doc_bounds = np.concatenate([batch(d).bound() for d in _batch_slices(num_docs)])

@@ -223,8 +223,6 @@ def _eval_predictions(ns, truth_classes):
         _require(ns, "model")
         corpus = _load_corpus(ns)
         params, _ = serialize.load_model(ns.model)
-        if params.vocab_size != corpus.vocab_size:
-            raise DimensionError("model and corpus vocabulary sizes differ")
         states = infer_doc_states(params, corpus, threads=ns.threads)
         return np.array([predict_cluster(s) for s in states], dtype=np.int64)
     if ns.method == "kmeans":

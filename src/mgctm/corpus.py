@@ -315,18 +315,22 @@ def tfidf_vectors(corpus):
 
     tf is the raw count divided by document length; idf is ln(D / df_v)
     where df_v counts the documents containing term v. Terms appearing
-    in every document (and unused terms) get weight zero. Rows that end
-    up all-zero are allowed but warned about.
+    in every document (and unused terms) get weight zero, and so does
+    every term of an empty document. Rows that end up all-zero are
+    allowed but warned about.
     """
     if corpus.num_docs < 1:
         raise ValueError("tfidf_vectors requires a non-empty corpus")
-    counts = count_matrix(corpus)
-    df = (counts > 0).sum(axis=0)
+    doc_ptr, words, counts = flat_docs(corpus.docs)
+    # a term appears at most once per document
+    df = np.bincount(words, minlength=corpus.vocab_size)
     idf = np.zeros(corpus.vocab_size)
     seen = df > 0
     idf[seen] = np.log(corpus.num_docs / df[seen])
-    lengths = counts.sum(axis=1, keepdims=True)
-    weights = (counts / lengths) * idf[None, :]
+    seg = np.repeat(np.arange(corpus.num_docs), np.diff(doc_ptr))
+    lengths = np.bincount(seg, weights=counts, minlength=corpus.num_docs)
+    weights = np.zeros((corpus.num_docs, corpus.vocab_size))
+    weights[seg, words] = counts / lengths[seg] * idf[words]
     zero_rows = int((weights.sum(axis=1) == 0).sum())
     if zero_rows:
         logger.warning("%d document(s) have an all-zero tf-idf row", zero_rows)

@@ -10,7 +10,6 @@ the empirical joint distribution.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 from scipy.special import xlogy
 
 from .errors import DimensionError
@@ -70,6 +69,9 @@ def align_labels(pred, truth):
     that gives cluster 0 the lowest possible class, then cluster 1, and
     so on. Returned as an int array indexed by predicted cluster.
     """
+    # imported here: scipy.optimize adds ~0.25 s to every process start
+    from scipy.optimize import linear_sum_assignment
+
     table = contingency(pred, truth)
     k = table.shape[0]
 
@@ -102,6 +104,8 @@ def align_labels(pred, truth):
 
 def clustering_accuracy(pred, truth):
     """Best-map clustering accuracy in [0, 1]."""
+    from scipy.optimize import linear_sum_assignment
+
     table = contingency(pred, truth)
     rows, cols = linear_sum_assignment(table, maximize=True)
     return float(table[rows, cols].sum()) / float(table.sum())

@@ -22,18 +22,20 @@ live in one ``VariationalStore``: the documents' distinct terms end to
 end, one row per (document, term) pair, with no padding, beside one row
 per document. A row-to-document index broadcasts per-document quantities
 to the rows, and segment sums collect row quantities per document. The
-E-step runs on batches of a fixed number of documents, each a contiguous
-slice of the store, so results are bitwise independent of the thread
-count; the M-step and the corpus bound read the store batch by batch too.
+M-step and the corpus bound read the store batch by batch.
 ``DocVariational`` objects appear only at the API edge: the states
 returned are views into the store, and functions given a list of states
 gather a store from it.
 
 One EM driver (``_run_em``) runs ``fit`` and ``baselines.fit_lda``, and
-one early-exit loop (``_coordinate_ascent``) both E-steps. Each bound
-pass gives every document's bound too, and the next E-step starts from
-those. A document's sweeps stop once its bound stalls; it is then
-written back (here checked, vectorized, with exactly
+one early-exit loop (``_coordinate_ascent``) both E-steps, on batches of
+a fixed number of documents, so results are bitwise independent of the
+thread count. A batch is a ``_WorkingSet`` (``_Batch`` here, the LDA
+one in ``baselines``): views of a store's rows for a contiguous slice of
+documents, written back by ``scatter``. Each bound pass gives every
+document's bound too, and the next E-step starts from those. A
+document's sweeps stop once its bound stalls; it is then written back
+(the MGCTM state checked, vectorized, with exactly
 ``DocVariational.validate``'s conditions and error messages), and the
 documents still running are gathered into a compact working set. The
 bound after a sweep comes in collapsed form: each phi block is a softmax
@@ -50,11 +52,10 @@ from functools import partial
 import numpy as np
 from scipy.special import expit, gammaln, psi, xlogy
 
-from .errors import DegenerateInputError, NumericalError
+from .errors import ConfigError, DegenerateInputError, DimensionError, NumericalError
 from .model import (
     TOPIC_SMOOTHING,
     DocStates,
-    DocVariational,
     FitReport,
     ModelParams,
     VariationalStore,
@@ -172,9 +173,28 @@ class _WorkingSet:
 
     ``DOC_FIELDS`` name the arrays with one row per document, ``ROW_FIELDS``
     those with one row per (document, term) pair; ``seg`` maps rows to
-    documents. ``docs`` and ``rows`` locate the set in the corpus-wide
-    arrays: slices at first, index arrays once ``compact`` drops documents.
+    documents. ``STATE`` names the fields gathered as views of a store
+    (anything with CSR ``doc_ptr``/``words``/``counts`` and those arrays)
+    and written back by ``scatter`` once ``validate`` passes. ``docs`` and
+    ``rows`` locate the set in the store: slices at first, index arrays
+    once ``compact`` drops documents.
     """
+
+    def __init__(self, store, docs=None):
+        # documents ``docs`` (a slice; all by default) of the store
+        docs = slice(0, store.doc_ptr.size - 1) if docs is None else docs
+        ptr = store.doc_ptr[docs.start : docs.stop + 1]
+        self.store = store
+        self.docs = docs
+        self.rows = slice(ptr[0], ptr[-1])
+        self.counts = store.counts[self.rows]
+        for name in self.STATE:
+            setattr(self, name, getattr(store, name)[self._index(name)])
+        self._set_bounds(ptr - ptr[0])
+
+    def _index(self, name):
+        # where field ``name`` of the set sits in the store
+        return self.docs if name in self.DOC_FIELDS else self.rows
 
     def _set_bounds(self, bounds):
         # rows of document i are bounds[i]:bounds[i + 1]
@@ -194,6 +214,15 @@ class _WorkingSet:
         sizes = np.diff(self.bounds)[keep]
         self._set_bounds(np.concatenate([[0], np.cumsum(sizes)]))
 
+    def validate(self):
+        """Check the state before ``scatter`` writes it; no check here."""
+
+    def scatter(self):
+        """Check the working set, then write its state into the store."""
+        self.validate()
+        for name in self.STATE:
+            getattr(self.store, name)[self._index(name)] = getattr(self, name)
+
     def write_back(self, done):
         """Scatter the documents where ``done`` holds; the set is unchanged."""
         part = self
@@ -208,9 +237,8 @@ class _Batch(_WorkingSet):
 
     Document quantities reach the rows by indexing with ``seg``, and row
     quantities reach the documents by segment sums, so no cell is
-    padding. The state arrays start as views of the store; the block
-    updates replace them, and ``scatter`` checks them and writes them
-    back.
+    padding. The block updates replace the ``STATE`` arrays, and
+    ``scatter`` checks them (``validate``) before it writes them back.
 
     The row scores x_l = E[log theta_l][seg] + log beta_l and x_g (the
     same for the global pathway) are built once per value of mu_l and
@@ -225,29 +253,16 @@ class _Batch(_WorkingSet):
     DOC_FIELDS = ("zeta", "lam", "mu_l", "mu_g")
     # log emissions are gathered with the state, not rebuilt from the topics
     ROW_FIELDS = ("counts", "lb_l", "lb_g", "tau", "phi_l", "phi_g")
+    STATE = ("zeta", "lam", "mu_l", "mu_g", "tau", "phi_l", "phi_g")
 
     def __init__(self, params, store, docs=None):
-        # documents ``docs`` (a slice; all by default) of the store
-        docs = slice(0, store.num_docs) if docs is None else docs
-        ptr = store.doc_ptr[docs.start : docs.stop + 1]
-        self.params = params
-        self.store = store
-        self.docs = docs
-        self.rows = slice(ptr[0], ptr[-1])
+        super().__init__(store, docs)
         words = store.words[self.rows]
-        self.counts = store.counts[self.rows]
+        self.params = params
         self.log_k = np.log(params.local_topics_per_cluster)
         self.log_r = np.log(params.num_global_topics)
         self.lb_l = _safe_log(params.local_topics.transpose(2, 0, 1)[words])
         self.lb_g = _safe_log(params.global_topics.T[words])
-        self.zeta = store.zeta[docs]
-        self.lam = store.lam[docs]
-        self.mu_l = store.mu_l[docs]
-        self.mu_g = store.mu_g[docs]
-        self.tau = store.tau[self.rows]
-        self.phi_l = store.phi_l[self.rows]
-        self.phi_g = store.phi_g[self.rows]
-        self._set_bounds(ptr - ptr[0])
 
     def _set_bounds(self, bounds):
         super()._set_bounds(bounds)
@@ -446,34 +461,9 @@ class _Batch(_WorkingSet):
     def bound(self):
         return self.bound_terms().sum(axis=1)
 
-    def state(self, i):
-        # document i's state as views of the working set's arrays
-        rows = slice(self.bounds[i], self.bounds[i + 1])
-        return DocVariational(
-            zeta=self.zeta[i],
-            lam=self.lam[i],
-            mu_local=self.mu_l[i],
-            mu_global=self.mu_g[i],
-            tau=self.tau[rows],
-            phi_local=self.phi_l[rows],
-            phi_global=self.phi_g[rows],
-        )
-
     def validate(self):
         """DocVariational.validate on every document, in one vectorized pass."""
         validate_flat(self)
-
-    def scatter(self):
-        """Check the working set, then write it into the store."""
-        self.validate()
-        store, docs, rows = self.store, self.docs, self.rows
-        store.zeta[docs] = self.zeta
-        store.lam[docs] = self.lam
-        store.mu_l[docs] = self.mu_l
-        store.mu_g[docs] = self.mu_g
-        store.tau[rows] = self.tau
-        store.phi_l[rows] = self.phi_l
-        store.phi_g[rows] = self.phi_g
 
 
 def _coordinate_ascent(work, start, sweeps, rel_tol=DOC_SWEEP_REL_TOL):
@@ -619,8 +609,14 @@ def infer_doc_states(params, corpus, sweeps=50, threads=None):
 
     Returns a DocStates list, one DocVariational per document: views into
     one VariationalStore, so writing into one state's arrays writes into
-    the store; ``.copy()`` detaches a state.
+    the store; ``.copy()`` detaches a state. Invalid parameters, a corpus
+    over another vocabulary size and ``sweeps`` < 0 are rejected.
     """
+    params.validate()
+    if params.vocab_size != corpus.vocab_size:
+        raise DimensionError("model and corpus vocabulary sizes differ")
+    if sweeps < 0:
+        raise ConfigError("sweeps must be >= 0")
     j_dim = params.num_clusters
     store = VariationalStore.symmetric(
         corpus.docs,

@@ -226,12 +226,11 @@ def validate_flat(flat):
     """DocVariational.validate on every document of flat states, vectorized.
 
     ``flat`` has a VariationalStore's seven state arrays (``zeta``,
-    ``lam``, ``mu_l``, ``mu_g``, ``tau``, ``phi_l``, ``phi_g``), ``seg``
-    (the document of each row) and ``state(i)`` (document i's state as a
-    DocVariational): a VariationalStore or an E-step working set. The
-    conditions are validate's, with the same reductions. Should any
-    document fail, validate itself runs on the first one, so the error
-    raised, text included, is validate's.
+    ``lam``, ``mu_l``, ``mu_g``, ``tau``, ``phi_l``, ``phi_g``) and
+    ``seg`` (the document of each row): a VariationalStore or an E-step
+    working set. The conditions are validate's, with the same reductions.
+    Should any document fail, validate itself runs on the first one, so
+    the error raised, text included, is validate's.
     """
     ok = dict(rtol=0, atol=SIMPLEX_ATOL)
     bad = (
@@ -251,7 +250,15 @@ def validate_flat(flat):
     )
     bad[flat.seg[bad_rows]] = True
     for i in np.flatnonzero(bad):
-        flat.state(i).validate()
+        _doc_state(flat, i, flat.seg == i).validate()
+
+
+def _doc_state(flat, i, rows):
+    # document i of flat states, its rows picked by ``rows``
+    return DocVariational(
+        flat.zeta[i], flat.lam[i], flat.mu_l[i], flat.mu_g[i],
+        flat.tau[rows], flat.phi_l[rows], flat.phi_g[rows],
+    )
 
 
 @dataclass
@@ -329,16 +336,7 @@ class VariationalStore:
         return np.repeat(np.arange(self.num_docs), np.diff(self.doc_ptr))
 
     def state(self, i):
-        rows = slice(self.doc_ptr[i], self.doc_ptr[i + 1])
-        return DocVariational(
-            zeta=self.zeta[i],
-            lam=self.lam[i],
-            mu_local=self.mu_l[i],
-            mu_global=self.mu_g[i],
-            tau=self.tau[rows],
-            phi_local=self.phi_l[rows],
-            phi_global=self.phi_g[rows],
-        )
+        return _doc_state(self, i, slice(self.doc_ptr[i], self.doc_ptr[i + 1]))
 
     def validate(self):
         validate_flat(self)

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import oracles
 import pytest
@@ -225,8 +227,10 @@ class TestLdaMatchesReference:
         c = np.concatenate(counts)
         gamma = rng.uniform(0.05, 5.0, (len(docs), num_topics))
         phi = np.full((c.size, num_topics), 1.0 / num_topics)
-        flat = (bounds, np.concatenate(docs), c)
-        batch = _LdaBatch(alpha, log_beta, flat, gamma, phi, slice(0, len(docs)))
+        store = SimpleNamespace(
+            doc_ptr=bounds, words=np.concatenate(docs), counts=c, gamma=gamma, phi=phi
+        )
+        batch = _LdaBatch(alpha, log_beta, store, slice(0, len(docs)))
         np.testing.assert_array_equal(batch.elog, oracles.dir_elog(gamma))
         for _ in range(5):
             bound = batch.sweep()

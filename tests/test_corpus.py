@@ -337,6 +337,20 @@ class TestTfidf:
         assert (weights == 0).all()
         assert any("all-zero" in rec.message for rec in caplog.records)
 
+    def test_empty_document_gets_a_zero_row(self, caplog):
+        # Corpus allows an empty document; its row was 0 / 0 = NaN, and
+        # kmeans on the matrix then failed
+        corpus = Corpus(
+            docs=[Document([0, 1], [1, 2]), Document([], []), Document([2], [4])],
+            vocab_size=3,
+        )
+        with caplog.at_level(logging.WARNING, logger="mgctm.corpus"):
+            weights = tfidf_vectors(corpus)
+        assert np.isfinite(weights).all()
+        assert (weights[1] == 0).all()
+        assert (weights[[0, 2]].sum(axis=1) > 0).all()
+        assert any("1 document(s)" in rec.message for rec in caplog.records)
+
     def test_unused_terms_cause_no_errors(self):
         corpus = Corpus(
             docs=[Document([0], [1]), Document([2], [1])], vocab_size=4

@@ -1,12 +1,20 @@
 import logging
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import oracles
 import mgctm.inference as inference_mod
-from mgctm.errors import DegenerateInputError, NumericalError
+from mgctm.baselines import _LdaBatch
+from mgctm.corpus import flat_docs
+from mgctm.errors import (
+    ConfigError,
+    DegenerateInputError,
+    DimensionError,
+    NumericalError,
+)
 from mgctm.inference import (
     E_STEP_BLOCKS,
     ELBO_TERM_NAMES,
@@ -493,6 +501,103 @@ class TestInferDocStates:
     def test_empty_corpus(self):
         params = random_model_params(2, 2, 2, 10, seed=13)
         assert infer_doc_states(params, Corpus(docs=[], vocab_size=10)) == []
+
+    def test_rejects_invalid_params(self):
+        params = random_model_params(2, 2, 2, 10, seed=13)
+        corpus, _ = sample_corpus(params, 3, 8, seed=13)
+        params.pi = np.array([0.7, 0.7])
+        with pytest.raises(ValueError, match="pi must be a probability vector"):
+            infer_doc_states(params, corpus)
+
+    @pytest.mark.parametrize("corpus_vocab", [8, 12])
+    def test_rejects_vocabulary_mismatch(self, corpus_vocab):
+        # at 12 the last word id is past the model's topics
+        params = random_model_params(2, 2, 2, 10, seed=13)
+        corpus = Corpus([Document([0, corpus_vocab - 1], [2, 1])], corpus_vocab)
+        want = "^model and corpus vocabulary sizes differ$"
+        with pytest.raises(DimensionError, match=want):
+            infer_doc_states(params, corpus)
+
+    def test_rejects_negative_sweeps(self):
+        params = random_model_params(2, 2, 2, 10, seed=13)
+        corpus, _ = sample_corpus(params, 3, 8, seed=13)
+        with pytest.raises(ConfigError, match="sweeps must be >= 0"):
+            infer_doc_states(params, corpus, sweeps=-1)
+        # no sweep at all is allowed: the symmetric start comes back
+        states = infer_doc_states(params, corpus, sweeps=0)
+        assert all((st.tau == 0.5).all() and (st.zeta == 0.5).all() for st in states)
+
+
+def working_set(kind):
+    """(store, make, doc fields, row fields): a ragged corpus's store and
+    the working set over all of it, for ``_Batch`` or ``_LdaBatch``."""
+    params, corpus = ragged_corpus(41)
+    if kind == "mgctm":
+        store = infer_doc_states(params, corpus, sweeps=2).store
+        fields = ("zeta", "lam", "mu_l", "mu_g"), ("tau", "phi_l", "phi_g")
+        return store, lambda: _Batch(params, store), *fields
+    rng = np.random.default_rng(41)
+    doc_ptr, words, counts = flat_docs(corpus.docs)
+    num_topics = 3
+    store = SimpleNamespace(
+        doc_ptr=doc_ptr,
+        words=words,
+        counts=counts,
+        gamma=rng.uniform(0.1, 3.0, (corpus.num_docs, num_topics)),
+        phi=rng.dirichlet(np.ones(num_topics), size=words.size),
+    )
+    log_beta = np.log(rng.dirichlet(np.ones(corpus.vocab_size), size=num_topics)).T
+    docs = slice(0, corpus.num_docs)
+    return store, lambda: _LdaBatch(0.1, log_beta, store, docs), ("gamma",), ("phi",)
+
+
+def doc_bytes(arrays, doc_names, row_names, i, rows):
+    # document i's state in ``arrays`` (a store or a working set), as bytes
+    return [getattr(arrays, name)[i].tobytes() for name in doc_names] + [
+        getattr(arrays, name)[rows].tobytes() for name in row_names
+    ]
+
+
+class TestWorkingSet:
+    @pytest.mark.parametrize("kind", ["mgctm", "lda"])
+    def test_scatter_without_updates_leaves_store_unchanged(self, kind):
+        store, make, doc_names, row_names = working_set(kind)
+        before = {name: getattr(store, name).copy() for name in doc_names + row_names}
+        make().scatter()
+        for name, arr in before.items():
+            assert getattr(store, name).tobytes() == arr.tobytes(), name
+
+    @pytest.mark.parametrize("kind", ["mgctm", "lda"])
+    def test_write_back_after_compact_writes_only_finished_documents(self, kind):
+        store, make, doc_names, row_names = working_set(kind)
+        ptr = store.doc_ptr
+        work = make()
+        work.sweep()
+        kept = np.arange(work.num_docs) % 3 != 1
+        work.compact(kept)
+        work.sweep()
+        done = np.arange(work.num_docs) % 2 == 0
+        before = SimpleNamespace(
+            **{name: getattr(store, name).copy() for name in doc_names + row_names}
+        )
+        running = work.num_docs
+        work.write_back(done)
+        assert work.num_docs == running
+        finished = dict(zip(np.flatnonzero(kept)[done], np.flatnonzero(done)))
+        moved = 0
+        for i in range(ptr.size - 1):
+            rows = slice(ptr[i], ptr[i + 1])
+            got = doc_bytes(store, doc_names, row_names, i, rows)
+            old = doc_bytes(before, doc_names, row_names, i, rows)
+            if i in finished:
+                k = finished[i]
+                rows = slice(work.bounds[k], work.bounds[k + 1])
+                assert got == doc_bytes(work, doc_names, row_names, k, rows), i
+                moved += got != old
+            else:
+                assert got == old, i
+        # the sweeps moved finished documents, so the check has teeth
+        assert moved >= 3
 
 
 def returned_states():

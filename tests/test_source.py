@@ -1,6 +1,9 @@
 """Checks on the package source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -45,3 +48,56 @@ def test_every_private_module_level_name_is_used():
     assert private, "no private names found; is SRC right?"
     unused = [f"{module}: {name}" for module, name in private if not uses[name]]
     assert not unused, "private names never used in src/: " + ", ".join(unused)
+
+
+def imported_names(tree):
+    """(line, name) for every name an import statement binds, at any depth."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name
+
+
+def test_every_imported_name_is_used():
+    # __init__.py imports to re-export, so it is left out
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        loads = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        unused += [
+            f"{path.name}:{line}: {name}"
+            for line, name in imported_names(tree)
+            if name not in loads
+        ]
+    assert not unused, "imported but never used: " + ", ".join(unused)
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize costs ~0.25 s of every process start; only the
+    # scoring functions that need it import it
+    code = (
+        "import sys, mgctm, mgctm.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC.parent)] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert out.stdout.strip() == "[]"
