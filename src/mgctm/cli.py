@@ -157,10 +157,8 @@ def _require(ns, *names):
             raise CliError(f"--{name.replace('_', '-')} is required")
 
 
-def _load_corpus(ns, need_labels=False):
+def _load_corpus(ns):
     _require(ns, "corpus")
-    if need_labels:
-        _require(ns, "labels")
     return corpus_mod.load_bow(ns.corpus, vocab_path=ns.vocab, labels_path=ns.labels)
 
 
@@ -186,7 +184,6 @@ def _fit_mgctm(ns, corpus, k, seed, **schedule):
         max_em_iters=ns.max_em_iters,
         elbo_rel_tol=ns.tol,
         seed=seed,
-        init_scheme="from_labels" if ns.init == "lda-naive" else "random",
         **schedule,
     )
     init_labels = None
@@ -214,6 +211,14 @@ def cmd_train(ns):
     return 0
 
 
+def _lda_labels(method, lda, k, seed):
+    """Cluster labels from a fitted LDA: the argmax topic for lda-naive,
+    k-means on the topic proportions for lda-kmeans."""
+    if method == "lda-naive":
+        return baselines.lda_naive_cluster(lda)
+    return baselines.theta_kmeans(lda, k, seed=seed)
+
+
 def _eval_predictions(ns, truth_classes):
     """Run the requested method and return its predicted labels."""
     k = ns.clusters if ns.clusters is not None else truth_classes
@@ -233,13 +238,10 @@ def _eval_predictions(ns, truth_classes):
     # the two LDA routes accept a fitted model file or fit on the fly
     if ns.model is not None:
         lda, _ = serialize.load_lda(ns.model)
-    elif ns.method == "lda-naive":
-        lda, _ = baselines.fit_lda(_load_corpus(ns), k, seed=ns.seed)
     else:
-        lda, _ = baselines.fit_lda(_load_corpus(ns), ns.lda_topics, seed=ns.seed)
-    if ns.method == "lda-naive":
-        return baselines.lda_naive_cluster(lda)
-    return baselines.theta_kmeans(lda, k, seed=ns.seed)
+        topics = k if ns.method == "lda-naive" else ns.lda_topics
+        lda, _ = baselines.fit_lda(_load_corpus(ns), topics, seed=ns.seed)
+    return _lda_labels(ns.method, lda, k, ns.seed)
 
 
 def cmd_eval(ns):
@@ -318,20 +320,12 @@ def _bench_predictions(method, corpus, k, seed, ns, vectors):
     if method == "mgctm":
         _, states, _ = _fit_mgctm(ns, corpus, k, seed)
         return np.array([predict_cluster(s) for s in states], dtype=np.int64)
-    if method == "lda-naive":
+    if method in ("lda-naive", "lda-kmeans"):
+        topics = k if method == "lda-naive" else ns.lda_topics
         lda, _ = baselines.fit_lda(
-            corpus, k, seed=seed, max_em_iters=ns.max_em_iters, elbo_rel_tol=ns.tol
+            corpus, topics, seed=seed, max_em_iters=ns.max_em_iters, elbo_rel_tol=ns.tol
         )
-        return baselines.lda_naive_cluster(lda)
-    if method == "lda-kmeans":
-        return baselines.lda_kmeans(
-            corpus,
-            k,
-            num_topics=ns.lda_topics,
-            seed=seed,
-            max_em_iters=ns.max_em_iters,
-            elbo_rel_tol=ns.tol,
-        )
+        return _lda_labels(method, lda, k, seed)
     labels, _, _ = baselines.kmeans(vectors, k, seed=seed)
     return labels
 

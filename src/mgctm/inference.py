@@ -509,17 +509,23 @@ def _as_store(params, docs, states):
     """``states`` of ``docs`` as a VariationalStore.
 
     A store is returned as is; a list of DocVariational is gathered into
-    a new store, so the caller's objects are copied, not shared.
+    a new store, which checks the states' shapes, so the caller's objects
+    are copied, not shared. Word ids outside the model's vocabulary raise
+    DimensionError.
     """
     if isinstance(states, VariationalStore):
         return states
-    return VariationalStore.gather(
+    store = VariationalStore.gather(
         docs,
         states,
         params.num_clusters,
         params.local_topics_per_cluster,
         params.num_global_topics,
     )
+    v_dim = params.vocab_size
+    if store.words.size and not 0 <= store.words.min() <= store.words.max() < v_dim:
+        raise DimensionError(f"word ids outside the model's vocabulary [0, {v_dim})")
+    return store
 
 
 def _set_state(state, store):
@@ -561,8 +567,11 @@ def e_step_doc(params, doc, state, sweeps, rel_tol=DOC_SWEEP_REL_TOL):
     """Run up to ``sweeps`` coordinate passes on one document, in place.
 
     Stops early once a pass improves the document's bound by less than
-    ``rel_tol`` relative. Returns the number of passes run.
+    ``rel_tol`` relative. Returns the number of passes run. ``sweeps`` < 0
+    raises ConfigError.
     """
+    if sweeps < 0:
+        raise ConfigError("sweeps must be >= 0")
     store = _as_store(params, [doc], [state])
     ran = _coordinate_ascent(_Batch(params, store), None, sweeps, rel_tol)
     _set_state(state, store)
@@ -709,30 +718,14 @@ def m_step(params, states, corpus, config):
     )
 
 
-def _copy_params(params):
-    return ModelParams(
-        pi=params.pi.copy(),
-        gamma=params.gamma.copy(),
-        local_priors=params.local_priors.copy(),
-        global_prior=params.global_prior.copy(),
-        local_topics=params.local_topics.copy(),
-        global_topics=params.global_topics.copy(),
-    )
-
-
 def _check_initial(params, states, corpus, config):
     """Check a caller's starting point; returns its states gathered."""
     params.validate()
-    if params.num_clusters != config.num_clusters:
+    shape = ("num_clusters", "local_topics_per_cluster", "num_global_topics")
+    if any(getattr(params, name) != getattr(config, name) for name in shape):
         raise DegenerateInputError("initial params disagree with config shape")
     if params.vocab_size != corpus.vocab_size:
         raise DegenerateInputError("initial params disagree with corpus vocabulary")
-    if len(states) != corpus.num_docs:
-        raise DegenerateInputError("need one variational state per document")
-    for doc, state in zip(corpus.docs, states):
-        rows = {state.tau.shape[0], state.phi_local.shape[0], state.phi_global.shape[0]}
-        if rows != {doc.word_ids.size}:
-            raise DegenerateInputError("variational state does not match document")
     store = _as_store(params, corpus.docs, states)
     store.validate()
     return store
@@ -744,10 +737,12 @@ def fit(config, corpus, init_labels=None, initial=None, threads=None):
     Args:
         config: HyperConfig with shapes and schedule.
         corpus: training Corpus.
-        init_labels: cluster labels consumed when config.init_scheme is
-            "from_labels" (array or ClusterLabels).
+        init_labels: cluster labels (array or ClusterLabels), one per
+            document; whenever given, the fit starts from them, as
+            ``init_model`` describes. Ignored when ``initial`` is given.
         initial: optional (ModelParams, list[DocVariational]) starting
-            point; copied, the caller's objects are not mutated.
+            point of the config's shape over the corpus's vocabulary, one
+            state per document; copied, the caller's objects are not mutated.
         threads: worker threads for the per-document E-step; results are
             identical for any value.
 
@@ -766,7 +761,7 @@ def fit(config, corpus, init_labels=None, initial=None, threads=None):
         raise DegenerateInputError("cannot fit an empty corpus")
     if initial is not None:
         params, states = initial
-        params = _copy_params(params)
+        params = copy.deepcopy(params)
         store = _check_initial(params, states, corpus, config)
     else:
         params, states = init_model(config, corpus, init_labels)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import Corpus, Document, flat_docs
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DegenerateInputError, DimensionError
 
 logger = logging.getLogger(__name__)
 
@@ -30,9 +30,10 @@ class HyperConfig:
     """Shape and schedule knobs for fitting.
 
     num_clusters, local_topics_per_cluster and num_global_topics fix the
-    model shape. init_scheme is "random" or "from_labels"; prior_update
-    is "every_iter" or "fixed". elbo_rel_tol = 0 disables early stopping
-    so exactly max_em_iters iterations run.
+    model shape. prior_update is "every_iter" or "fixed". elbo_rel_tol = 0
+    disables early stopping so exactly max_em_iters iterations run. The
+    starting point is not set here: ``init_model`` and ``fit`` start from
+    cluster labels whenever they are given, and at random otherwise.
     """
 
     num_clusters: int
@@ -42,7 +43,6 @@ class HyperConfig:
     e_step_iters: int = 20
     elbo_rel_tol: float = 1e-5
     seed: int = 0
-    init_scheme: str = "random"
     prior_update: str = "every_iter"
 
     def __post_init__(self):
@@ -58,8 +58,6 @@ class HyperConfig:
             raise ConfigError("iteration counts out of range")
         if self.elbo_rel_tol < 0:
             raise ConfigError("elbo_rel_tol must be >= 0")
-        if self.init_scheme not in ("random", "from_labels"):
-            raise ConfigError(f"unknown init_scheme {self.init_scheme!r}")
         if self.prior_update not in ("every_iter", "fixed"):
             raise ConfigError(f"unknown prior_update {self.prior_update!r}")
 
@@ -305,26 +303,40 @@ class VariationalStore:
 
     @classmethod
     def gather(cls, docs, states, num_clusters, num_local, num_global):
-        """Store holding copies of ``states``, one DocVariational per doc."""
+        """Store holding copies of ``states``, one DocVariational per doc.
+
+        Raises DegenerateInputError unless there is one state per document
+        and each state's arrays have the shapes of its document and of
+        (J, K, R) = (num_clusters, num_local, num_global).
+        """
+        if len(states) != len(docs):
+            raise DegenerateInputError("need one variational state per document")
         doc_ptr, words, counts = flat_docs(docs)
-
-        def join(how, name, shape):
-            parts = [getattr(state, name) for state in states]
-            return how(parts) if parts else np.empty((0,) + shape)
-
         j, k, r = num_clusters, num_local, num_global
-        return cls(
-            doc_ptr,
-            words,
-            counts,
-            zeta=join(np.stack, "zeta", (j,)),
-            lam=join(np.stack, "lam", (2,)),
-            mu_l=join(np.stack, "mu_local", (j, k)),
-            mu_g=join(np.stack, "mu_global", (r,)),
-            tau=join(np.concatenate, "tau", ()),
-            phi_l=join(np.concatenate, "phi_local", (j, k)),
-            phi_g=join(np.concatenate, "phi_global", (r,)),
-        )
+        # the state fields in the store's order, each with its shape per
+        # document; the row fields have one such row per term
+        shapes = {
+            "zeta": (j,), "lam": (2,), "mu_local": (j, k), "mu_global": (r,),
+            "tau": (), "phi_local": (j, k), "phi_global": (r,),
+        }
+        row_fields = ("tau", "phi_local", "phi_global")
+        for i, (rows, state) in enumerate(zip(np.diff(doc_ptr).tolist(), states)):
+            for name, shape in shapes.items():
+                want = (rows,) * (name in row_fields) + shape
+                got = np.shape(getattr(state, name))
+                if got != want:
+                    raise DegenerateInputError(
+                        f"variational state {i} does not match document {i} "
+                        f"and the model shape: {name} has shape {got}, expected {want}"
+                    )
+
+        def join(name):
+            parts = [getattr(state, name) for state in states]
+            if not parts:
+                return np.empty((0,) + shapes[name])
+            return (np.concatenate if name in row_fields else np.stack)(parts)
+
+        return cls(doc_ptr, words, counts, *map(join, shapes))
 
     @property
     def num_docs(self):
@@ -487,22 +499,22 @@ def sample_corpus(params, num_docs, doc_length, seed=0):
     return corpus, hidden
 
 
-def perturbed_uniform_rows(shape, rng, noise=0.05):
-    """Rows near uniform with a pinch of Dirichlet noise to break ties."""
+def perturbed_uniform_rows(shape, rng):
+    """Rows near uniform: 95% uniform plus 5% flat Dirichlet noise to break ties."""
     v = shape[-1]
     flat = rng.dirichlet(np.ones(v), size=int(np.prod(shape[:-1])))
-    rows = (1.0 - noise) / v + noise * flat
-    return rows.reshape(shape)
+    return (0.95 / v + 0.05 * flat).reshape(shape)
 
 
 def init_model(config, corpus, init_labels=None):
     """Seeded initialization of model parameters and variational states.
 
     Topics start as perturbed-uniform rows; pi is uniform; both Dirichlet
-    priors are symmetric 1.0 and gamma is (1, 1). Under "from_labels" the
-    cluster responsibilities put 0.9 on the given label and spread the
-    rest evenly; under "random" they are drawn from a flat Dirichlet.
-    All other variational fields start at their symmetric values.
+    priors are symmetric 1.0 and gamma is (1, 1). Whenever ``init_labels``
+    (array or ClusterLabels, one label in [0, J) per document) is given,
+    the cluster responsibilities put 0.9 on each document's label and
+    spread the rest evenly; otherwise they are drawn from a flat
+    Dirichlet. All other variational fields start at their symmetric values.
 
     The states come as a DocStates list: views into one VariationalStore,
     so writing into one writes into the store; ``.copy()`` detaches one.
@@ -525,9 +537,7 @@ def init_model(config, corpus, init_labels=None):
     )
 
     labels = None
-    if config.init_scheme == "from_labels":
-        if init_labels is None:
-            raise ConfigError("init_scheme='from_labels' needs init_labels")
+    if init_labels is not None:
         labels = np.asarray(
             init_labels.labels if hasattr(init_labels, "labels") else init_labels,
             dtype=np.int64,

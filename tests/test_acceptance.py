@@ -334,7 +334,6 @@ def test_newsgroups_beats_lda_kmeans_on_nmi():
         local_topics_per_cluster=10,
         num_global_topics=20,
         seed=0,
-        init_scheme="from_labels",
     )
     _, states, _ = fit(config, corpus, init_labels=init_labels)
     pred = np.array([predict_cluster(s) for s in states], dtype=np.int64)

@@ -5,9 +5,12 @@ import re
 import numpy as np
 import pytest
 
-from mgctm.baselines import LdaModel
+import mgctm.cli as cli_mod
+from mgctm.baselines import LdaModel, fit_lda, lda_naive_cluster, theta_kmeans
 from mgctm.cli import main
 from mgctm.corpus import load_bow, load_labels
+from mgctm.errors import NumericalError
+from mgctm.evaluation import clustering_accuracy, nmi
 from mgctm.model import HyperConfig, init_model, random_model_params
 from mgctm.serialize import load_hidden, load_model, save_lda, save_model
 
@@ -218,6 +221,21 @@ class TestTrain:
         assert code == 0
         assert "converged=" in out
 
+    def test_numerical_failure_exits_1_without_model_file(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        argv, model_path, _ = self.train_args(tmp_path, capsys)
+
+        def failing_fit(*args, **kwargs):
+            raise NumericalError("bound decreased from -1 to -2 at iteration 1")
+
+        monkeypatch.setattr(cli_mod, "fit", failing_fit)
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == "error: bound decreased from -1 to -2 at iteration 1\n"
+        assert not os.path.exists(model_path)
+
     def test_config_file_fills_unset_flags(self, tmp_path, capsys):
         argv, paths = synth_args(tmp_path)
         assert main(argv) == 0
@@ -319,6 +337,35 @@ class TestEval:
         )
         assert code == 0
         assert out == "ac=50.00\nnmi=0.00\n"
+
+    @pytest.mark.parametrize("method", ["lda-naive", "lda-kmeans"])
+    def test_lda_methods_fit_on_the_fly(self, tmp_path, capsys, method):
+        # short documents, so that neither method scores 100
+        argv, paths = synth_args(
+            tmp_path, clusters=4, global_topics=2, docs=40, doc_length=3
+        )
+        assert main(argv) == 0
+        capsys.readouterr()
+        code, out, _ = run(
+            capsys,
+            "eval",
+            "--method", method,
+            "--corpus", paths["corpus"],
+            "--labels", paths["labels"],
+            "--lda-topics", "3",
+            "--seed", "4",
+        )
+        assert code == 0
+        corpus = load_bow(paths["corpus"])
+        truth = np.asarray(load_labels(paths["labels"]))
+        k = len(np.unique(truth))
+        if method == "lda-naive":
+            pred = lda_naive_cluster(fit_lda(corpus, k, seed=4)[0])
+        else:
+            pred = theta_kmeans(fit_lda(corpus, 3, seed=4)[0], k, seed=4)
+        ac = 100.0 * clustering_accuracy(pred, truth)
+        assert ac < 100.0
+        assert out == f"ac={ac:.2f}\nnmi={100.0 * nmi(pred, truth):.2f}\n"
 
     def test_mgctm_train_then_eval(self, tmp_path, capsys):
         paths = write_two_block_corpus(tmp_path)

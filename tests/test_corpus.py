@@ -351,6 +351,10 @@ class TestTfidf:
         assert (weights[[0, 2]].sum(axis=1) > 0).all()
         assert any("1 document(s)" in rec.message for rec in caplog.records)
 
+    def test_empty_corpus_rejected(self):
+        with pytest.raises(ValueError, match="non-empty corpus"):
+            tfidf_vectors(Corpus(docs=[], vocab_size=3))
+
     def test_unused_terms_cause_no_errors(self):
         corpus = Corpus(
             docs=[Document([0], [1]), Document([2], [1])], vocab_size=4

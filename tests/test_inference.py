@@ -447,6 +447,28 @@ class TestFit:
         with pytest.raises(DegenerateInputError, match="match document"):
             fit(cfg, corpus, initial=(good_params, broken))
 
+    @pytest.mark.parametrize("shape", [(2, 3, 2), (2, 2, 3)])
+    def test_initial_params_of_another_local_or_global_count_rejected(self, shape):
+        corpus = small_fit_corpus(seed=8)
+        params, states = init_model(HyperConfig(*shape, seed=8), corpus)
+        cfg = HyperConfig(2, 2, 2, max_em_iters=1, seed=8)
+        with pytest.raises(DegenerateInputError, match="config shape"):
+            fit(cfg, corpus, initial=(params, states))
+
+    def test_labels_used_with_default_config(self):
+        corpus = small_fit_corpus(seed=10)
+        labels = np.arange(corpus.num_docs) % 2
+        cfg = HyperConfig(2, 2, 2, max_em_iters=2, elbo_rel_tol=0.0, seed=10)
+        params, states, report = fit(cfg, corpus, init_labels=labels)
+        want = fit(cfg, corpus, initial=init_model(cfg, corpus, labels))
+        np.testing.assert_array_equal(params.local_topics, want[0].local_topics)
+        assert report.elbo_trace == want[2].elbo_trace
+        for got, ref in zip(states, want[1]):
+            assert_states_equal(got, ref)
+        start = fit(HyperConfig(2, 2, 2, max_em_iters=0), corpus, init_labels=labels)[1]
+        for lab, st in zip(labels, start):
+            assert st.zeta[lab] == 0.9
+
     def test_bound_decrease_raises_with_details(self, monkeypatch):
         corpus = small_fit_corpus(seed=9)
         cfg = HyperConfig(2, 2, 2, max_em_iters=3, seed=9)
@@ -468,6 +490,69 @@ class TestFit:
         force_corpus_bounds(monkeypatch, [0.0, -1e-8, -2e-8])
         _, _, report = fit(cfg, corpus)
         assert report.elbo_trace == [0.0, -1e-8, -2e-8]
+
+
+def call_with_states(name, params, corpus, states):
+    """Run the API function ``name`` on caller-supplied ``states``."""
+    doc, state = corpus.docs[0], states[0]
+    cfg = HyperConfig(2, 2, 2, max_em_iters=1)
+    calls = {
+        "fit": lambda: fit(cfg, corpus, initial=(params, states)),
+        "doc_elbo": lambda: doc_elbo(params, doc, state),
+        "e_step_doc": lambda: e_step_doc(params, doc, state, sweeps=2),
+        "update_block": lambda: update_block(params, doc, state, "zeta"),
+        "elbo": lambda: elbo(params, states, corpus),
+        "elbo_breakdown": lambda: elbo_breakdown(params, states, corpus),
+        "m_step": lambda: m_step(params, states, corpus, cfg),
+    }
+    return calls[name]()
+
+
+PER_DOC_CALLS = ("doc_elbo", "e_step_doc", "update_block")
+
+
+class TestCallerStatesChecked:
+    """Every list of caller states is checked where it is gathered; word
+    ids and sweep counts where the per-document functions take them."""
+
+    @pytest.mark.parametrize(
+        "name", PER_DOC_CALLS + ("fit", "elbo", "elbo_breakdown", "m_step")
+    )
+    @pytest.mark.parametrize("shape", [(3, 2, 2), (2, 3, 2), (2, 2, 3)])
+    def test_states_of_another_model_shape_rejected(self, name, shape):
+        corpus = small_fit_corpus(seed=12, num_docs=6)
+        params = random_model_params(2, 2, 2, corpus.vocab_size, seed=12)
+        _, states = init_model(HyperConfig(*shape, seed=12), corpus)
+        with pytest.raises(DegenerateInputError, match="does not match document"):
+            call_with_states(name, params, corpus, states)
+
+    # fit's case is in TestFit.test_initial_shape_validation
+    @pytest.mark.parametrize("name", ["elbo", "elbo_breakdown", "m_step"])
+    def test_one_state_per_document(self, name):
+        corpus = small_fit_corpus(seed=12, num_docs=6)
+        params = random_model_params(2, 2, 2, corpus.vocab_size, seed=12)
+        _, states = init_model(HyperConfig(2, 2, 2, seed=12), corpus)
+        with pytest.raises(DegenerateInputError, match="one variational state per doc"):
+            call_with_states(name, params, corpus, states[:-1])
+
+    @pytest.mark.parametrize("name", PER_DOC_CALLS)
+    @pytest.mark.parametrize("word_ids", [[0, 10], [0, 12], [-1, 3]])
+    def test_word_ids_outside_the_model_vocabulary_rejected(self, name, word_ids):
+        params = random_model_params(2, 2, 2, 10, seed=1)
+        corpus = Corpus([Document(word_ids, [2, 1])], 13)
+        _, states = init_model(HyperConfig(2, 2, 2), corpus)
+        with pytest.raises(DimensionError, match=r"vocabulary \[0, 10\)"):
+            call_with_states(name, params, corpus, states)
+
+    def test_e_step_doc_rejects_negative_sweeps(self):
+        params = random_model_params(2, 2, 2, 10, seed=1)
+        corpus, _ = sample_corpus(params, 1, 8, seed=1)
+        _, states = init_model(HyperConfig(2, 2, 2), corpus)
+        before = states[0].copy()
+        with pytest.raises(ConfigError, match="sweeps must be >= 0"):
+            e_step_doc(params, corpus.docs[0], states[0], sweeps=-1)
+        assert_states_equal(states[0], before)
+        assert e_step_doc(params, corpus.docs[0], states[0], sweeps=0) == 0
 
 
 class TestInferDocStates:

@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 
 import oracles
-from mgctm.errors import ConfigError, DimensionError
+from mgctm.corpus import Document
+from mgctm.errors import ConfigError, DegenerateInputError, DimensionError
+from mgctm.evaluation import ClusterLabels
 from mgctm.model import (
     DocVariational,
     HyperConfig,
     ModelParams,
     HiddenAssignments,
+    VariationalStore,
     init_model,
     perturbed_uniform_rows,
     predict_cluster,
@@ -39,7 +42,6 @@ class TestHyperConfig:
             {"max_em_iters": -1},
             {"e_step_iters": 0},
             {"elbo_rel_tol": -1e-9},
-            {"init_scheme": "magic"},
             {"prior_update": "sometimes"},
         ],
     )
@@ -95,10 +97,19 @@ class TestModelParams:
         with pytest.raises(ValueError, match="sum to 1"):
             params.validate()
 
-    def test_shape_mismatch_rejected(self):
+    @pytest.mark.parametrize(
+        "name, shape, message",
+        [
+            # K is read off local_priors, so the topics disagree with it
+            ("local_priors", (2, 3), "local_topics shape mismatch"),
+            ("local_priors", (3, 2), "local_priors shape mismatch"),
+            ("global_topics", (3, 6), "global_topics shape mismatch"),
+        ],
+    )
+    def test_shape_mismatch_rejected(self, name, shape, message):
         params = tiny_params()
-        params.local_priors = np.ones((2, 3))
-        with pytest.raises(DimensionError):
+        setattr(params, name, np.full(shape, 1.0 / shape[-1]))
+        with pytest.raises(DimensionError, match=message):
             params.validate()
 
     def test_gamma_shape_rejected(self):
@@ -171,6 +182,47 @@ class TestDocVariational:
         )
         np.testing.assert_array_equal(out.tau, state.tau)
         np.testing.assert_array_equal(out.mu_global, state.mu_global)
+
+
+class TestGather:
+    """VariationalStore.gather is where every caller's list of states is
+    checked: one state per document, each shaped like its document and
+    the model."""
+
+    def states(self):
+        # J=2, K=3, R=4 over documents of 2, 0 and 1 terms
+        docs = [Document([0, 3], [1, 2]), Document([], []), Document([1], [5])]
+        store = VariationalStore.symmetric(docs, np.full((3, 2), 0.5), 3, 4)
+        return docs, [store.state(i).copy() for i in range(3)]
+
+    def test_no_documents(self):
+        store = VariationalStore.gather([], [], 2, 3, 4)
+        assert store.num_docs == 0
+        assert store.phi_l.shape == (0, 2, 3) and store.mu_l.shape == (0, 2, 3)
+
+    def test_one_state_per_document(self):
+        docs, states = self.states()
+        with pytest.raises(DegenerateInputError, match="one variational state per doc"):
+            VariationalStore.gather(docs, states[:2], 2, 3, 4)
+
+    @pytest.mark.parametrize(
+        "name, shape",
+        [
+            ("zeta", (3,)),
+            ("lam", (3,)),
+            ("mu_local", (2, 2)),
+            ("mu_global", (3,)),
+            ("tau", (2,)),
+            ("phi_local", (1, 3, 3)),
+            ("phi_global", (1, 1, 4)),
+        ],
+    )
+    def test_each_field_shape_checked(self, name, shape):
+        docs, states = self.states()
+        setattr(states[2], name, np.ones(shape))
+        want = f"variational state 2 does not match document 2 .*{name} has shape"
+        with pytest.raises(DegenerateInputError, match=want):
+            VariationalStore.gather(docs, states, 2, 3, 4)
 
 
 class TestSampler:
@@ -394,29 +446,34 @@ class TestInitModel:
             np.testing.assert_array_equal(st.zeta, [1.0])
 
     def test_from_labels_weights(self):
+        # labels are used whenever they are given, with a default config
         corpus = self.make_corpus()
-        cfg = HyperConfig(3, 2, 2, init_scheme="from_labels")
+        cfg = HyperConfig(3, 2, 2)
         labels = np.array([0, 1, 2, 0, 1, 2])
         _, states = init_model(cfg, corpus, init_labels=labels)
         for lab, st in zip(labels, states):
             assert st.zeta[lab] == 0.9
             np.testing.assert_allclose(np.delete(st.zeta, lab), 0.05)
 
-    def test_from_labels_requires_labels(self):
+    def test_labels_leave_the_topic_draws_alone(self):
         corpus = self.make_corpus()
-        cfg = HyperConfig(3, 2, 2, init_scheme="from_labels")
-        with pytest.raises(ConfigError, match="init_labels"):
-            init_model(cfg, corpus)
+        cfg = HyperConfig(2, 2, 2, seed=4)
+        labels = ClusterLabels(np.array([0, 1, 1, 0, 1, 0]), 2)
+        p_random, _ = init_model(cfg, corpus)
+        p_labels, states = init_model(cfg, corpus, init_labels=labels)
+        np.testing.assert_array_equal(p_labels.local_topics, p_random.local_topics)
+        np.testing.assert_array_equal(p_labels.global_topics, p_random.global_topics)
+        assert [int(np.argmax(st.zeta)) for st in states] == [0, 1, 1, 0, 1, 0]
 
     def test_from_labels_range_checked(self):
         corpus = self.make_corpus()
-        cfg = HyperConfig(2, 2, 2, init_scheme="from_labels")
+        cfg = HyperConfig(2, 2, 2)
         with pytest.raises(ConfigError):
             init_model(cfg, corpus, init_labels=np.array([0, 1, 2, 0, 1, 0]))
 
     def test_from_labels_length_checked(self):
         corpus = self.make_corpus()
-        cfg = HyperConfig(2, 2, 2, init_scheme="from_labels")
+        cfg = HyperConfig(2, 2, 2)
         with pytest.raises(ConfigError, match="every document"):
             init_model(cfg, corpus, init_labels=np.array([0, 1]))
 
@@ -424,7 +481,7 @@ class TestInitModel:
 class TestPerturbedUniformRows:
     def test_rows_are_near_uniform_distributions(self):
         rng = np.random.default_rng(0)
-        rows = perturbed_uniform_rows((4, 3, 10), rng, noise=0.05)
+        rows = perturbed_uniform_rows((4, 3, 10), rng)
         assert rows.shape == (4, 3, 10)
         np.testing.assert_allclose(rows.sum(axis=-1), 1.0, atol=1e-12)
         assert rows.min() >= 0.95 / 10

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -275,6 +276,22 @@ class TestDirichletMle:
         est = dirichlet_mle(stats, init=np.ones(2))
         assert (est >= 1e-8).all()
         assert np.isfinite(est).all()
+
+    def test_iteration_cap_warns_and_returns_last_iterate(self, caplog):
+        target = np.array([0.8, 2.0, 5.0])
+        mean_log = digamma(target) - digamma(target.sum())
+        stats = DirichletStats(mean_log=mean_log, num_obs=25.0)
+        with caplog.at_level(logging.WARNING, logger="mgctm.numerics"):
+            est = dirichlet_mle(stats, init=np.ones(3), max_iters=1)
+        assert any("hit max_iters=1" in rec.message for rec in caplog.records)
+        assert np.isfinite(est).all() and (est > 0).all()
+        assert dirichlet_objective(est, stats) > dirichlet_objective(np.ones(3), stats)
+
+    def test_non_finite_start_objective_raises(self):
+        stats = DirichletStats(mean_log=np.array([-1.0, -1.0]), num_obs=np.inf)
+        with pytest.raises(EstimationError, match="non-finite objective") as err:
+            dirichlet_mle(stats, init=np.array([2.0, 3.0]))
+        np.testing.assert_array_equal(err.value.last_iterate, [2.0, 3.0])
 
     def test_nonpositive_num_obs_rejected(self):
         stats = DirichletStats(mean_log=np.array([-1.0, -1.0]), num_obs=0.0)

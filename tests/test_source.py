@@ -62,11 +62,14 @@ def imported_names(tree):
 
 
 def test_every_imported_name_is_used():
-    # __init__.py imports to re-export, so it is left out
+    # the package, its tests and its demos; __init__.py imports to
+    # re-export, so it is left out
+    root = SRC.parents[1]
+    paths = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted(root.glob("tests/*.py")) + sorted(root.glob("demos/*.py"))
+    assert len(paths) > len(list(SRC.glob("*.py")))
     unused = []
-    for path in sorted(SRC.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
+    for path in paths:
         tree = ast.parse(path.read_text(), filename=str(path))
         loads = {
             node.id
@@ -74,7 +77,7 @@ def test_every_imported_name_is_used():
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
         }
         unused += [
-            f"{path.name}:{line}: {name}"
+            f"{path.relative_to(root)}:{line}: {name}"
             for line, name in imported_names(tree)
             if name not in loads
         ]
