@@ -112,6 +112,7 @@ class Document:
 class Corpus:
     """Immutable collection of documents over a fixed vocabulary.
 
+    Every word id must lie in [0, vocab_size); ``ValueError`` otherwise.
     ``dropped_docs`` records how many empty documents were discarded
     at load time; it is metadata, not part of the corpus proper.
     """
@@ -122,7 +123,12 @@ class Corpus:
     dropped_docs: int = 0
 
     def __post_init__(self):
+        # ids strictly increase, so each document's first and last bound them
         for d, doc in enumerate(self.docs):
+            if doc.word_ids.size and doc.word_ids[0] < 0:
+                raise ValueError(
+                    f"document {d} references word id {int(doc.word_ids[0])} < 0"
+                )
             if doc.word_ids.size and doc.word_ids[-1] >= self.vocab_size:
                 raise ValueError(
                     f"document {d} references word id {int(doc.word_ids[-1])} "
@@ -153,6 +159,20 @@ def flat_docs(docs):
     words = np.concatenate([empty] + [doc.word_ids for doc in docs])
     counts = np.concatenate([empty] + [doc.counts for doc in docs]).astype(float)
     return doc_ptr, words, counts
+
+
+def _segsum(rows, bounds):
+    """Per-document sums of row quantities, documents laid end to end.
+
+    The rows of document i are bounds[i]:bounds[i + 1]; a document with
+    no rows sums to 0.
+    """
+    out = np.zeros((bounds.size - 1,) + rows.shape[1:])
+    # reduceat needs strictly increasing starts below the row count,
+    # so only documents with rows get a segment
+    nonempty = bounds[:-1] < bounds[1:]
+    out[nonempty] = np.add.reduceat(rows, bounds[:-1][nonempty], axis=0)
+    return out
 
 
 def _parse_int_fields(line, n_fields, lineno, what):
@@ -329,9 +349,11 @@ def tfidf_vectors(corpus):
     idf[seen] = np.log(corpus.num_docs / df[seen])
     seg = np.repeat(np.arange(corpus.num_docs), np.diff(doc_ptr))
     lengths = np.bincount(seg, weights=counts, minlength=corpus.num_docs)
+    flat = counts / lengths[seg] * idf[words]
     weights = np.zeros((corpus.num_docs, corpus.vocab_size))
-    weights[seg, words] = counts / lengths[seg] * idf[words]
-    zero_rows = int((weights.sum(axis=1) == 0).sum())
+    weights[seg, words] = flat
+    # weights are nonnegative, so a row is all zero exactly when it sums to 0
+    zero_rows = int((_segsum(flat, doc_ptr) == 0).sum())
     if zero_rows:
         logger.warning("%d document(s) have an all-zero tf-idf row", zero_rows)
     return weights

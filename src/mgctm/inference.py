@@ -52,6 +52,7 @@ from functools import partial
 import numpy as np
 from scipy.special import expit, gammaln, psi, xlogy
 
+from .corpus import _segsum
 from .errors import ConfigError, DegenerateInputError, DimensionError, NumericalError
 from .model import (
     TOPIC_SMOOTHING,
@@ -145,20 +146,6 @@ def _dir_ep(alpha, elog):
 def _safe_log(p):
     with np.errstate(divide="ignore"):
         return np.log(p)
-
-
-def _segsum(rows, bounds):
-    """Per-document sums of row quantities, documents laid end to end.
-
-    The rows of document i are bounds[i]:bounds[i + 1]; a document with
-    no rows sums to 0.
-    """
-    out = np.zeros((bounds.size - 1,) + rows.shape[1:])
-    # reduceat needs strictly increasing starts below the row count,
-    # so only documents with rows get a segment
-    nonempty = bounds[:-1] < bounds[1:]
-    out[nonempty] = np.add.reduceat(rows, bounds[:-1][nonempty], axis=0)
-    return out
 
 
 def _subset(index, keep):

@@ -962,3 +962,81 @@ def reference_fit_lda(
     )
     model = LdaModel(topics=topics, doc_theta=gammas, alpha=alpha)
     return model, report, np.array(sweeps, dtype=np.int64).reshape(-1, num_docs)
+
+
+# ---------------------------------------------------------------------------
+# k-means on dense points: every distance pass reads the whole (n, V)
+# array, and each cluster's center is the mean of its rows.
+# ---------------------------------------------------------------------------
+
+
+def _dense_squared_distances(points, point_norms, centers):
+    d2 = (
+        point_norms[:, None]
+        + (centers * centers).sum(axis=1)[None, :]
+        - 2.0 * points @ centers.T
+    )
+    return np.maximum(d2, 0.0)
+
+
+def _dense_kmeans_pp_seed(points, point_norms, k, rng):
+    n = points.shape[0]
+    centers = np.empty((k, points.shape[1]))
+    centers[0] = points[rng.integers(n)]
+    d2 = _dense_squared_distances(points, point_norms, centers[:1])[:, 0]
+    for j in range(1, k):
+        total = d2.sum()
+        if total <= 0:
+            idx = int(rng.integers(n))
+        else:
+            idx = int(rng.choice(n, p=d2 / total))
+        centers[j] = points[idx]
+        d2 = np.minimum(
+            d2, _dense_squared_distances(points, point_norms, centers[j : j + 1])[:, 0]
+        )
+    return centers
+
+
+def _dense_lloyd(points, point_norms, k, rng, max_iters):
+    n = points.shape[0]
+    centers = _dense_kmeans_pp_seed(points, point_norms, k, rng)
+    labels = None
+    for _ in range(max_iters):
+        d2 = _dense_squared_distances(points, point_norms, centers)
+        new_labels = d2.argmin(axis=1)
+        assigned = d2[np.arange(n), new_labels]
+        for j in range(k):
+            if not np.any(new_labels == j):
+                # revive an empty cluster from the worst-placed point
+                idx = int(assigned.argmax())
+                new_labels[idx] = j
+                assigned[idx] = -1.0
+        if labels is not None and np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        for j in range(k):
+            centers[j] = points[labels == j].mean(axis=0)
+    d2 = _dense_squared_distances(points, point_norms, centers)
+    wcss = float(d2[np.arange(n), labels].sum())
+    return labels.astype(np.int64), centers, wcss
+
+
+def reference_kmeans(points, num_clusters, seed=0, restarts=10, max_iters=100):
+    """k-means on a dense (n, V) array, as ``mgctm.baselines.kmeans`` ran
+    before it worked on the points' nonzeros.
+
+    Same seeding (squared-distance sampling from one generator per
+    (seed, restart index)), revival of empty clusters and choice of the
+    restart with the least within-cluster sum of squares.
+
+    Returns (labels, centers, wcss).
+    """
+    points = np.asarray(points, dtype=float)
+    point_norms = (points * points).sum(axis=1)
+    best = None
+    for r in range(restarts):
+        rng = np.random.default_rng([seed, r])
+        labels, centers, wcss = _dense_lloyd(points, point_norms, num_clusters, rng, max_iters)
+        if best is None or wcss < best[2]:
+            best = (labels, centers, wcss)
+    return best

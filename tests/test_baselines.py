@@ -3,6 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import oracles
 import pytest
+from scipy import sparse
 
 import mgctm.baselines as baselines_mod
 import mgctm.inference as inference_mod
@@ -16,7 +17,7 @@ from mgctm.baselines import (
     lda_naive_cluster,
     theta_kmeans,
 )
-from mgctm.corpus import Corpus, Document
+from mgctm.corpus import Corpus, Document, tfidf_vectors
 from mgctm.errors import ConfigError, DegenerateInputError, NumericalError
 from mgctm.evaluation import clustering_accuracy
 from mgctm.inference import fit
@@ -332,10 +333,13 @@ class TestKmeans:
         points = np.vstack(
             [rng.normal(c, 0.5, (15, 3)) for c in (0.0, 5.0, 10.0)]
         )
+        csr = sparse.csr_array(points)
+        rows = np.repeat(np.arange(points.shape[0]), np.diff(csr.indptr))
         for run_seed in range(5):
             trace = []
             _lloyd(
-                points,
+                csr,
+                rows,
                 (points * points).sum(axis=1),
                 3,
                 np.random.default_rng(run_seed),
@@ -344,6 +348,69 @@ class TestKmeans:
             )
             diffs = np.diff(np.array(trace))
             assert (diffs <= 1e-9).all()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("as_sparse", [False, True], ids=["dense", "sparse"])
+    def test_non_finite_points_rejected(self, bad, as_sparse):
+        points, _ = self.separated_points()
+        points[7, 1] = bad
+        if as_sparse:
+            points = sparse.csr_array(points)
+        with pytest.raises(DegenerateInputError, match="points must be finite"):
+            kmeans(points, 2, seed=0)
+
+    def test_sparse_input_with_duplicates_left_untouched(self):
+        points, _ = self.separated_points(per=6, seed=3)
+        n = points.shape[0]
+        # each value stored as two halves, a row's columns out of order
+        halves = np.hstack([points, points[:, ::-1]]).ravel() / 2
+        csr = sparse.csr_array(
+            (halves, np.tile([0, 1, 1, 0], n), 4 * np.arange(n + 1)), shape=points.shape
+        )
+        coo = sparse.coo_array(
+            (halves, (np.repeat(np.arange(n), 4), np.tile([0, 1, 1, 0], n))),
+            shape=points.shape,
+        )
+        want = oracles.reference_kmeans(points, 2, seed=1)
+        for given, fields in ((csr, ("data", "indices", "indptr")), (coo, ("data", "row", "col"))):
+            before = [getattr(given, f).copy() for f in fields]
+            labels, centers, wcss = kmeans(given, 2, seed=1)
+            np.testing.assert_array_equal(labels, want[0])
+            np.testing.assert_allclose(centers, want[1], rtol=1e-12, atol=0)
+            assert wcss == pytest.approx(want[2], rel=1e-12)
+            for f, b in zip(fields, before):
+                np.testing.assert_array_equal(getattr(given, f), b)
+            assert not given.has_canonical_format
+
+
+def _tfidf_points(corpus):
+    return tfidf_vectors(corpus), 3
+
+
+def _random_points(corpus):
+    return np.random.default_rng(21).normal(0.0, 1.0, (60, 4)), 4
+
+
+def _lda_theta_points(corpus):
+    model, _ = fit_lda(corpus, 6, seed=2, max_em_iters=4)
+    return model.doc_theta / model.doc_theta.sum(axis=1, keepdims=True), 3
+
+
+class TestKmeansMatchesDenseReference:
+    """The nonzero-based k-means gives the dense loop's labels, and its
+    centers and cost to float tolerance, for dense and CSR points."""
+
+    @pytest.mark.parametrize("as_sparse", [False, True], ids=["dense", "csr"])
+    @pytest.mark.parametrize("make", [_tfidf_points, _random_points, _lda_theta_points])
+    def test_same_labels_centers_and_cost(self, recovery_corpus, make, as_sparse):
+        points, k = make(recovery_corpus)
+        given = sparse.csr_array(points) if as_sparse else points
+        for seed in (0, 5):
+            labels, centers, wcss = kmeans(given, k, seed=seed, restarts=3)
+            want = oracles.reference_kmeans(points, k, seed=seed, restarts=3)
+            np.testing.assert_array_equal(labels, want[0])
+            np.testing.assert_allclose(centers, want[1], rtol=1e-12, atol=0)
+            assert wcss == pytest.approx(want[2], rel=1e-12)
 
 
 class TestThetaKmeans:

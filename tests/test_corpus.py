@@ -109,6 +109,12 @@ class TestCorpus:
         with pytest.raises(ValueError, match="vocab_size"):
             Corpus(docs=[Document([4], [1])], vocab_size=4)
 
+    def test_negative_word_id_rejected(self):
+        # a negative id used to pass, and then read a topic row from the end
+        docs = [Document([-1, 3], [2, 1]), Document([0, 9], [1, 1])]
+        with pytest.raises(ValueError, match="document 0 references word id -1 < 0"):
+            Corpus(docs, 10)
+
     def test_labels_none_when_any_missing(self):
         docs = [Document([0], [1], label=1), Document([1], [1])]
         assert Corpus(docs=docs, vocab_size=2).labels() is None

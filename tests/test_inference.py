@@ -539,8 +539,11 @@ class TestCallerStatesChecked:
     @pytest.mark.parametrize("word_ids", [[0, 10], [0, 12], [-1, 3]])
     def test_word_ids_outside_the_model_vocabulary_rejected(self, name, word_ids):
         params = random_model_params(2, 2, 2, 10, seed=1)
-        corpus = Corpus([Document(word_ids, [2, 1])], 13)
+        corpus = Corpus([Document([0, 3], [2, 1])], 13)
         _, states = init_model(HyperConfig(2, 2, 2), corpus)
+        # the per-document functions take a Document on its own, and a
+        # Document may hold ids a Corpus refuses (a negative one)
+        corpus.docs[0] = Document(word_ids, [2, 1])
         with pytest.raises(DimensionError, match=r"vocabulary \[0, 10\)"):
             call_with_states(name, params, corpus, states)
 

@@ -7,6 +7,8 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "mgctm"
 
 
@@ -84,12 +86,14 @@ def test_every_imported_name_is_used():
     assert not unused, "imported but never used: " + ", ".join(unused)
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize costs ~0.25 s of every process start; only the
-    # scoring functions that need it import it
+@pytest.mark.parametrize("module", ["scipy.optimize", "scipy.sparse"])
+def test_import_leaves_scipy_optimize_unloaded(module):
+    # scipy.optimize costs ~0.25 s of every process start and
+    # scipy.sparse ~18 ms; only the functions that need them (the
+    # scoring functions, kmeans) import them
     code = (
         "import sys, mgctm, mgctm.cli; "
-        "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
+        f"print(sorted(m for m in sys.modules if m.startswith({module!r})))"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
