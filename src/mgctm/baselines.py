@@ -10,7 +10,8 @@ run directly on tf-idf vectors.
 
 ``kmeans`` takes dense or ``scipy.sparse`` points and works on one CSR
 view of them, so its cost scales with the points' nonzeros: on tf-idf
-vectors, well under 1% of the cells. ``corpus.tfidf_vectors`` still
+vectors, well under 1% of the cells. A dense array's view is built from
+one scan for its nonzero cells. ``corpus.tfidf_vectors`` still
 returns a dense array, because the benchmark's checks index its rows;
 it can turn sparse once those checks densify their inputs.
 
@@ -23,6 +24,19 @@ early-exit loop (``inference._coordinate_ascent``) over the same fixed
 batches, on an LDA working set (``_LdaBatch``) that gathers, compacts and
 writes back through ``inference._WorkingSet`` as the main model's does,
 so results depend on nothing but the inputs and the seed.
+
+The LDA sweep works in scaled form, as lda-c does and as Hoffman, Blei
+& Bach (2010), "Online learning for latent Dirichlet allocation", write
+it: phi for a (document, term) row is proportional to
+exp(E[log theta]) * beta_w. It takes one exp per document and topic, a
+row's normalizer is a dot product with the word's topic row, and the
+per-document sums of c * phi are one sparse (documents x rows) product
+with the topics, term-major, which ``fit_lda`` refreshes once per
+M-step. phi itself is formed only when a document is written back; the
+store, the M-step and the bound read it as a plain (rows, T) array. A
+row whose normalizer falls below ``_NORM_FLOOR`` (underflow) is
+normalized in log space, by a max-shifted softmax of its own scores, so
+it never yields inf or NaN.
 """
 
 import logging
@@ -46,7 +60,7 @@ from .inference import (
     _WorkingSet,
 )
 from .model import _check_positive, _check_rows_stochastic, perturbed_uniform_rows
-from .numerics import log_normalize_with_norm
+from .numerics import log_normalize_with_norm, max_last
 
 logger = logging.getLogger(__name__)
 
@@ -73,23 +87,71 @@ class LdaModel:
         _check_positive(self.alpha, "alpha")
 
 
+# Below this a row's normalizer may have lost to underflow more than a
+# rounding error of phi (an underflowed term is at most the smallest
+# normal float), so the row is normalized in log space instead.
+_NORM_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
+
+
 class _LdaBatch(_WorkingSet):
     """LDA's E-step working set: documents ``docs`` (a slice) of ``store``.
 
     ``store`` holds the corpus in CSR form (``doc_ptr``, ``words``,
     ``counts``) beside the corpus-wide state: ``gamma`` (D, T) and
-    ``phi`` (rows, T). ``log_beta`` is the log topics, term-major.
+    ``phi`` (rows, T). ``log_beta`` is the log topics, term-major, and
+    ``beta`` the topics, term-major (``exp(log_beta)`` when not given).
+
+    A sweep keeps phi in scaled form, the E[log theta] it was drawn from
+    and each row's normalizer; ``phi`` forms it from them on first read,
+    which for a sweeping document is when it is written back.
     """
 
-    DOC_FIELDS = ("gamma", "elog")
-    ROW_FIELDS = ("lb", "counts", "phi")
+    DOC_FIELDS = ("gamma", "elog", "_phi_elog")
+    ROW_FIELDS = ("words", "b", "counts", "_norm", "_phi")
     STATE = ("gamma", "phi")
+    _phi_elog = _norm = None  # set by a sweep
 
-    def __init__(self, alpha, log_beta, store, docs):
+    def __init__(self, alpha, log_beta, store, docs, beta=None):
         super().__init__(store, docs)
         self.alpha = alpha
-        self.lb = log_beta[store.words[self.rows]]
+        self.log_beta = log_beta
+        self.words = store.words[self.rows]
+        # np.take: a row gather ~10x faster than fancy indexing at few topics
+        self.b = np.take(np.exp(log_beta) if beta is None else beta, self.words, axis=0)
         self.elog = _elog_dir(self.gamma)
+
+    def _set_bounds(self, bounds):
+        super()._set_bounds(bounds)
+        # W of ``sweep``: its structure holds until the documents change
+        self._weights = None
+
+    @property
+    def phi(self):
+        if self._phi is None:
+            self._phi = self._form_phi()
+        return self._phi
+
+    @phi.setter
+    def phi(self, value):
+        self._phi = value
+
+    def _softmax_rows(self, rows, elog):
+        # (phi, log normalizer) of ``rows`` by a max-shifted softmax of
+        # E[log theta][seg] + log beta
+        x = elog[self.seg[rows]] + self.log_beta[self.words[rows]]
+        return log_normalize_with_norm(x, axis=-1)
+
+    def _form_phi(self):
+        # phi = e[seg] * b / normalizer from the last sweep's scaled form;
+        # rows whose normalizer underflowed (stored as inf) by a softmax
+        elog = self._phi_elog
+        e = np.exp(elog - max_last(elog)[:, None])
+        phi = np.take(e, self.seg, axis=0) * self.b
+        phi /= self._norm[:, None]
+        under = np.flatnonzero(np.isinf(self._norm))
+        if under.size:
+            phi[under] = self._softmax_rows(under, elog)[0]
+        return phi
 
     def _doc_terms(self, gamma, elog):
         # per-document bound terms of the proportions: the expected log
@@ -105,31 +167,58 @@ class _LdaBatch(_WorkingSet):
     def bound(self):
         """Each document's bound at the current gamma and phi, term by term."""
         c, phi = self.counts, self.phi
-        x = self.elog[self.seg] + self.lb
+        x = np.take(self.elog, self.seg, axis=0)
+        x += np.take(self.log_beta, self.words, axis=0)
         words = c * (_gdot(phi, x) - xlogy(phi, phi).sum(axis=-1))
         return self._doc_terms(self.gamma, self.elog) + _segsum(words, self.bounds)
 
     def sweep(self):
-        """phi = softmax(E[log theta][seg] + lb) row by row, then gamma =
-        alpha + per-document sums of c * phi; returns the new bounds.
+        """phi = softmax(E[log theta][seg] + log beta) row by row, then
+        gamma = alpha + per-document sums of c * phi; returns the new bounds.
+
+        phi is kept in scaled form: with e = exp(E[log theta] - m) per
+        document (m its largest entry) and b the word's topic row, a row's
+        phi is e[seg] * b / n, n = e[seg] . b. So gamma = alpha + e * (W @ b),
+        W the (documents x rows) sparse matrix of weights c / n, and the
+        row's log normalizer is log n + m. A row with n below _NORM_FLOOR
+        is normalized by a softmax of its own scores instead.
 
         The bound comes in collapsed form: log phi is x_old -
-        logsumexp(x_old) with x_old = E[log theta]_old[seg] + lb, so the
-        word and phi-entropy terms sum to (E[log theta]_new -
+        logsumexp(x_old) with x_old = E[log theta]_old[seg] + log beta, so
+        the word and phi-entropy terms sum to (E[log theta]_new -
         E[log theta]_old) . (gamma_new - alpha) + sum over rows of c *
         logsumexp(x_old), and no second pass over the rows is needed.
         """
-        c, bounds = self.counts, self.bounds
-        phi, log_norm = log_normalize_with_norm(self.elog[self.seg] + self.lb, axis=-1)
-        expected = _segsum(c[:, None] * phi, bounds)
+        # imported here: scipy.sparse adds ~18 ms to every process start
+        from scipy.sparse import csr_array
+
+        c, seg, bounds, elog = self.counts, self.seg, self.bounds, self.elog
+        shift = max_last(elog)
+        e = np.exp(elog - shift[:, None])
+        norm = np.einsum("rt,rt->r", np.take(e, seg, axis=0), self.b)
+        ok = norm >= _NORM_FLOOR
+        # an underflowed row drops out of the product (c / inf = 0)
+        norm = np.where(ok, norm, np.inf)
+        log_norm = np.log(norm) + shift[seg]
+        if self._weights is None:
+            self._weights = csr_array(
+                (c, np.arange(c.size), bounds), shape=(self.num_docs, c.size)
+            )
+        self._weights.data = c / norm
+        expected = e * (self._weights @ self.b)
+        if not ok.all():
+            under = np.flatnonzero(~ok)
+            phi, log_norm[under] = self._softmax_rows(under, elog)
+            np.add.at(expected, seg[under], c[under, None] * phi)
         gamma = self.alpha + expected
-        elog = _elog_dir(gamma)
+        new_elog = _elog_dir(gamma)
         bound = (
-            self._doc_terms(gamma, elog)
-            + ((elog - self.elog) * expected).sum(axis=-1)
+            self._doc_terms(gamma, new_elog)
+            + ((new_elog - elog) * expected).sum(axis=-1)
             + _segsum(c * log_norm, bounds)
         )
-        self.gamma, self.elog, self.phi = gamma, elog, phi
+        self.gamma, self.elog = gamma, new_elog
+        self._phi_elog, self._norm, self._phi = elog, norm, None
         return bound
 
 
@@ -148,18 +237,32 @@ def fit_lda(
     The trace records, per iteration, the sum of the per-document bounds
     plus eta * sum(log topics); the M-step's pseudocount eta is the exact
     maximizer of that term, so the trace never decreases beyond float
-    slack. elbo_rel_tol = 0 disables early stopping.
+    slack. elbo_rel_tol = 0 disables early stopping; alpha, eta and
+    elbo_rel_tol must be finite.
+
+    The E-step works in scaled form (``_LdaBatch.sweep``): one exp per
+    document and topic, a dot product per (document, term) row for its
+    normalizer, and the per-document sums as one sparse product with the
+    topics term-major, which the M-step refreshes once. phi is formed
+    only when a document's sweeps end, for the M-step and the bound to
+    read; a row whose normalizer underflows takes the softmax of its own
+    scores instead.
 
     Returns (LdaModel, FitReport).
     """
+    # imported here: scipy.sparse adds ~18 ms to every process start
+    from scipy.sparse import csr_array
+
     if num_topics < 1:
         raise ConfigError("num_topics must be >= 1")
     if corpus.num_docs < 1:
         raise DegenerateInputError("cannot fit an empty corpus")
-    if alpha <= 0 or eta <= 0:
-        raise ConfigError("alpha and eta must be > 0")
+    if not (0 < alpha < np.inf and 0 < eta < np.inf):
+        raise ConfigError("alpha and eta must be finite and > 0")
     if min(max_em_iters, e_step_iters, elbo_rel_tol) < 0:
         raise ConfigError("iteration counts and elbo_rel_tol must be >= 0")
+    if not np.isfinite(elbo_rel_tol):
+        raise ConfigError("elbo_rel_tol must be finite")
 
     num_docs, v_dim = corpus.num_docs, corpus.vocab_size
     rng = np.random.default_rng(seed)
@@ -171,10 +274,15 @@ def fit_lda(
     store = SimpleNamespace(
         doc_ptr=doc_ptr, words=words, counts=counts, gamma=gammas, phi=phi
     )
-    # log topics term-major, so that a row gather by word id is contiguous;
-    # the M-step rewrites topics and log_beta in place
-    log_beta = _safe_log(topics).T.copy()
-    batch = partial(_LdaBatch, alpha, log_beta, store)
+    # (rows x V) counts, one per row at its word: the M-step's word sums
+    term_counts = csr_array(
+        (counts, words, np.arange(words.size + 1)), shape=(words.size, v_dim)
+    )
+    # topics and log topics term-major, so that a row gather by word id is
+    # contiguous; the M-step rewrites topics, beta and log_beta in place
+    beta = topics.T.copy()
+    log_beta = _safe_log(beta)
+    batch = partial(_LdaBatch, alpha, log_beta, store, beta=beta)
 
     def bound():
         doc_bounds = np.concatenate([batch(d).bound() for d in _batch_slices(num_docs)])
@@ -182,11 +290,10 @@ def fit_lda(
         return terms, doc_bounds
 
     def m_step():
-        weights = np.zeros((v_dim, num_topics))
-        np.add.at(weights, words, counts[:, None] * phi)
-        np.add(weights.T, eta, out=topics)
+        np.add((term_counts.T @ phi).T, eta, out=topics)
         np.divide(topics, topics.sum(axis=-1, keepdims=True), out=topics)
-        log_beta[...] = _safe_log(topics).T
+        beta[...] = topics.T
+        log_beta[...] = _safe_log(beta)
 
     e_step = partial(_run_e_step, batch, num_docs, sweeps=e_step_iters)
     report = _run_em(bound, e_step, m_step, max_em_iters, elbo_rel_tol)
@@ -244,6 +351,30 @@ def _lloyd(points, rows, norms, k, rng, max_iters, cost_trace=None):
     return labels.astype(np.int64), centers, wcss
 
 
+def _dense_csr(points):
+    """``csr_array(points)`` of a dense 2-d array: the same data bits,
+    indices and indptr (as int64).
+
+    Both keep the cells that compare unequal to 0 (so -0.0 is dropped and
+    NaN kept) in row-major order; a scan of ``points != 0`` finds them,
+    where ``ndarray.nonzero`` on a float array is several times slower.
+    """
+    from scipy.sparse import csr_array
+
+    n, v = points.shape
+    # by blocks of rows, so that the bool temporary stays small: freeing a
+    # large one raises malloc's mmap threshold for the rest of the process
+    # (one 6 MB scan of heavy-tail's tf-idf cost later held-out inference
+    # calls ~1,000 more page faults each)
+    step = max(1, (1 << 16) // max(v, 1))
+    flat = np.concatenate(
+        [np.flatnonzero(points[i : i + step] != 0) + i * v for i in range(0, n, step)]
+    )
+    rows, cols = np.divmod(flat, v)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+    return csr_array((np.ravel(points)[flat], cols, indptr), shape=(n, v))
+
+
 def kmeans(points, num_clusters, seed=0, restarts=10, max_iters=100):
     """Plain k-means with greedy seeding and restarts.
 
@@ -260,7 +391,7 @@ def kmeans(points, num_clusters, seed=0, restarts=10, max_iters=100):
     Returns (labels, centers, wcss); centers is a dense array.
     """
     # imported here: scipy.sparse adds ~18 ms to every process start
-    from scipy.sparse import csr_array
+    from scipy.sparse import csr_array, issparse
 
     if np.ndim(points) != 2:
         raise ConfigError("points must be a 2-d array")
@@ -270,9 +401,12 @@ def kmeans(points, num_clusters, seed=0, restarts=10, max_iters=100):
         raise DegenerateInputError("fewer points than clusters")
     if restarts < 1 or max_iters < 1:
         raise ConfigError("restarts and max_iters must be >= 1")
-    # a copy, so that summing duplicates never touches the caller's arrays
-    points = csr_array(points, dtype=float, copy=True)
-    points.sum_duplicates()
+    if issparse(points):
+        # a copy, so that summing duplicates never touches the caller's arrays
+        points = csr_array(points, dtype=float, copy=True)
+        points.sum_duplicates()
+    else:
+        points = _dense_csr(np.asarray(points, dtype=float))
     if not np.isfinite(points.data).all():
         raise DegenerateInputError("points must be finite")
 

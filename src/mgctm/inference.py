@@ -148,6 +148,17 @@ def _safe_log(p):
         return np.log(p)
 
 
+def _log_topics(params):
+    """(V, J, K) local and (V, R) global log topics, term-major, so that a
+    row gather by word id is contiguous; a gather of them has the bits of
+    the log of the gathered topics."""
+    with np.errstate(divide="ignore"):
+        return (
+            np.log(params.local_topics.transpose(2, 0, 1), order="C"),
+            np.log(params.global_topics.T, order="C"),
+        )
+
+
 def _subset(index, keep):
     # the entries of a store index (a slice or an index array) where keep holds
     if isinstance(index, slice):
@@ -194,10 +205,11 @@ class _WorkingSet:
         rows = keep[self.seg]
         self.docs = _subset(self.docs, keep)
         self.rows = _subset(self.rows, rows)
-        for name in self.DOC_FIELDS:
-            setattr(self, name, getattr(self, name)[keep])
-        for name in self.ROW_FIELDS:
-            setattr(self, name, getattr(self, name)[rows])
+        for names, index in ((self.DOC_FIELDS, keep), (self.ROW_FIELDS, rows)):
+            for name in names:
+                value = getattr(self, name)
+                if value is not None:  # a field not yet computed stays unset
+                    setattr(self, name, value[index])
         sizes = np.diff(self.bounds)[keep]
         self._set_bounds(np.concatenate([[0], np.cumsum(sizes)]))
 
@@ -242,14 +254,16 @@ class _Batch(_WorkingSet):
     ROW_FIELDS = ("counts", "lb_l", "lb_g", "tau", "phi_l", "phi_g")
     STATE = ("zeta", "lam", "mu_l", "mu_g", "tau", "phi_l", "phi_g")
 
-    def __init__(self, params, store, docs=None):
+    def __init__(self, params, store, docs=None, log_topics=None):
+        # log_topics: ``_log_topics(params)``, taken here when not given
         super().__init__(store, docs)
         words = store.words[self.rows]
         self.params = params
         self.log_k = np.log(params.local_topics_per_cluster)
         self.log_r = np.log(params.num_global_topics)
-        self.lb_l = _safe_log(params.local_topics.transpose(2, 0, 1)[words])
-        self.lb_g = _safe_log(params.global_topics.T[words])
+        log_l, log_g = _log_topics(params) if log_topics is None else log_topics
+        self.lb_l = np.take(log_l, words, axis=0)
+        self.lb_g = np.take(log_g, words, axis=0)
 
     def _set_bounds(self, bounds):
         super()._set_bounds(bounds)
@@ -525,12 +539,13 @@ def doc_elbo(params, doc, state):
     return float(_Batch(params, _as_store(params, [doc], [state])).bound()[0])
 
 
-def _corpus_bound(params, store):
-    """({term name: corpus total}, per-document bounds), in one pass."""
+def _corpus_bound(batch, num_docs):
+    """({term name: corpus total}, per-document bounds), in one pass;
+    ``batch(docs)`` builds the working set of the slice ``docs``."""
     acc = np.zeros(len(ELBO_TERM_NAMES))
-    doc_bounds = np.empty(store.num_docs)
-    for docs in _batch_slices(store.num_docs):
-        terms = _Batch(params, store, docs).bound_terms()
+    doc_bounds = np.empty(num_docs)
+    for docs in _batch_slices(num_docs):
+        terms = batch(docs).bound_terms()
         acc += terms.sum(axis=0)
         doc_bounds[docs] = terms.sum(axis=1)
     return dict(zip(ELBO_TERM_NAMES, acc.tolist())), doc_bounds
@@ -542,7 +557,9 @@ def elbo_breakdown(params, states, corpus):
     ``states`` is a list of DocVariational, one per document, or the
     VariationalStore holding them.
     """
-    return _corpus_bound(params, _as_store(params, corpus.docs, states))[0]
+    store = _as_store(params, corpus.docs, states)
+    batch = partial(_Batch, params, store, log_topics=_log_topics(params))
+    return _corpus_bound(batch, store.num_docs)[0]
 
 
 def elbo(params, states, corpus):
@@ -620,7 +637,8 @@ def infer_doc_states(params, corpus, sweeps=50, threads=None):
         params.local_topics_per_cluster,
         params.num_global_topics,
     )
-    _run_e_step(partial(_Batch, params, store), corpus.num_docs, None, sweeps, threads)
+    batch = partial(_Batch, params, store, log_topics=_log_topics(params))
+    _run_e_step(batch, corpus.num_docs, None, sweeps, threads)
     return DocStates(store)
 
 
@@ -754,16 +772,22 @@ def fit(config, corpus, init_labels=None, initial=None, threads=None):
         params, states = init_model(config, corpus, init_labels)
         store = states.store
 
+    log_topics = _log_topics(params)
+
     def update():
         # in place, so that the partials below see the new parameters
+        nonlocal log_topics
         vars(params).update(vars(m_step(params, store, corpus, config)))
         params.validate()
+        log_topics = _log_topics(params)
 
-    batch = partial(_Batch, params, store)
+    def batch(docs):
+        return _Batch(params, store, docs, log_topics)
+
     e_step = partial(
         _run_e_step, batch, corpus.num_docs, sweeps=config.e_step_iters, threads=threads
     )
-    bound = partial(_corpus_bound, params, store)
+    bound = partial(_corpus_bound, batch, corpus.num_docs)
     report = _run_em(bound, e_step, update, config.max_em_iters, config.elbo_rel_tol)
     return params, DocStates(store), report
 

@@ -30,10 +30,11 @@ class HyperConfig:
     """Shape and schedule knobs for fitting.
 
     num_clusters, local_topics_per_cluster and num_global_topics fix the
-    model shape. prior_update is "every_iter" or "fixed". elbo_rel_tol = 0
-    disables early stopping so exactly max_em_iters iterations run. The
-    starting point is not set here: ``init_model`` and ``fit`` start from
-    cluster labels whenever they are given, and at random otherwise.
+    model shape. prior_update is "every_iter" or "fixed". elbo_rel_tol is
+    finite; 0 disables early stopping so exactly max_em_iters iterations
+    run. The starting point is not set here: ``init_model`` and ``fit``
+    start from cluster labels whenever they are given, and at random
+    otherwise.
     """
 
     num_clusters: int
@@ -56,8 +57,8 @@ class HyperConfig:
             raise ConfigError("num_global_topics must be >= 1")
         if self.max_em_iters < 0 or self.e_step_iters < 1:
             raise ConfigError("iteration counts out of range")
-        if self.elbo_rel_tol < 0:
-            raise ConfigError("elbo_rel_tol must be >= 0")
+        if not 0 <= self.elbo_rel_tol < np.inf:  # NaN fails too
+            raise ConfigError("elbo_rel_tol must be finite and >= 0")
         if self.prior_update not in ("every_iter", "fixed"):
             raise ConfigError(f"unknown prior_update {self.prior_update!r}")
 

@@ -871,6 +871,7 @@ def reference_fit_lda(
     max_em_iters=100,
     e_step_iters=20,
     elbo_rel_tol=1e-5,
+    topics=None,
 ):
     """Fit LDA by variational EM, one document at a time.
 
@@ -878,7 +879,9 @@ def reference_fit_lda(
     ``mgctm.baselines.fit_lda``: per document, sweeps of
     phi = softmax(E[log theta] + log topics) and gamma = alpha + c @ phi,
     stopping once a sweep gains less than DOC_SWEEP_REL_TOL relative,
-    with the bound recomputed term by term after every sweep.
+    with the bound recomputed term by term after every sweep. ``topics``
+    are the starting topics, drawn from ``seed`` as the package draws
+    them when not given.
 
     Returns (LdaModel, FitReport, sweeps), sweeps being an
     (iterations run, D) array of per-document sweep counts.
@@ -891,9 +894,10 @@ def reference_fit_lda(
         raise ConfigError("alpha and eta must be > 0")
 
     num_docs, v_dim = corpus.num_docs, corpus.vocab_size
-    rng = np.random.default_rng(seed)
-    # perturbed-uniform rows, as the package's init draws them
-    topics = (1.0 - 0.05) / v_dim + 0.05 * rng.dirichlet(np.ones(v_dim), size=num_topics)
+    if topics is None:
+        # perturbed-uniform rows, as the package's init draws them
+        rng = np.random.default_rng(seed)
+        topics = (1.0 - 0.05) / v_dim + 0.05 * rng.dirichlet(np.ones(v_dim), size=num_topics)
     counts = [doc.counts.astype(float) for doc in corpus.docs]
     gammas = np.full((num_docs, num_topics), alpha)
     gammas += np.array([c.sum() for c in counts])[:, None] / num_topics

@@ -9,6 +9,7 @@ import mgctm.baselines as baselines_mod
 import mgctm.inference as inference_mod
 from mgctm.baselines import (
     LdaModel,
+    _dense_csr,
     _LdaBatch,
     _lloyd,
     fit_lda,
@@ -103,6 +104,12 @@ class TestFitLda:
     def test_negative_schedule_rejected(self, opts):
         with pytest.raises(ConfigError, match="must be >= 0"):
             fit_lda(two_block_corpus(num_docs=4), 2, **opts)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["alpha", "eta", "elbo_rel_tol"])
+    def test_non_finite_settings_rejected(self, name, value):
+        with pytest.raises(ConfigError, match="must be finite"):
+            fit_lda(two_block_corpus(num_docs=4), 2, **{name: value})
 
     def test_bound_decrease_raises_with_details(self, monkeypatch):
         corpus = two_block_corpus(num_docs=6)
@@ -206,6 +213,47 @@ class TestLdaMatchesReference:
         np.testing.assert_allclose(model.doc_theta, ref.doc_theta, rtol=1e-10)
         np.testing.assert_allclose(model.topics, ref.topics, rtol=1e-10)
         np.testing.assert_array_equal(lda_naive_cluster(model), lda_naive_cluster(ref))
+
+    @pytest.mark.parametrize("pattern", ["subnormal", "underflow"])
+    def test_tiny_topic_entries_match_reference(self, monkeypatch, pattern):
+        corpus = ragged_corpus()
+        num_topics = 3
+        topics = np.random.default_rng(5).dirichlet(np.ones(10), size=num_topics)
+        if pattern == "subnormal":
+            # one topic nearly absent from most words: subnormal phi entries
+            topics[1, 3:] = 1e-320
+        else:
+            # word 7 nearly absent from every topic: in the first E-step the
+            # normalizer of its rows is subnormal, below the floor
+            topics[:, 7] = 1e-310
+        topics /= topics.sum(axis=1, keepdims=True)
+        monkeypatch.setattr(
+            baselines_mod, "perturbed_uniform_rows", lambda shape, rng: topics.copy()
+        )
+        softmax_rows = []
+        real = _LdaBatch._softmax_rows
+
+        def recording(batch, rows, elog):
+            softmax_rows.append(rows.size)
+            return real(batch, rows, elog)
+
+        monkeypatch.setattr(_LdaBatch, "_softmax_rows", recording)
+        opts = dict(seed=4, max_em_iters=4, elbo_rel_tol=0.0)
+        # the suite turns any RuntimeWarning (an inf or NaN on the way) into an error
+        model, report, sweeps = fit_recording_sweeps(
+            monkeypatch, corpus, num_topics, **opts
+        )
+        ref, ref_report, ref_sweeps = oracles.reference_fit_lda(
+            corpus, num_topics, topics=topics.copy(), **opts
+        )
+        # the underflow rule ran exactly when the pattern forces it
+        assert bool(softmax_rows) == (pattern == "underflow")
+        assert np.isfinite(report.elbo_trace).all()
+        assert np.isfinite(model.doc_theta).all() and np.isfinite(model.topics).all()
+        np.testing.assert_array_equal(sweeps, ref_sweeps)
+        np.testing.assert_allclose(report.elbo_trace, ref_report.elbo_trace, rtol=1e-10)
+        np.testing.assert_allclose(model.doc_theta, ref.doc_theta, rtol=1e-10)
+        np.testing.assert_allclose(model.topics, ref.topics, rtol=1e-10)
 
     def test_collapsed_sweep_bound_equals_full_bound(self):
         rng = np.random.default_rng(11)
@@ -411,6 +459,38 @@ class TestKmeansMatchesDenseReference:
             np.testing.assert_array_equal(labels, want[0])
             np.testing.assert_allclose(centers, want[1], rtol=1e-12, atol=0)
             assert wcss == pytest.approx(want[2], rel=1e-12)
+
+
+def _wide_points(corpus):
+    # rows wider than the view's scan block, so the scan spans several blocks
+    rng = np.random.default_rng(8)
+    points = rng.normal(0.0, 1.0, (9, 40_000))
+    points[rng.random(points.shape) > 0.01] = 0.0
+    return points
+
+
+class TestKmeansDenseInput:
+    @pytest.mark.parametrize("cell", [-0.0, np.nan], ids=["negative-zero", "nan"])
+    @pytest.mark.parametrize("make", [tfidf_vectors, _wide_points], ids=["tfidf", "wide"])
+    def test_dense_and_csr_input_agree_bitwise(self, recovery_corpus, make, cell):
+        points = make(recovery_corpus)
+        points[:, -1] = -0.0
+        points[4] = 0.0
+        points[2, 3] = cell
+        view, want = _dense_csr(points), sparse.csr_array(points)
+        assert view.data.tobytes() == want.data.tobytes()
+        np.testing.assert_array_equal(view.indices, want.indices)
+        np.testing.assert_array_equal(view.indptr, want.indptr)
+        if np.isnan(cell):
+            for given in (points, want):
+                with pytest.raises(DegenerateInputError, match="points must be finite"):
+                    kmeans(given, 3, seed=0)
+            return
+        labels, centers, wcss = kmeans(points, 3, seed=0, restarts=3)
+        sp_labels, sp_centers, sp_wcss = kmeans(want, 3, seed=0, restarts=3)
+        np.testing.assert_array_equal(labels, sp_labels)
+        assert centers.tobytes() == sp_centers.tobytes()
+        assert wcss == sp_wcss
 
 
 class TestThetaKmeans:

@@ -186,6 +186,13 @@ class TestTrain:
         np.testing.assert_array_equal(saved.global_topics, expected.global_topics)
         np.testing.assert_array_equal(saved.pi, expected.pi)
 
+    def test_non_finite_tol_rejected(self, tmp_path, capsys):
+        argv, model_path, _ = self.train_args(tmp_path, capsys, tol="nan")
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "elbo_rel_tol must be finite" in err
+        assert not os.path.exists(model_path)
+
     def test_missing_corpus_flag_writes_nothing(self, tmp_path, capsys):
         model_path = str(tmp_path / "m.json")
         code, _, err = run(
@@ -679,6 +686,23 @@ class TestBench:
         )
         assert code == 2
         assert err.count("\n") == 1 and "must be >= 0" in err
+
+    @pytest.mark.parametrize("method", ["mgctm", "lda-naive", "lda-kmeans"])
+    def test_non_finite_tol_rejected(self, tmp_path, capsys, method):
+        paths = write_two_block_corpus(tmp_path)
+        report = tmp_path / "report.tsv"
+        code, out, err = run(
+            capsys,
+            "bench",
+            "--corpus", paths["bow"],
+            "--labels", paths["labels"],
+            "--methods", method,
+            "--out", str(report),
+            "--tol", "nan",
+        )
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "elbo_rel_tol must be finite" in err
+        assert not report.exists()
 
     def test_two_methods_two_seeds(self, tmp_path, capsys):
         paths = write_two_block_corpus(tmp_path)

@@ -65,8 +65,8 @@ def force_corpus_bounds(monkeypatch, values):
     real = inference_mod._corpus_bound
     values = iter(values)
 
-    def forced(params, store):
-        terms, doc_bounds = real(params, store)
+    def forced(*args):
+        terms, doc_bounds = real(*args)
         terms = dict.fromkeys(terms, 0.0)
         terms[ELBO_TERM_NAMES[0]] = next(values)
         return terms, doc_bounds

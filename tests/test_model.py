@@ -42,6 +42,8 @@ class TestHyperConfig:
             {"max_em_iters": -1},
             {"e_step_iters": 0},
             {"elbo_rel_tol": -1e-9},
+            {"elbo_rel_tol": float("nan")},
+            {"elbo_rel_tol": float("inf")},
             {"prior_update": "sometimes"},
         ],
     )
