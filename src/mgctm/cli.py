@@ -126,8 +126,18 @@ _DEFAULTS = {
 }
 
 
-def _apply_config(ns):
-    """Fill unset flags from the --config file, then from defaults."""
+# the JSON values a flag of each argparse type takes from a run-config
+_CONFIG_KINDS = {int: ("an integer", int), float: ("a number", (int, float)), None: ("a string", str)}
+
+
+def _apply_config(ns, flags):
+    """Fill unset flags from the --config file, then from defaults.
+
+    ``flags`` maps the subcommand's flag destinations to their argparse
+    actions. A file value must have its flag's type, as a JSON value (a
+    bool is no integer), and be one of its choices; null leaves the flag
+    unset.
+    """
     values = {}
     if ns.config is not None:
         with open(ns.config, encoding="utf-8") as fh:
@@ -140,15 +150,41 @@ def _apply_config(ns):
         if payload.get("version") != 1:
             raise ConfigError(f"{ns.config}: unsupported version")
         values = {k: v for k, v in payload.items() if k not in ("format", "version")}
-        unknown = [k for k in values if not hasattr(ns, k)]
+        unknown = [k for k in values if k not in flags]
         if unknown:
             raise ConfigError(f"{ns.config}: unknown keys {unknown}")
+        for key, value in values.items():
+            if value is not None:
+                values[key] = _config_value(ns.config, key, value, flags[key])
     for key, value in values.items():
         if getattr(ns, key) is None:
             setattr(ns, key, value)
     for key, value in _DEFAULTS.items():
         if hasattr(ns, key) and getattr(ns, key) is None:
             setattr(ns, key, value)
+
+
+def _config_value(path, key, value, action):
+    # ``value`` of run-config key ``key`` as its flag ``action`` would
+    # parse it; ConfigError when the flag would refuse it
+    kind, accepted = _CONFIG_KINDS[action.type]
+    try:
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise TypeError
+        value = value if action.type is None else action.type(value)
+    except (TypeError, OverflowError):
+        raise ConfigError(f"{path}: {key} must be {kind}, not {json.dumps(value)}") from None
+    if action.choices is not None and value not in action.choices:
+        choices = ", ".join(map(str, action.choices))
+        raise ConfigError(f"{path}: {key} must be one of {choices}, not {json.dumps(value)}")
+    return value
+
+
+def _flag_actions(parser, command):
+    """{destination: argparse action} of the flags of subcommand ``command``."""
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = sub.choices[command]._actions
+    return {a.dest: a for a in actions if a.option_strings and a.dest != "help"}
 
 
 def _require(ns, *names):
@@ -411,7 +447,7 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code
     try:
-        _apply_config(ns)
+        _apply_config(ns, _flag_actions(parser, ns.command))
         return _COMMANDS[ns.command](ns)
     except (
         CliError,

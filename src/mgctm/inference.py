@@ -21,7 +21,8 @@ Inside ``fit`` and ``infer_doc_states`` the states of the whole corpus
 live in one ``VariationalStore``: the documents' distinct terms end to
 end, one row per (document, term) pair, with no padding, beside one row
 per document. A row-to-document index broadcasts per-document quantities
-to the rows, and segment sums collect row quantities per document. The
+to the rows (``np.take`` along it, several times faster than fancy
+indexing), and segment sums collect row quantities per document. The
 M-step and the corpus bound read the store batch by batch.
 ``DocVariational`` objects appear only at the API edge: the states
 returned are views into the store, and functions given a list of states
@@ -33,7 +34,10 @@ a fixed number of documents, so results are bitwise independent of the
 thread count. A batch is a ``_WorkingSet`` (``_Batch`` here, the LDA
 one in ``baselines``): views of a store's rows for a contiguous slice of
 documents, written back by ``scatter``. Each bound pass gives every
-document's bound too, and the next E-step starts from those. A
+document's bound too, and the next E-step starts from those. Held-out
+documents all start from one symmetric state, whose bound is a closed
+form in the counts (``_symmetric_bounds``), so ``infer_doc_states``
+starts without a bound pass. A
 document's sweeps stop once its bound stalls; it is then written back
 (the MGCTM state checked, vectorized, with exactly
 ``DocVariational.validate``'s conditions and error messages), and the
@@ -41,6 +45,9 @@ documents still running are gathered into a compact working set. The
 bound after a sweep comes in collapsed form: each phi block is a softmax
 of scaled row scores, so the entropy of phi is its log normalizer minus
 the scaled expected score, and no second pass over the rows is needed.
+Products and reductions along the short topic axes (K, R, J) go through
+``numerics``' short-axis helpers, which give NumPy's broadcast and
+reduction bits without its per-row inner loops.
 """
 
 import copy
@@ -52,7 +59,7 @@ from functools import partial
 import numpy as np
 from scipy.special import expit, gammaln, psi, xlogy
 
-from .corpus import _segsum
+from .corpus import Document, _segsum
 from .errors import ConfigError, DegenerateInputError, DimensionError, NumericalError
 from .model import (
     TOPIC_SMOOTHING,
@@ -66,7 +73,9 @@ from .numerics import (
     DirichletStats,
     dirichlet_mle,
     log_normalize,
-    log_normalize_with_norm,
+    log_normalize_scaled,
+    multiply_last,
+    scale0,
     sum_last,
 )
 
@@ -112,34 +121,22 @@ E_STEP_BLOCKS = (
 
 def _elog_dir(alpha):
     """Expected log components of a Dirichlet, rows along the last axis."""
-    return psi(alpha) - psi(alpha.sum(axis=-1, keepdims=True))
-
-
-def _scale0(c, x):
-    # c * x under the convention 0 * (-inf) = 0; c must be >= 0. Same
-    # bits as c * np.where(c > 0, x, 0.0), without a full-size temporary:
-    # where c > 0 fails the product is redone as c * 0.0.
-    with np.errstate(invalid="ignore"):
-        out = c * x
-    redo = np.logical_not(c > 0)
-    if redo.any():
-        np.multiply(c, 0.0, out=out, where=redo)
-    return out
+    return psi(alpha) - psi(sum_last(alpha))[..., None]
 
 
 def _gdot(p, x):
     # sum(p * x) along the last axis, p == 0 entries contributing nothing
     # even at x = -inf
-    return sum_last(_scale0(p, x))
+    return sum_last(scale0(p, x))
 
 
 def _dir_ep(alpha, elog):
     """E[log Dir(theta; alpha)] given E[log theta], along the last axis."""
     alpha = np.asarray(alpha)
     return (
-        gammaln(alpha.sum(axis=-1))
-        - gammaln(alpha).sum(axis=-1)
-        + ((alpha - 1.0) * elog).sum(axis=-1)
+        gammaln(sum_last(alpha))
+        - sum_last(gammaln(alpha))
+        + sum_last((alpha - 1.0) * elog)
     )
 
 
@@ -200,9 +197,13 @@ class _WorkingSet:
         self.num_docs = bounds.size - 1
         self.seg = np.repeat(np.arange(self.num_docs), np.diff(bounds))
 
+    def _to_rows(self, a):
+        # a, with one entry per document, at each of the documents' rows
+        return np.take(a, self.seg, axis=0)
+
     def compact(self, keep):
         """Keep the documents where ``keep`` holds, gathering their rows."""
-        rows = keep[self.seg]
+        rows = self._to_rows(keep)
         self.docs = _subset(self.docs, keep)
         self.rows = _subset(self.rows, rows)
         for names, index in ((self.DOC_FIELDS, keep), (self.ROW_FIELDS, rows)):
@@ -234,7 +235,7 @@ class _WorkingSet:
 class _Batch(_WorkingSet):
     """The MGCTM working set: documents of a VariationalStore.
 
-    Document quantities reach the rows by indexing with ``seg``, and row
+    Document quantities reach the rows by a gather along ``seg``, and row
     quantities reach the documents by segment sums, so no cell is
     padding. The block updates replace the ``STATE`` arrays, and
     ``scatter`` checks them (``validate``) before it writes them back.
@@ -275,28 +276,24 @@ class _Batch(_WorkingSet):
     def _local_scores(self):
         if self._scores_l is None:
             elog = _elog_dir(self.mu_l)
-            self._scores_l = elog, elog[self.seg] + self.lb_l
+            self._scores_l = elog, self._to_rows(elog) + self.lb_l
         return self._scores_l
 
     def _global_scores(self):
         if self._scores_g is None:
             elog = _elog_dir(self.mu_g)
-            self._scores_g = elog, elog[self.seg] + self.lb_g
+            self._scores_g = elog, self._to_rows(elog) + self.lb_g
         return self._scores_g
 
     def _update_phi_local(self):
         # phi_l = softmax(s_l * x_l) with s_l = tau * zeta[seg]
-        self.s_l = self.tau[:, None] * self.zeta[self.seg]
-        self.phi_l, self.lse_l = log_normalize_with_norm(
-            _scale0(self.s_l[..., None], self._local_scores()[1]), axis=-1
-        )
+        self.s_l = multiply_last(self.tau, self._to_rows(self.zeta))
+        self.phi_l, self.lse_l = log_normalize_scaled(self.s_l, self._local_scores()[1])
 
     def _update_phi_global(self):
         # phi_g = softmax(s_g * x_g) with s_g = 1 - tau
         self.s_g = 1.0 - self.tau
-        self.phi_g, self.lse_g = log_normalize_with_norm(
-            _scale0(self.s_g[:, None], self._global_scores()[1]), axis=-1
-        )
+        self.phi_g, self.lse_g = log_normalize_scaled(self.s_g, self._global_scores()[1])
 
     def _update_tau(self):
         # phi . x at the scores the phi blocks saw (mu has not moved since)
@@ -304,8 +301,8 @@ class _Batch(_WorkingSet):
         self.px_g = _gdot(self.phi_g, self._global_scores()[1])
         coin = psi(self.lam[:, 0]) - psi(self.lam[:, 1])
         logit = (
-            coin[self.seg]
-            + _gdot(self.zeta[self.seg], self.px_l)
+            self._to_rows(coin)
+            + _gdot(self._to_rows(self.zeta), self.px_l)
             + self.log_k
             - self.px_g
             - self.log_r
@@ -325,7 +322,7 @@ class _Batch(_WorkingSet):
     def _update_mu_global(self):
         cg = self.counts * (1.0 - self.tau)
         self.mu_g = self.params.global_prior[None] + _segsum(
-            cg[:, None] * self.phi_g, self.bounds
+            multiply_last(cg, self.phi_g), self.bounds
         )
         self._scores_g = None
 
@@ -344,7 +341,7 @@ class _Batch(_WorkingSet):
         cluster_logit = (
             _safe_log(self.params.pi)[None]
             + _dir_ep(self.params.local_priors[None], elog_l)
-            + _segsum(_scale0(ct[:, None], self.px_l_new), self.bounds)
+            + _segsum(scale0(ct, self.px_l_new), self.bounds)
         )
         self.zeta = log_normalize(cluster_logit, axis=-1)
 
@@ -367,24 +364,25 @@ class _Batch(_WorkingSet):
         """
         for block in E_STEP_BLOCKS:
             self.update(block)
-        c, tau, seg = self.counts, self.tau, self.seg
-        zeta_rows = self.zeta[seg]
+        c, tau = self.counts, self.tau
+        zeta_rows = self._to_rows(self.zeta)
         elog_l, _ = self._local_scores()
         elog_g, x_g = self._global_scores()
         elog_w = _elog_dir(self.lam)
+        coin_rows = self._to_rows(elog_w)
         rows = c * (
-            tau * elog_w[seg, 0]
-            + (1.0 - tau) * elog_w[seg, 1]
+            tau * coin_rows[:, 0]
+            + (1.0 - tau) * coin_rows[:, 1]
             - xlogy(tau, tau)
             - xlogy(1.0 - tau, 1.0 - tau)
-            + _scale0(tau, _gdot(zeta_rows, self.px_l_new))
-            - sum_last(1.0 - zeta_rows * tau[:, None]) * self.log_k
+            + scale0(tau, _gdot(zeta_rows, self.px_l_new))
+            - sum_last(1.0 - multiply_last(zeta_rows, tau)) * self.log_k
             + sum_last(self.lse_l)
             - _gdot(self.s_l, self.px_l)
-            + _scale0(1.0 - tau, _gdot(self.phi_g, x_g))
+            + scale0(1.0 - tau, _gdot(self.phi_g, x_g))
             - tau * self.log_r
             + self.lse_g
-            - _scale0(self.s_g, self.px_g)
+            - scale0(self.s_g, self.px_g)
         )
         return sum(self._doc_terms(elog_l, elog_g, elog_w)) + _segsum(rows, self.bounds)
 
@@ -394,21 +392,20 @@ class _Batch(_WorkingSet):
         zeta = self.zeta
         t_cluster = _gdot(zeta, _safe_log(params.pi)[None])
         t_coin = _dir_ep(params.gamma[None], elog_w)
-        t_local_prop = (zeta * _dir_ep(params.local_priors[None], elog_l)).sum(
-            axis=-1
-        ) + (1.0 - zeta).sum(axis=-1) * gammaln(params.local_topics_per_cluster)
+        t_local_prop = sum_last(
+            zeta * _dir_ep(params.local_priors[None], elog_l)
+        ) + sum_last(1.0 - zeta) * gammaln(params.local_topics_per_cluster)
         t_global_prop = _dir_ep(params.global_prior[None], elog_g)
         t_entropy = (
-            -xlogy(zeta, zeta).sum(axis=-1)
+            -sum_last(xlogy(zeta, zeta))
             - _dir_ep(self.lam, elog_w)
-            - _dir_ep(self.mu_l, elog_l).sum(axis=-1)
+            - sum_last(_dir_ep(self.mu_l, elog_l))
             - _dir_ep(self.mu_g, elog_g)
         )
         return t_cluster, t_coin, t_local_prop, t_global_prop, t_entropy
 
     def bound_terms(self):
         """Per-document bound split into the nine term groups, (n, 9)."""
-        seg = self.seg
         c = self.counts
         zeta = self.zeta
         tau = self.tau
@@ -423,15 +420,17 @@ class _Batch(_WorkingSet):
         )
 
         # term-level groups, one row per (document, term), summed per document
-        r_pathway = c * (tau * elog_w[seg, 0] + (1.0 - tau) * elog_w[seg, 1])
-        scale = zeta[seg] * tau[:, None]
-        phi_elog = sum_last(phi_l * elog_l[seg])
+        zeta_rows = self._to_rows(zeta)
+        coin_rows = self._to_rows(elog_w)
+        r_pathway = c * (tau * coin_rows[:, 0] + (1.0 - tau) * coin_rows[:, 1])
+        scale = multiply_last(zeta_rows, tau)
+        phi_elog = sum_last(phi_l * self._to_rows(elog_l))
         r_local_z = c * sum_last(scale * phi_elog - (1.0 - scale) * self.log_k)
         r_global_z = c * (
-            (1.0 - tau) * sum_last(phi_g * elog_g[seg]) - tau * self.log_r
+            (1.0 - tau) * sum_last(phi_g * self._to_rows(elog_g)) - tau * self.log_r
         )
-        em_l = _scale0(tau, _gdot(zeta[seg], _gdot(phi_l, self.lb_l)))
-        em_g = _scale0(1.0 - tau, _gdot(phi_g, self.lb_g))
+        em_l = scale0(tau, _gdot(zeta_rows, _gdot(phi_l, self.lb_l)))
+        em_g = scale0(1.0 - tau, _gdot(phi_g, self.lb_g))
         r_emission = c * (em_l + em_g)
         r_entropy = -c * (
             xlogy(tau, tau)
@@ -630,16 +629,49 @@ def infer_doc_states(params, corpus, sweeps=50, threads=None):
         raise DimensionError("model and corpus vocabulary sizes differ")
     if sweeps < 0:
         raise ConfigError("sweeps must be >= 0")
+    store = _symmetric_store(params, corpus.docs)
+    log_topics = _log_topics(params)
+    batch = partial(_Batch, params, store, log_topics=log_topics)
+    start = _symmetric_bounds(params, store, log_topics)
+    _run_e_step(batch, corpus.num_docs, start, sweeps, threads)
+    return DocStates(store)
+
+
+def _symmetric_store(params, docs):
+    # the states infer_doc_states starts from: zeta uniform, the rest flat
     j_dim = params.num_clusters
-    store = VariationalStore.symmetric(
-        corpus.docs,
-        np.full((corpus.num_docs, j_dim), 1.0 / j_dim),
+    return VariationalStore.symmetric(
+        docs,
+        np.full((len(docs), j_dim), 1.0 / j_dim),
         params.local_topics_per_cluster,
         params.num_global_topics,
     )
-    batch = partial(_Batch, params, store, log_topics=_log_topics(params))
-    _run_e_step(batch, corpus.num_docs, None, sweeps, threads)
-    return DocStates(store)
+
+
+def _symmetric_bounds(params, store, log_topics):
+    """The bounds of the documents of a ``_symmetric_store``, in closed form.
+
+    Equal to ``bound_terms().sum(axis=1)`` up to rounding. At that state
+    a document's bound is T0 + sum_n c_n (C + e[w_n]): T0 is the bound
+    of an empty document, and a term of count c adds c times the
+    pathway, topic-choice and entropy terms at tau = 1/2 and uniform phi,
+    C = log 2 - 1 + (psi(1) - psi(K) + log K) / 2 + (psi(1) - psi(R) + log R) / 2,
+    and c times its emission term e[w] = (mean_jk log beta_jkw +
+    mean_r log beta_rw) / 2. ``log_topics`` is ``_log_topics(params)``.
+    """
+    k_dim, r_dim = params.local_topics_per_cluster, params.num_global_topics
+    empty = _symmetric_store(params, [Document([], [])])
+    t0 = _Batch(params, empty, log_topics=log_topics).bound()[0]
+    const = (
+        np.log(2.0)
+        - 1.0
+        + (psi(1.0) - psi(k_dim) + np.log(k_dim)) / 2
+        + (psi(1.0) - psi(r_dim) + np.log(r_dim)) / 2
+    )
+    log_l, log_g = log_topics
+    emission = (log_l.reshape(log_l.shape[0], -1).mean(axis=1) + log_g.mean(axis=1)) / 2
+    rows = store.counts * (const + np.take(emission, store.words))
+    return t0 + _segsum(rows, store.doc_ptr)
 
 
 def m_step(params, states, corpus, config):

@@ -16,6 +16,7 @@ import numpy as np
 
 from .corpus import Corpus, Document, flat_docs
 from .errors import ConfigError, DegenerateInputError, DimensionError
+from .numerics import sum_last
 
 logger = logging.getLogger(__name__)
 
@@ -227,27 +228,34 @@ def validate_flat(flat):
     ``flat`` has a VariationalStore's seven state arrays (``zeta``,
     ``lam``, ``mu_l``, ``mu_g``, ``tau``, ``phi_l``, ``phi_g``) and
     ``seg`` (the document of each row): a VariationalStore or an E-step
-    working set. The conditions are validate's, with the same reductions.
-    Should any document fail, validate itself runs on the first one, so
-    the error raised, text included, is validate's.
+    working set. The conditions are validate's, with sums of the same
+    bits; ``|s - 1| <= SIMPLEX_ATOL`` is ``np.isclose(s, 1, rtol=0,
+    atol=SIMPLEX_ATOL)``, NaN and infinities included. Each condition is
+    checked on its whole array first and traced to its documents only
+    when it fails somewhere. Should any document fail, validate itself
+    runs on the first one, so the error raised, text included, is
+    validate's.
     """
-    ok = dict(rtol=0, atol=SIMPLEX_ATOL)
-    bad = (
-        ~np.isclose(flat.zeta.sum(axis=-1), 1.0, **ok)
-        | (flat.zeta < 0).any(axis=-1)
-        | (flat.lam <= 0).any(axis=-1)
-        | (flat.mu_l <= 0).any(axis=(1, 2))
-        | (flat.mu_g <= 0).any(axis=-1)
+    doc_checks = (
+        ~(np.abs(sum_last(flat.zeta) - 1.0) <= SIMPLEX_ATOL),
+        flat.zeta < 0,
+        flat.lam <= 0,
+        flat.mu_l <= 0,
+        flat.mu_g <= 0,
     )
-    bad_rows = (
-        (flat.tau < 0)
-        | (flat.tau > 1)
-        | (flat.phi_l < 0).any(axis=(1, 2))
-        | ~np.isclose(flat.phi_l.sum(axis=-1), 1.0, **ok).all(axis=-1)
-        | (flat.phi_g < 0).any(axis=-1)
-        | ~np.isclose(flat.phi_g.sum(axis=-1), 1.0, **ok)
+    row_checks = (
+        (flat.tau < 0) | (flat.tau > 1),
+        flat.phi_l < 0,
+        ~(np.abs(sum_last(flat.phi_l) - 1.0) <= SIMPLEX_ATOL),
+        flat.phi_g < 0,
+        ~(np.abs(sum_last(flat.phi_g) - 1.0) <= SIMPLEX_ATOL),
     )
-    bad[flat.seg[bad_rows]] = True
+    bad = np.zeros(flat.zeta.shape[0], dtype=bool)
+    for checks, rows in ((doc_checks, False), (row_checks, True)):
+        for failed in checks:
+            if failed.any():
+                hit = failed.reshape(failed.shape[0], -1).any(axis=1)
+                bad[flat.seg[hit] if rows else hit] = True
     for i in np.flatnonzero(bad):
         _doc_state(flat, i, flat.seg == i).validate()
 

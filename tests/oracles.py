@@ -7,7 +7,9 @@ inference code is reused; the only package imports are data containers
 and the stopping tolerances the package's loops share. The one exception
 is ``reference_coordinate_ascent``: it drives the package's own block
 updates and full bound, so that the E-step's collapsed per-sweep bound
-can be checked against the loop it replaced.
+can be checked against the loop it replaced. ``BroadcastBatch`` repeats
+the block updates' own arithmetic, written with plain broadcasts, so the
+package's short-axis kernels can be checked bit for bit.
 Tests compare package outputs against these references.
 """
 
@@ -17,7 +19,7 @@ from itertools import permutations
 import numpy as np
 from scipy import integrate
 from scipy.optimize import minimize, minimize_scalar
-from scipy.special import gammaln, psi, xlogy
+from scipy.special import expit, gammaln, psi, xlogy
 
 from mgctm.baselines import LdaModel
 from mgctm.corpus import Corpus, Document
@@ -191,6 +193,181 @@ def reference_coordinate_ascent(work, start, sweeps, rel_tol=DOC_SWEEP_REL_TOL):
         for name, arr in vars(view).items():
             arr[...] = getattr(state, name)
     return ran
+
+
+# ---------------------------------------------------------------------------
+# The E-step blocks in broadcast form: the package's block arithmetic as
+# plain NumPy broadcasts of (..., 1) operands and axis reductions, in the
+# same order, so the package's short-axis kernels must match it bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def broadcast_scale0(c, x):
+    """c * x under 0 * (-inf) = 0 for c >= 0; c broadcasts against x."""
+    with np.errstate(invalid="ignore"):
+        out = c * x
+    redo = np.logical_not(c > 0)
+    if redo.any():
+        np.multiply(c, 0.0, out=out, where=redo)
+    return out
+
+
+def _broadcast_gdot(p, x):
+    return broadcast_scale0(p, x).sum(axis=-1)
+
+
+def _broadcast_softmax_with_norm(lw):
+    # (softmax along the last axis, its log normalizer)
+    m = lw.max(axis=-1, keepdims=True)
+    p = lw - m
+    np.exp(p, out=p)
+    total = p.sum(axis=-1, keepdims=True)
+    p /= total
+    return p, np.squeeze(m + np.log(total), axis=-1)
+
+
+def _broadcast_dir_ep(alpha, elog):
+    return (
+        gammaln(alpha.sum(axis=-1))
+        - gammaln(alpha).sum(axis=-1)
+        + ((alpha - 1.0) * elog).sum(axis=-1)
+    )
+
+
+def _broadcast_segsum(rows, bounds):
+    out = np.zeros((bounds.size - 1,) + rows.shape[1:])
+    nonempty = bounds[:-1] < bounds[1:]
+    out[nonempty] = np.add.reduceat(rows, bounds[:-1][nonempty], axis=0)
+    return out
+
+
+class BroadcastBatch:
+    """The seven E-step blocks and the collapsed sweep bound, broadcast form.
+
+    Built from a model, CSR documents (``doc_ptr``, ``words``, float
+    ``counts``) and ``state``, a mapping of the store's field names
+    (zeta, lam, mu_l, mu_g, tau, phi_l, phi_g) to arrays, which are
+    copied. ``update(block)`` and ``sweep()`` mirror ``_Batch``'s, and
+    keep the same intermediates (s_l, lse_l, s_g, lse_g, px_l, px_g,
+    px_l_new).
+    """
+
+    def __init__(self, params, doc_ptr, words, counts, state):
+        self.params = params
+        self.bounds = np.asarray(doc_ptr) - doc_ptr[0]
+        self.seg = np.repeat(np.arange(self.bounds.size - 1), np.diff(self.bounds))
+        self.counts = np.asarray(counts, dtype=float)
+        with np.errstate(divide="ignore"):
+            self.lb_l = np.log(params.local_topics)[:, :, words].transpose(2, 0, 1)
+            self.lb_g = np.log(params.global_topics)[:, words].T
+        self.log_k = np.log(params.local_topics_per_cluster)
+        self.log_r = np.log(params.num_global_topics)
+        for name, value in state.items():
+            setattr(self, name, np.array(value, dtype=float))
+
+    def _scores(self, mu, lb):
+        elog = psi(mu) - psi(mu.sum(axis=-1, keepdims=True))
+        return elog, elog[self.seg] + lb
+
+    def update(self, block):
+        getattr(self, "_update_" + block)()
+
+    def _update_phi_local(self):
+        self.s_l = self.tau[:, None] * self.zeta[self.seg]
+        x_l = self._scores(self.mu_l, self.lb_l)[1]
+        self.phi_l, self.lse_l = _broadcast_softmax_with_norm(
+            broadcast_scale0(self.s_l[..., None], x_l)
+        )
+
+    def _update_phi_global(self):
+        self.s_g = 1.0 - self.tau
+        x_g = self._scores(self.mu_g, self.lb_g)[1]
+        self.phi_g, self.lse_g = _broadcast_softmax_with_norm(
+            broadcast_scale0(self.s_g[:, None], x_g)
+        )
+
+    def _update_tau(self):
+        self.px_l = _broadcast_gdot(self.phi_l, self._scores(self.mu_l, self.lb_l)[1])
+        self.px_g = _broadcast_gdot(self.phi_g, self._scores(self.mu_g, self.lb_g)[1])
+        coin = psi(self.lam[:, 0]) - psi(self.lam[:, 1])
+        logit = (
+            coin[self.seg]
+            + _broadcast_gdot(self.zeta[self.seg], self.px_l)
+            + self.log_k
+            - self.px_g
+            - self.log_r
+        )
+        self.tau = expit(logit)
+
+    def _update_mu_local(self):
+        zeta = self.zeta[:, :, None]
+        ct = self.counts * self.tau
+        self.mu_l = (
+            zeta * self.params.local_priors[None]
+            + zeta * _broadcast_segsum(ct[:, None, None] * self.phi_l, self.bounds)
+            + (1.0 - zeta)
+        )
+
+    def _update_mu_global(self):
+        cg = self.counts * (1.0 - self.tau)
+        self.mu_g = self.params.global_prior[None] + _broadcast_segsum(
+            cg[:, None] * self.phi_g, self.bounds
+        )
+
+    def _update_lam(self):
+        ct = self.counts * self.tau
+        cg = self.counts * (1.0 - self.tau)
+        self.lam = self.params.gamma[None] + _broadcast_segsum(
+            np.stack([ct, cg], axis=1), self.bounds
+        )
+
+    def _update_zeta(self):
+        elog_l, x_l = self._scores(self.mu_l, self.lb_l)
+        self.px_l_new = _broadcast_gdot(self.phi_l, x_l)
+        ct = self.counts * self.tau
+        cluster_logit = (
+            _log0(self.params.pi)[None]
+            + _broadcast_dir_ep(self.params.local_priors[None], elog_l)
+            + _broadcast_segsum(broadcast_scale0(ct[:, None], self.px_l_new), self.bounds)
+        )
+        self.zeta = _broadcast_softmax_with_norm(cluster_logit)[0]
+
+    def sweep(self):
+        """All seven blocks in E_STEP_BLOCKS order; returns the new bounds."""
+        for block in E_STEP_BLOCKS:
+            self.update(block)
+        c, tau, seg = self.counts, self.tau, self.seg
+        params, zeta = self.params, self.zeta
+        zeta_rows = zeta[seg]
+        elog_l, _ = self._scores(self.mu_l, self.lb_l)
+        elog_g, x_g = self._scores(self.mu_g, self.lb_g)
+        elog_w = psi(self.lam) - psi(self.lam.sum(axis=-1, keepdims=True))
+        rows = c * (
+            tau * elog_w[seg, 0]
+            + (1.0 - tau) * elog_w[seg, 1]
+            - xlogy(tau, tau)
+            - xlogy(1.0 - tau, 1.0 - tau)
+            + broadcast_scale0(tau, _broadcast_gdot(zeta_rows, self.px_l_new))
+            - (1.0 - zeta_rows * tau[:, None]).sum(axis=-1) * self.log_k
+            + self.lse_l.sum(axis=-1)
+            - _broadcast_gdot(self.s_l, self.px_l)
+            + broadcast_scale0(1.0 - tau, _broadcast_gdot(self.phi_g, x_g))
+            - tau * self.log_r
+            + self.lse_g
+            - broadcast_scale0(self.s_g, self.px_g)
+        )
+        doc_terms = (
+            _broadcast_gdot(zeta, _log0(params.pi)[None]),
+            _broadcast_dir_ep(params.gamma[None], elog_w),
+            (zeta * _broadcast_dir_ep(params.local_priors[None], elog_l)).sum(axis=-1)
+            + (1.0 - zeta).sum(axis=-1) * gammaln(params.local_topics_per_cluster),
+            _broadcast_dir_ep(params.global_prior[None], elog_g),
+            -xlogy(zeta, zeta).sum(axis=-1)
+            - _broadcast_dir_ep(self.lam, elog_w)
+            - _broadcast_dir_ep(self.mu_l, elog_l).sum(axis=-1)
+            - _broadcast_dir_ep(self.mu_g, elog_g),
+        )
+        return sum(doc_terms) + _broadcast_segsum(rows, self.bounds)
 
 
 # ---------------------------------------------------------------------------

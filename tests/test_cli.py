@@ -313,6 +313,72 @@ class TestTrain:
         assert code == 2
         assert "run-config" in err
 
+    @pytest.mark.parametrize(
+        "key, value, text",
+        [
+            ("max_em_iters", 2.5, "max_em_iters must be an integer, not 2.5"),
+            ("max_em_iters", True, "max_em_iters must be an integer, not true"),
+            ("seed", "3", 'seed must be an integer, not "3"'),
+            ("tol", "0", 'tol must be a number, not "0"'),
+            ("init", "kmeans", 'init must be one of random, lda-naive, not "kmeans"'),
+            ("corpus", 5, "corpus must be a string, not 5"),
+        ],
+    )
+    def test_config_value_of_the_wrong_type_rejected(self, tmp_path, capsys, key, value, text):
+        argv, paths = synth_args(tmp_path)
+        assert main(argv) == 0
+        capsys.readouterr()
+        config_path = tmp_path / "run.json"
+        config_path.write_text(
+            json.dumps({"format": "run-config", "version": 1, "clusters": 2, key: value})
+        )
+        model_path = tmp_path / "m.json"
+        code, out, err = run(
+            capsys,
+            "train",
+            "--corpus", paths["corpus"],
+            "--model", str(model_path),
+            "--local-topics", "1",
+            "--global-topics", "1",
+            "--config", str(config_path),
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: {config_path}: {text}\n"
+        assert not model_path.exists()
+
+    def test_config_values_take_their_flags_types(self, tmp_path, capsys):
+        # an integer for a float flag, and null for an unset flag, are taken
+        argv, paths = synth_args(tmp_path)
+        assert main(argv) == 0
+        capsys.readouterr()
+        config_path = tmp_path / "run.json"
+        config_path.write_text(
+            json.dumps(
+                {
+                    "format": "run-config", "version": 1, "clusters": 2,
+                    "local_topics": 1, "global_topics": 1, "max_em_iters": 2,
+                    "tol": 0, "threads": None, "init": "random",
+                }
+            )
+        )
+        code, out, _ = run(
+            capsys,
+            "train",
+            "--corpus", paths["corpus"],
+            "--model", str(tmp_path / "m.json"),
+            "--config", str(config_path),
+        )
+        assert code == 0
+        assert out.count("iter=") == 3
+
+    def test_every_flag_type_has_a_config_kind(self):
+        parser = cli_mod.build_parser()
+        for command in ("train", "eval", "topics", "synth", "bench"):
+            flags = cli_mod._flag_actions(parser, command)
+            assert "config" in flags and "help" not in flags
+            for action in flags.values():
+                assert action.type in cli_mod._CONFIG_KINDS, (command, action.dest)
+
     def test_unknown_flag_returns_parse_error(self, capsys):
         code = main(["train", "--frobnicate", "1"])
         capsys.readouterr()
@@ -686,6 +752,26 @@ class TestBench:
         )
         assert code == 2
         assert err.count("\n") == 1 and "must be >= 0" in err
+
+    def test_config_lda_topics_of_the_wrong_type_rejected(self, tmp_path, capsys):
+        paths = write_two_block_corpus(tmp_path)
+        report = tmp_path / "report.tsv"
+        config_path = tmp_path / "run.json"
+        config_path.write_text(
+            json.dumps({"format": "run-config", "version": 1, "lda_topics": "abc"})
+        )
+        code, out, err = run(
+            capsys,
+            "bench",
+            "--corpus", paths["bow"],
+            "--labels", paths["labels"],
+            "--methods", "lda-kmeans",
+            "--out", str(report),
+            "--config", str(config_path),
+        )
+        assert code == 2 and out == ""
+        assert err == f'error: {config_path}: lda_topics must be an integer, not "abc"\n'
+        assert not report.exists()
 
     @pytest.mark.parametrize("method", ["mgctm", "lda-naive", "lda-kmeans"])
     def test_non_finite_tol_rejected(self, tmp_path, capsys, method):

@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 import mgctm.inference as inference_mod
+import mgctm.model as model_mod
 from mgctm.baselines import _LdaBatch
 from mgctm.corpus import flat_docs
 from mgctm.errors import (
@@ -32,6 +33,7 @@ from mgctm.inference import (
     update_block,
 )
 from mgctm.model import (
+    SIMPLEX_ATOL,
     DocVariational,
     HyperConfig,
     ModelParams,
@@ -869,6 +871,188 @@ class TestCollapsedSweepBound:
                 )
 
 
+def same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def zero_topic_entry(params, word):
+    # params with local topic (0, 0) and global topic 0 unable to emit ``word``
+    params = ModelParams(**vars(params))
+    params.local_topics = params.local_topics.copy()
+    params.global_topics = params.global_topics.copy()
+    for row in (params.local_topics[0, 0], params.global_topics[0]):
+        row[word] = 0.0
+        row /= row.sum()
+    return params
+
+
+def kernel_instances():
+    """(name, params, docs, states) covering the kernels' edge cases."""
+    for seed in range(6):
+        rng = np.random.default_rng([47, seed])
+        dims = {}
+        if seed == 0:
+            dims = dict(num_j=3, num_k=2, num_r=3)
+        elif seed == 1:
+            dims = dict(num_j=1, num_k=1, num_r=1)
+        elif seed == 2:
+            dims = dict(num_j=2, num_k=9, num_r=2)
+        elif seed == 3:
+            dims = dict(num_j=3, num_k=9, num_r=9)
+        params = oracles.random_small_params(rng, **dims)
+        docs = [
+            oracles.random_small_doc(rng, params.vocab_size, max_tokens=12)
+            for _ in range(4)
+        ]
+        docs.insert(2, Document([], []))
+        states = [
+            oracles.random_doc_state(params, doc.word_ids.size, rng) for doc in docs
+        ]
+        yield f"random {seed}", params, docs, states
+        if seed in (0, 3):
+            # tau exactly 0 and 1, zeta with exact zeros, and a topic entry
+            # of 0 (log -inf) on a word the documents hold
+            word = int(docs[0].word_ids[0])
+            states = [st.copy() for st in states]
+            states[0].tau[0] = 0.0
+            states[0].tau[-1] = 1.0
+            states[1].tau[:] = 1.0
+            states[3].tau[:] = 0.0
+            j = params.num_clusters
+            states[0].zeta = np.eye(j)[0]
+            states[3].zeta = np.eye(j)[j - 1]
+            yield f"edges {seed}", zero_topic_entry(params, word), docs, states
+
+
+def oracle_pair(params, docs, states):
+    # the package's working set and the broadcast oracle on the same states
+    batch = batch_of(params, docs, states)
+    fields = ("zeta", "lam", "mu_l", "mu_g", "tau", "phi_l", "phi_g")
+    state = {name: getattr(batch, name) for name in fields}
+    store = batch.store
+    oracle = oracles.BroadcastBatch(params, store.doc_ptr, store.words, store.counts, state)
+    return batch, oracle, fields
+
+
+class TestBroadcastOracle:
+    """The E-step kernels against oracles.BroadcastBatch, bit for bit."""
+
+    # the intermediates each block keeps for the collapsed bound
+    KEPT = {
+        "phi_local": ("s_l", "lse_l"),
+        "phi_global": ("s_g", "lse_g"),
+        "tau": ("px_l", "px_g"),
+        "zeta": ("px_l_new",),
+    }
+
+    @pytest.mark.parametrize("instance", list(kernel_instances()), ids=lambda i: i[0])
+    def test_each_block_has_broadcast_bits(self, instance):
+        name, params, docs, states = instance
+        batch, oracle, fields = oracle_pair(params, docs, states)
+        for sweep in range(3):
+            for block in E_STEP_BLOCKS:
+                batch.update(block)
+                oracle.update(block)
+                for field in fields + self.KEPT.get(block, ()):
+                    assert same_bits(getattr(batch, field), getattr(oracle, field)), (
+                        name, sweep, block, field
+                    )
+
+    @pytest.mark.parametrize("instance", list(kernel_instances()), ids=lambda i: i[0])
+    def test_sweep_bounds_have_broadcast_bits(self, instance):
+        name, params, docs, states = instance
+        batch, oracle, fields = oracle_pair(params, docs, states)
+        for sweep in range(4):
+            got, want = batch.sweep(), oracle.sweep()
+            assert same_bits(got, want), (name, sweep)
+            for field in fields:
+                assert same_bits(getattr(batch, field), getattr(oracle, field)), (
+                    name, sweep, field
+                )
+
+    def test_instances_reach_the_edge_cases(self):
+        names = set()
+        for name, params, docs, states in kernel_instances():
+            batch, _, _ = oracle_pair(params, docs, states)
+            names.add(name)
+            if name.startswith("edges"):
+                assert np.isneginf(batch.lb_l).any() and np.isneginf(batch.lb_g).any()
+                assert (batch.tau == 0).any() and (batch.tau == 1).any()
+                assert (batch.zeta == 0).any()
+        shapes = {
+            (p.num_clusters, p.local_topics_per_cluster, p.num_global_topics)
+            for _, p, _, _ in kernel_instances()
+        }
+        assert (1, 1, 1) in shapes
+        assert any(k >= 9 for _, k, _ in shapes) and any(r >= 9 for _, _, r in shapes)
+        assert {"edges 0", "edges 3"} <= names
+
+
+class TestSymmetricStartBound:
+    """infer_doc_states starts from a closed-form bound of the symmetric state."""
+
+    def symmetric(self, params, docs):
+        store = inference_mod._symmetric_store(params, docs)
+        log_topics = inference_mod._log_topics(params)
+        closed = inference_mod._symmetric_bounds(params, store, log_topics)
+        return closed, _Batch(params, store, log_topics=log_topics).bound()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equals_full_bound(self, seed):
+        rng = np.random.default_rng([53, seed])
+        dims = [{}, dict(num_k=1), dict(num_r=1), dict(num_j=1, num_k=1, num_r=1)]
+        params = oracles.random_small_params(rng, **dims[seed % 4])
+        docs = [
+            oracles.random_small_doc(rng, params.vocab_size, max_tokens=20)
+            for _ in range(6)
+        ]
+        docs.insert(3, Document([], []))
+        closed, full = self.symmetric(params, docs)
+        assert np.isfinite(full).all()
+        np.testing.assert_allclose(closed, full, rtol=1e-12, atol=0)
+
+    def test_zero_topic_entry_gives_minus_inf_in_both(self):
+        rng = np.random.default_rng(59)
+        params = oracles.random_small_params(rng, num_j=2, num_k=2, num_r=2, num_v=6)
+        docs = [Document([0, 3], [2, 1]), Document([1, 4], [1, 5]), Document([], [])]
+        closed, full = self.symmetric(zero_topic_entry(params, 3), docs)
+        assert closed[0] == full[0] == -np.inf
+        np.testing.assert_allclose(closed[1:], full[1:], rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("threads", [None, 2])
+    @pytest.mark.parametrize("zero_entry", [False, True])
+    def test_same_sweeps_and_states_as_a_start_from_full_bounds(
+        self, monkeypatch, threads, zero_entry
+    ):
+        params, corpus = ragged_corpus(37)
+        if zero_entry:
+            params = zero_topic_entry(params, int(corpus.docs[0].word_ids[0]))
+
+        def run(loop):
+            counts = {}
+
+            def recording(work, start, sweeps):
+                first = work.docs.start
+                counts[first] = loop(work, start, sweeps)
+                return counts[first]
+
+            monkeypatch.setattr(inference_mod, "BATCH_DOCS", 3)
+            monkeypatch.setattr(inference_mod, "_coordinate_ascent", recording)
+            states = infer_doc_states(params, corpus, sweeps=40, threads=threads)
+            return states, np.concatenate([counts[k] for k in sorted(counts)])
+
+        got, ran = run(_coordinate_ascent)
+        want, want_ran = run(
+            lambda work, start, sweeps: _coordinate_ascent(work, None, sweeps)
+        )
+        np.testing.assert_array_equal(ran, want_ran)
+        assert (ran < 40).any() and np.unique(ran).size > 2
+        for a, b in zip(got, want):
+            for field in STATE_FIELDS:
+                assert same_bits(getattr(a, field), getattr(b, field)), field
+
+
 def validation_instance():
     rng = np.random.default_rng(41)
     params = oracles.random_small_params(rng, num_j=3, num_k=2, num_r=3, num_v=9)
@@ -974,6 +1158,78 @@ class TestBatchValidation:
             verdicts.add(want is None)
             assert validate_error(batch_of(params, docs, states).validate) == want
             assert validate_error(_as_store(params, docs, states).validate) == want
+        assert verdicts == {True, False}
+
+
+def inject(value=None, shift=None):
+    # set the first entry of a state field to ``value``, or move it by
+    # ``shift`` times SIMPLEX_ATOL
+    def corrupt(state, field):
+        arr = getattr(state, field).copy()
+        flat = arr.reshape(-1)
+        flat[0] = value if shift is None else flat[0] + shift * SIMPLEX_ATOL
+        setattr(state, field, arr)
+    return corrupt
+
+
+SIMPLEX_FIELDS = ("zeta", "phi_local", "phi_global")
+# per kind of field: values each check must judge as validate does
+INJECTIONS = {
+    "nan": inject(np.nan),
+    "+inf": inject(np.inf),
+    "-inf": inject(-np.inf),
+    "negative": inject(-1e-300),
+    "-0.0": inject(-0.0),
+}
+SIMPLEX_INJECTIONS = {
+    "sum just inside above": inject(shift=0.5),
+    "sum just inside below": inject(shift=-0.5),
+    "sum just outside above": inject(shift=2.0),
+    "sum just outside below": inject(shift=-2.0),
+}
+BOUND_INJECTIONS = {
+    "zero": inject(0.0),
+    "smallest positive": inject(5e-324),
+    "one": inject(1.0),
+    "just above one": inject(np.nextafter(1.0, 2.0)),
+}
+
+
+def injections(field):
+    extra = SIMPLEX_INJECTIONS if field in SIMPLEX_FIELDS else BOUND_INJECTIONS
+    return {**INJECTIONS, **extra}
+
+
+class TestValidateFlatInjections:
+    """validate_flat against DocVariational.validate, one field at a time."""
+
+    def checked_docs(self, monkeypatch, check):
+        # (error text of check(), the documents it checked one by one)
+        seen = []
+        real = model_mod._doc_state
+
+        def recording(flat, i, rows):
+            seen.append(int(i))
+            return real(flat, i, rows)
+
+        monkeypatch.setattr(model_mod, "_doc_state", recording)
+        return validate_error(check), seen
+
+    @pytest.mark.parametrize("field", STATE_FIELDS)
+    @pytest.mark.parametrize("doc", [0, 4])
+    def test_same_document_fails_with_the_same_text(self, monkeypatch, field, doc):
+        verdicts = set()
+        for kind, corrupt in injections(field).items():
+            params, docs, states = validation_instance()
+            corrupt(states[doc], field)
+            want = validate_error(states[doc].validate)
+            verdicts.add(want is None)
+            for make in (batch_of, _as_store):
+                got, seen = self.checked_docs(
+                    monkeypatch, make(params, docs, states).validate
+                )
+                assert got == want, (kind, make.__name__)
+                assert seen == ([] if want is None else [doc]), (kind, make.__name__)
         assert verdicts == {True, False}
 
 

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+
+import oracles
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import logsumexp
@@ -15,8 +17,11 @@ from mgctm.numerics import (
     dirichlet_objective,
     log_gamma,
     log_normalize,
+    log_normalize_scaled,
     log_normalize_with_norm,
     max_last,
+    multiply_last,
+    scale0,
     sum_last,
 )
 
@@ -185,6 +190,75 @@ class TestShortAxisReductions:
             p = np.exp(logs - m)
             want = p / p.sum(axis=-1, keepdims=True)
             np.testing.assert_array_equal(log_normalize(logs), want)
+
+
+def short_operand(x, rng):
+    # an array of x's shape without its last axis, with signed zeros,
+    # infinities and NaNs of both signs
+    m = np.asarray(rng.normal(size=x.shape[:-1]) * 10.0 ** rng.integers(-3, 3, x.shape[:-1]))
+    special = rng.random(m.shape)
+    for lo, value in enumerate([-0.0, 0.0, np.inf, -np.inf, np.nan, -np.nan]):
+        m[(special >= lo * 0.04) & (special < (lo + 1) * 0.04)] = value
+    return m
+
+
+def with_signed_nans(x, rng):
+    x = x.copy()
+    x[rng.random(x.shape) < 0.03] = -np.nan
+    return x
+
+
+class TestShortAxisElementwise:
+    """The short-axis kernels against NumPy's broadcast, bit for bit, for
+    last axes of 1-12 entries (every path of each)."""
+
+    def cases(self):
+        for seed in range(3):
+            rng = np.random.default_rng([61, seed])
+            for x in short_axis_arrays(seed):
+                yield with_signed_nans(x, rng), short_operand(x, rng)
+
+    @staticmethod
+    def same_bits(got, want):
+        got, want = np.asarray(got), np.asarray(want)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), got.shape
+
+    def test_multiply_last_keeps_operand_order(self):
+        for x, m in self.cases():
+            with np.errstate(invalid="ignore"):
+                self.same_bits(multiply_last(m, x), m[..., None] * x)
+                self.same_bits(multiply_last(x, m), x * m[..., None])
+
+    def test_scale0_per_row_has_broadcast_bits(self):
+        # c = 0 against x = -inf gives 0; c is a scale, so >= 0 or NaN
+        for x, m in self.cases():
+            c = np.array(np.abs(m))
+            c[np.isinf(c)] = 0.0
+            x = x.copy()
+            x[..., 0] = np.where(c == 0, -np.inf, x[..., 0])
+            got = scale0(c, x)
+            self.same_bits(got, oracles.broadcast_scale0(c[..., None], x))
+            assert (got[..., 0][c == 0] == 0).all()
+
+    def test_log_normalize_scaled_has_broadcast_bits(self):
+        rng = np.random.default_rng(67)
+        for k in range(1, 13):
+            x = rng.normal(size=(40, 3, k)) * 30.0
+            x[rng.random(x.shape) < 0.1] = -np.inf
+            x[..., 0] = rng.normal(size=(40, 3))  # one finite entry per row
+            s = rng.uniform(0.0, 2.0, size=(40, 3))
+            s[rng.random(s.shape) < 0.2] = 0.0
+            p, norm = log_normalize_scaled(s, x)
+            want_p, want_norm = log_normalize_with_norm(
+                oracles.broadcast_scale0(s[..., None], x)
+            )
+            self.same_bits(p, want_p)
+            self.same_bits(norm, want_norm)
+
+    def test_covers_every_short_length(self):
+        lengths = {x.shape[-1] for x, _ in self.cases()}
+        assert set(range(1, 10)) <= lengths
 
 
 class TestDirichletStats:
