@@ -26,6 +26,9 @@ from .errors import CorpusFormatError, DimensionError
 
 logger = logging.getLogger(__name__)
 
+# Triples ``save_bow`` formats in one call; see its docstring.
+SAVE_BOW_ROWS = 1 << 16
+
 
 def _create_temp(directory):
     # Like tempfile.mkstemp, but with mode 0o666 as open() uses: the
@@ -90,11 +93,13 @@ class Document:
     def __post_init__(self):
         self.word_ids = np.asarray(self.word_ids, dtype=np.int64)
         self.counts = np.asarray(self.counts, dtype=np.int64)
-        if self.word_ids.shape != self.counts.shape:
-            raise DimensionError("word_ids and counts must align")
-        if np.any(self.counts <= 0):
+        # the neighbour check below reads a 1-D array
+        if self.word_ids.ndim != 1 or self.word_ids.shape != self.counts.shape:
+            raise DimensionError("word_ids and counts must be aligned 1-D arrays")
+        if (self.counts <= 0).any():
             raise ValueError("counts must be strictly positive")
-        if np.any(np.diff(self.word_ids) <= 0):
+        # neighbours compared, not subtracted: an int64 difference can wrap
+        if (self.word_ids[1:] <= self.word_ids[:-1]).any():
             raise ValueError("word_ids must be strictly increasing")
 
     @property
@@ -302,13 +307,25 @@ def load_bow(bow_path, vocab_path=None, labels_path=None):
 
 
 def save_bow(corpus, path):
-    """Write a corpus back to the sparse bag-of-words format."""
-    nnz = sum(doc.word_ids.size for doc in corpus.docs)
-    lines = [f"{corpus.num_docs} {corpus.vocab_size} {nnz}"]
-    for d, doc in enumerate(corpus.docs, start=1):
-        for w, c in zip(doc.word_ids, doc.counts):
-            lines.append(f"{d} {int(w) + 1} {int(c)}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    """Write a corpus back to the sparse bag-of-words format.
+
+    The triples are formatted SAVE_BOW_ROWS at a time, so the Python
+    integers that formatting needs stay few beside the text.
+    """
+    docs = corpus.docs
+    sizes = [doc.word_ids.size for doc in docs]
+    # unsigned: a word id of 2**63 - 1 is written as 2**63
+    table = np.empty((sum(sizes), 3), dtype=np.uint64)
+    table[:, 0] = np.repeat(np.arange(1, len(docs) + 1), sizes)
+    if docs:
+        table[:, 1] = np.concatenate([doc.word_ids for doc in docs])
+        table[:, 2] = np.concatenate([doc.counts for doc in docs])
+    table[:, 1] += 1
+    text = [f"{corpus.num_docs} {corpus.vocab_size} {len(table)}\n"]
+    for start in range(0, len(table), SAVE_BOW_ROWS):
+        rows = table[start:start + SAVE_BOW_ROWS]
+        text.append(("%d %d %d\n" * len(rows)) % tuple(rows.ravel().tolist()))
+    atomic_write_text(path, "".join(text))
 
 
 def save_vocab(vocab, path):

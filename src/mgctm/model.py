@@ -9,6 +9,8 @@ topics, and each word flips a Bernoulli coin to decide which of the
 two pathways emits it.
 """
 
+import bisect
+import itertools
 import logging
 from dataclasses import dataclass, field
 
@@ -24,6 +26,10 @@ SIMPLEX_ATOL = 1e-9
 TOPIC_SMOOTHING = 1e-8
 # Tolerance of ``rng.choice`` on the sum of ``p``.
 CHOICE_ATOL = np.sqrt(np.finfo(np.float64).eps)
+# Tokens ``sample_corpus`` gathers before its bulk lookups: enough that
+# the per-block NumPy calls cost little per token, few enough that the
+# block's temporaries stay small beside the sampled corpus.
+SAMPLE_BLOCK_TOKENS = 1 << 16
 
 
 @dataclass
@@ -428,6 +434,71 @@ def _choice_cdf(p):
     return cdf
 
 
+def _count_at_most(cdf, rows, u):
+    """``cdf[rows[i]].searchsorted(u[i], side="right")`` for every i.
+
+    On a non-decreasing row the insertion point is the number of entries
+    <= u. Every row ends at 1.0 > u, so the last column adds nothing.
+    """
+    z = np.zeros(u.size, dtype=np.int64)
+    for col in cdf.T[:-1]:
+        z += col[rows] <= u
+    return z
+
+
+def _split_at(values, bounds):
+    """Views ``values[bounds[i]:bounds[i + 1]]``, one per consecutive pair."""
+    return [values[s:e] for s, e in zip(bounds[:-1], bounds[1:])]
+
+
+def _lookup_block(params, word_cdf, block):
+    """Topics, words and distinct terms of a block of drawn documents.
+
+    ``block`` holds per document (cluster, local proportions, global
+    proportions, omega, uniforms); the uniforms are n_d coin values
+    followed by n_d interleaved (topic, word) pairs. Returns six
+    sequences with one entry per document: documents, clusters, omegas,
+    indicators, local topics and global topics; the arrays are views
+    into the block's arrays.
+    """
+    etas, thetas_l, thetas_g, omegas, uniforms = zip(*block)
+    lengths = [u.size // 3 for u in uniforms]
+    doc = np.repeat(np.arange(len(block)), lengths)
+    coins = np.concatenate([u[:n] for u, n in zip(uniforms, lengths)])
+    delta = coins < np.repeat(omegas, lengths)
+    pairs = np.concatenate([u[n:] for u, n in zip(uniforms, lengths)])
+    u_topic, u_word = pairs.reshape(-1, 2).T
+
+    local, shared = np.flatnonzero(delta), np.flatnonzero(~delta)
+    z_l = np.full(doc.size, -1, dtype=np.int64)
+    z_g = np.full(doc.size, -1, dtype=np.int64)
+    z_l[local] = _count_at_most(_choice_cdf(thetas_l), doc[local], u_topic[local])
+    z_g[shared] = _count_at_most(_choice_cdf(thetas_g), doc[shared], u_topic[shared])
+    k_dim = params.local_topics_per_cluster
+    rows = np.where(
+        delta, np.repeat(etas, lengths) * k_dim + z_l, params.num_clusters * k_dim + z_g
+    )
+    # one searchsorted per topic row present, over that row's tokens
+    order = np.argsort(rows, kind="stable")
+    words = np.empty(doc.size, dtype=np.int64)
+    for at in np.split(order, np.flatnonzero(np.diff(rows[order])) + 1):
+        words[at] = word_cdf[rows[at[0]]].searchsorted(u_word[at], side="right")
+
+    terms, counts = np.unique(doc * params.vocab_size + words, return_counts=True)
+    term_doc, ids = np.divmod(terms, params.vocab_size)
+    # every document has a token, so each owns one run of term_doc
+    term_bounds = [0, *(np.flatnonzero(np.diff(term_doc)) + 1).tolist(), terms.size]
+    docs = [
+        Document(w, c, label=eta)
+        for w, c, eta in zip(
+            _split_at(ids, term_bounds), _split_at(counts, term_bounds), etas
+        )
+    ]
+    token_bounds = [0, *itertools.accumulate(lengths)]
+    hidden = [_split_at(a, token_bounds) for a in (delta.astype(np.int64), z_l, z_g)]
+    return (docs, etas, omegas, *hidden)
+
+
 def sample_corpus(params, num_docs, doc_length, seed=0):
     """Draw a corpus from the generative process.
 
@@ -440,9 +511,16 @@ def sample_corpus(params, num_docs, doc_length, seed=0):
     each categorical variable with ``rng.choice(n, p=row)`` in the
     order: length, cluster, both proportions, omega, the n_d
     indicators, then per token its topic and its word. Each such draw
-    consumes one ``rng.random()``, so a document's 2 * n_d topic and
-    word uniforms are drawn in one call and looked up in cumulative
-    tables built once per row.
+    consumes one ``rng.random()``. So the Python loop runs once per
+    document and only draws: its length, the cluster uniform, both
+    Dirichlets, the Beta, then one ``rng.random(3 * n_d)``, which holds
+    the same doubles in the same order as ``rng.random(n_d)`` (the
+    coins) followed by ``rng.random((n_d, 2))`` (the topic and word
+    uniforms). Once the pending documents reach SAMPLE_BLOCK_TOKENS
+    tokens, their lookups run in bulk: the cumulative tables of their
+    proportions (checked as ``rng.choice`` checks ``p``), the topics,
+    one ``searchsorted`` per topic row present for the words, and one
+    ``np.unique`` for every document's distinct terms.
 
     Args:
         params: generating ModelParams (validated here).
@@ -461,50 +539,39 @@ def sample_corpus(params, num_docs, doc_length, seed=0):
     if num_docs < 1:
         raise ConfigError("num_docs must be >= 1")
     rng = np.random.default_rng(seed)
-    k_dim = params.local_topics_per_cluster
-    v_dim = params.vocab_size
-    pi_cdf = _choice_cdf(params.pi)
+    # bisect_right on the sorted list is searchsorted(side="right")
+    pi_cdf = _choice_cdf(params.pi).tolist()
     # Rows of both tables, indexed by local topic (j, z) at j * K + z
     # and global topic z at J * K + z.
-    word_cdf = list(_choice_cdf(params.local_topics).reshape(-1, v_dim))
+    word_cdf = list(_choice_cdf(params.local_topics).reshape(-1, params.vocab_size))
     word_cdf += list(_choice_cdf(params.global_topics))
-    global_row0 = params.num_clusters * k_dim
 
-    docs = []
-    clusters = np.empty(num_docs, dtype=np.int64)
-    omegas = np.empty(num_docs)
-    indicators, local_zs, global_zs = [], [], []
+    drawn = ([], [], [], [], [], [])
+    block, block_tokens = [], 0
     for d in range(num_docs):
         n_d = doc_length(rng) if callable(doc_length) else int(doc_length)
         if n_d < 1:
             raise ConfigError("document length must be >= 1")
-        eta = int(pi_cdf.searchsorted(rng.random(), side="right"))
-        theta_l = _choice_cdf(rng.dirichlet(params.local_priors[eta]))
-        theta_g = _choice_cdf(rng.dirichlet(params.global_prior))
+        eta = bisect.bisect_right(pi_cdf, rng.random())
+        theta_l = rng.dirichlet(params.local_priors[eta])
+        theta_g = rng.dirichlet(params.global_prior)
         omega = rng.beta(params.gamma[0], params.gamma[1])
+        block.append((eta, theta_l, theta_g, omega, rng.random(3 * n_d)))
+        block_tokens += n_d
+        if block_tokens >= SAMPLE_BLOCK_TOKENS or d == num_docs - 1:
+            for out, part in zip(drawn, _lookup_block(params, word_cdf, block)):
+                out.extend(part)
+            block, block_tokens = [], 0
 
-        delta = rng.random(n_d) < omega
-        u_topic, u_word = rng.random((n_d, 2)).T
-        z_l = np.full(n_d, -1, dtype=np.int64)
-        z_g = np.full(n_d, -1, dtype=np.int64)
-        z_l[delta] = theta_l.searchsorted(u_topic[delta], side="right")
-        z_g[~delta] = theta_g.searchsorted(u_topic[~delta], side="right")
-        rows = np.where(delta, eta * k_dim + z_l, global_row0 + z_g)
-        words = np.empty(n_d, dtype=np.int64)
-        for row in np.unique(rows):
-            at = rows == row
-            words[at] = word_cdf[row].searchsorted(u_word[at], side="right")
-
-        ids, counts = np.unique(words, return_counts=True)
-        docs.append(Document(ids, counts, label=eta))
-        clusters[d] = eta
-        omegas[d] = omega
-        indicators.append(delta.astype(np.int64))
-        local_zs.append(z_l)
-        global_zs.append(z_g)
-
-    corpus = Corpus(docs=docs, vocab_size=v_dim)
-    hidden = HiddenAssignments(clusters, omegas, indicators, local_zs, global_zs)
+    docs, clusters, omegas, indicators, local_zs, global_zs = drawn
+    corpus = Corpus(docs=docs, vocab_size=params.vocab_size)
+    hidden = HiddenAssignments(
+        np.array(clusters, dtype=np.int64),
+        np.array(omegas, dtype=float),
+        indicators,
+        local_zs,
+        global_zs,
+    )
     return corpus, hidden
 
 

@@ -938,7 +938,7 @@ def small_instance(seed, **dims):
 
 
 # ---------------------------------------------------------------------------
-# Generative process.
+# Generative process and the bag-of-words writer.
 # ---------------------------------------------------------------------------
 
 
@@ -1011,6 +1011,17 @@ def reference_sample_corpus(params, num_docs, doc_length, seed=0):
     corpus = Corpus(docs=docs, vocab_size=v_dim)
     hidden = HiddenAssignments(clusters, omegas, indicators, local_zs, global_zs)
     return corpus, hidden
+
+
+def reference_save_bow(corpus, path):
+    """Write a corpus in the bag-of-words format, one formatted line per entry."""
+    nnz = sum(doc.word_ids.size for doc in corpus.docs)
+    lines = [f"{corpus.num_docs} {corpus.vocab_size} {nnz}"]
+    for d, doc in enumerate(corpus.docs, start=1):
+        for w, c in zip(doc.word_ids, doc.counts):
+            lines.append(f"{d} {int(w) + 1} {int(c)}")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------

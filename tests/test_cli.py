@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 import mgctm.cli as cli_mod
+import oracles
 from mgctm.baselines import LdaModel, fit_lda, lda_naive_cluster, theta_kmeans
 from mgctm.cli import main
-from mgctm.corpus import load_bow, load_labels
+from mgctm.corpus import load_bow, load_labels, save_labels, save_vocab
 from mgctm.errors import NumericalError
 from mgctm.evaluation import clustering_accuracy, nmi
 from mgctm.model import HyperConfig, init_model, random_model_params
-from mgctm.serialize import load_hidden, load_model, save_lda, save_model
+from mgctm.serialize import load_hidden, load_model, save_hidden, save_lda, save_model
 
 
 def run(capsys, *argv):
@@ -96,6 +97,22 @@ class TestSynth:
         assert run(capsys, *argv)[0] == 0
         second = {k: open(v, "rb").read() for k, v in paths.items()}
         assert first == second
+
+    def test_files_match_per_token_reference(self, tmp_path, capsys):
+        opts = dict(clusters=3, local_topics=2, global_topics=3, vocab_size=40, docs=30)
+        argv, paths = synth_args(tmp_path, **opts)
+        paths["hidden"] = str(tmp_path / "s.hidden")
+        assert run(capsys, *argv, "--hidden", paths["hidden"])[0] == 0
+
+        params = random_model_params(3, 2, 3, 40, seed=5)
+        corpus, hidden = oracles.reference_sample_corpus(params, 30, 25, seed=5)
+        ref = {k: str(tmp_path / f"ref.{k}") for k in paths}
+        oracles.reference_save_bow(corpus, ref["corpus"])
+        save_vocab([f"w{i}" for i in range(40)], ref["vocab"])
+        save_labels([doc.label for doc in corpus.docs], ref["labels"])
+        save_hidden(hidden, ref["hidden"])
+        for key, path in paths.items():
+            assert open(path, "rb").read() == open(ref[key], "rb").read(), key
 
     def test_zero_docs_rejected_without_output(self, tmp_path, capsys):
         argv, paths = synth_args(tmp_path, docs=0)

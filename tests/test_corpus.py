@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import mgctm.corpus as corpus_mod
+import oracles
 from mgctm.corpus import (
     Corpus,
     Document,
@@ -91,6 +92,13 @@ class TestDocument:
         with pytest.raises(DimensionError):
             Document([0, 1], [1])
 
+    @pytest.mark.parametrize(
+        "word_ids, counts", [(5, 3), ([[1, 2], [0, 5]], [[1, 1], [1, 1]])]
+    )
+    def test_not_one_dimensional_rejected(self, word_ids, counts):
+        with pytest.raises(DimensionError, match="1-D"):
+            Document(word_ids, counts)
+
     def test_nonpositive_count_rejected(self):
         with pytest.raises(ValueError):
             Document([0, 1], [1, 0])
@@ -102,6 +110,16 @@ class TestDocument:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError):
             Document([1, 1], [1, 1])
+
+    def test_decreasing_ids_with_overflowing_difference_rejected(self):
+        # -5 - (2**63 - 1) wraps to a positive int64 difference
+        with pytest.raises(ValueError, match="strictly increasing"):
+            Document([2**63 - 1, -5], [1, 1])
+
+    def test_increasing_ids_with_overflowing_difference_accepted(self):
+        # (2**63 - 1) - (-2**63) wraps to -1
+        doc = Document([-(2**63), 2**63 - 1], [1, 1])
+        assert doc.word_ids.tolist() == [-(2**63), 2**63 - 1]
 
 
 class TestCorpus:
@@ -304,6 +322,39 @@ class TestBowRoundTrip:
         assert lines[0] == "1 4 2"
         assert lines[1] == "1 1 2"
         assert lines[2] == "1 4 1"
+
+
+class TestSaveBowMatchesReference:
+    """``save_bow`` writes the bytes of the per-entry reference writer."""
+
+    def assert_same_bytes(self, corpus, tmp_path):
+        save_bow(corpus, str(tmp_path / "got.bow"))
+        oracles.reference_save_bow(corpus, str(tmp_path / "want.bow"))
+        assert (tmp_path / "got.bow").read_bytes() == (tmp_path / "want.bow").read_bytes()
+
+    @pytest.mark.parametrize(
+        "entries, vocab_size",
+        [
+            pytest.param([([2], [3])], 5, id="one-doc"),
+            pytest.param([([0, 6], [1, 2]), ([6], [4])], 7, id="word-id-V-1"),
+            pytest.param([([0, 2**63 - 1], [1, 2])], 2**63, id="word-id-2**63-1"),
+            pytest.param(
+                [([0, 1, 2, 3], [2**31, 2**31 + 7, 2**53 + 1, 2**63 - 1])],
+                4,
+                id="counts-above-2**31",
+            ),
+            # an empty document writes no triple but keeps the later ids
+            pytest.param([([1, 3], [2, 1]), ([], []), ([0], [5])], 4, id="empty-doc"),
+        ],
+    )
+    def test_small_corpora(self, entries, vocab_size, tmp_path):
+        docs = [Document(ids, counts) for ids, counts in entries]
+        self.assert_same_bytes(Corpus(docs, vocab_size), tmp_path)
+
+    @pytest.mark.parametrize("rows", [corpus_mod.SAVE_BOW_ROWS, 7])
+    def test_sampled_corpus(self, recovery_corpus, rows, monkeypatch, tmp_path):
+        monkeypatch.setattr(corpus_mod, "SAVE_BOW_ROWS", rows)
+        self.assert_same_bytes(recovery_corpus, tmp_path)
 
 
 class TestCountMatrix:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import mgctm.model as model_mod
 import oracles
 from mgctm.corpus import Document
 from mgctm.errors import ConfigError, DegenerateInputError, DimensionError
@@ -343,6 +344,20 @@ def _random_length(rng):
     return int(rng.integers(1, 40))
 
 
+def _one_pathway_params(gamma):
+    def make():
+        params = random_model_params(2, 2, 2, 10, seed=6)
+        params.gamma = np.array(gamma)
+        return params
+
+    return make
+
+
+# omega ~ Beta(gamma) sits so near 0 (or 1) that every coin picks one pathway
+_all_global_params = _one_pathway_params([1e-3, 1e3])
+_all_local_params = _one_pathway_params([1e3, 1e-3])
+
+
 class TestSamplerMatchesPerTokenReference:
     """``sample_corpus`` equals the per-token ``rng.choice`` process bit for bit."""
 
@@ -357,6 +372,11 @@ class TestSamplerMatchesPerTokenReference:
             pytest.param(
                 lambda: random_model_params(2, 2, 2, 20000, seed=5), 6, 120, id="V=20000"
             ),
+            pytest.param(
+                lambda: random_model_params(2, 9, 9, 40, seed=6), 10, 60, id="K=R=9"
+            ),
+            pytest.param(_all_global_params, 20, 30, id="no-local-tokens"),
+            pytest.param(_all_local_params, 20, 30, id="no-global-tokens"),
         ],
     )
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -381,6 +401,60 @@ class TestSamplerMatchesPerTokenReference:
             for g, w in zip(got, want):
                 assert g.dtype == w.dtype
                 np.testing.assert_array_equal(g, w)
+
+    @pytest.mark.parametrize(
+        "make_params, indicator", [(_all_global_params, 0), (_all_local_params, 1)]
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_skewed_gamma_uses_one_pathway(self, make_params, indicator, seed):
+        _, hidden = sample_corpus(make_params(), 20, 30, seed=seed)
+        assert all((ind == indicator).all() for ind in hidden.indicator)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bit_identical_over_several_blocks(self, monkeypatch, seed):
+        calls = []
+        lookup = model_mod._lookup_block
+
+        def counted(*args):
+            calls.append(len(args[-1]))
+            return lookup(*args)
+
+        monkeypatch.setattr(model_mod, "SAMPLE_BLOCK_TOKENS", 50)
+        monkeypatch.setattr(model_mod, "_lookup_block", counted)
+        self.test_bit_identical(tiny_params, 25, _random_length, seed)
+        assert len(calls) > 3 and sum(calls) == 25
+
+    @pytest.mark.parametrize("block_tokens", [model_mod.SAMPLE_BLOCK_TOKENS, 2])
+    def test_zero_length_raises_after_earlier_draws(self, monkeypatch, block_tokens):
+        monkeypatch.setattr(model_mod, "SAMPLE_BLOCK_TOKENS", block_tokens)
+
+        def recording(states, rngs):
+            def length(rng):
+                states.append(rng.bit_generator.state)
+                rngs.append(rng)
+                return 0 if len(states) == 4 else 7
+
+            return length
+
+        got, want, rngs = [], [], []
+        with pytest.raises(ConfigError, match="document length must be >= 1"):
+            sample_corpus(tiny_params(), 6, recording(got, rngs), seed=3)
+        with pytest.raises(ConfigError, match="document length must be >= 1"):
+            oracles.reference_sample_corpus(tiny_params(), 6, recording(want, []), seed=3)
+        # documents 0-2 made every draw of the per-token process, document 3 none
+        assert len(got) == 4 and got == want
+        assert rngs[-1].bit_generator.state == got[-1]
+
+    def test_topic_count_is_searchsorted_right(self):
+        # zero-probability topics repeat cdf entries; some u hit entries exactly
+        cdf = _choice_cdf(
+            [[0.25, 0.0, 0.25, 0.5], [0.0, 0.0, 0.5, 0.5], [1.0, 0.0, 0.0, 0.0]]
+        )
+        rng = np.random.default_rng(0)
+        u = np.concatenate([[0.0, 0.25, 0.5, 0.75], rng.random(40)])
+        rows = rng.integers(0, 3, u.size)
+        want = [cdf[r].searchsorted(x, side="right") for r, x in zip(rows, u)]
+        np.testing.assert_array_equal(model_mod._count_at_most(cdf, rows, u), want)
 
     @pytest.mark.parametrize(
         "row, accepted",
