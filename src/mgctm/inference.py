@@ -432,10 +432,13 @@ class _Batch(_WorkingSet):
         em_l = scale0(tau, _gdot(zeta_rows, _gdot(phi_l, self.lb_l)))
         em_g = scale0(1.0 - tau, _gdot(phi_g, self.lb_g))
         r_emission = c * (em_l + em_g)
+        # the J * K entries of each row one after another, in (j, k) order
+        ent_l = xlogy(phi_l, phi_l)
+        _, j_dim, k_dim = ent_l.shape
         r_entropy = -c * (
             xlogy(tau, tau)
             + xlogy(1.0 - tau, 1.0 - tau)
-            + xlogy(phi_l, phi_l).sum(axis=(1, 2))
+            + sum(ent_l[:, j, k] for j in range(j_dim) for k in range(k_dim))
             + sum_last(xlogy(phi_g, phi_g))
         )
         t_pathway, t_local_z, t_global_z, t_emission, t_words_entropy = _segsum(
