@@ -60,7 +60,7 @@ from .inference import (
     _WorkingSet,
 )
 from .model import _check_positive, _check_rows_stochastic, perturbed_uniform_rows
-from .numerics import log_normalize_with_norm, max_last
+from .numerics import log_normalize_with_norm
 
 logger = logging.getLogger(__name__)
 
@@ -145,7 +145,7 @@ class _LdaBatch(_WorkingSet):
         # phi = e[seg] * b / normalizer from the last sweep's scaled form;
         # rows whose normalizer underflowed (stored as inf) by a softmax
         elog = self._phi_elog
-        e = np.exp(elog - max_last(elog)[:, None])
+        e = np.exp(elog - elog.max(axis=-1)[:, None])
         phi = np.take(e, self.seg, axis=0) * self.b
         phi /= self._norm[:, None]
         under = np.flatnonzero(np.isinf(self._norm))
@@ -193,7 +193,7 @@ class _LdaBatch(_WorkingSet):
         from scipy.sparse import csr_array
 
         c, seg, bounds, elog = self.counts, self.seg, self.bounds, self.elog
-        shift = max_last(elog)
+        shift = elog.max(axis=-1)
         e = np.exp(elog - shift[:, None])
         norm = np.einsum("rt,rt->r", np.take(e, seg, axis=0), self.b)
         ok = norm >= _NORM_FLOOR

@@ -169,14 +169,14 @@ def flat_docs(docs):
 def _segsum(rows, bounds):
     """Per-document sums of row quantities, documents laid end to end.
 
-    The rows of document i are bounds[i]:bounds[i + 1]; a document with
-    no rows sums to 0.
+    The rows of document i are entries bounds[i]:bounds[i + 1] of the
+    last axis; a document with no rows sums to 0.
     """
-    out = np.zeros((bounds.size - 1,) + rows.shape[1:])
+    out = np.zeros(rows.shape[:-1] + (bounds.size - 1,))
     # reduceat needs strictly increasing starts below the row count,
     # so only documents with rows get a segment
     nonempty = bounds[:-1] < bounds[1:]
-    out[nonempty] = np.add.reduceat(rows, bounds[:-1][nonempty], axis=0)
+    out[..., nonempty] = np.add.reduceat(rows, bounds[:-1][nonempty], axis=-1)
     return out
 
 

@@ -20,34 +20,35 @@ topic counts) appear in the bound and the updates below.
 Inside ``fit`` and ``infer_doc_states`` the states of the whole corpus
 live in one ``VariationalStore``: the documents' distinct terms end to
 end, one row per (document, term) pair, with no padding, beside one row
-per document. A row-to-document index broadcasts per-document quantities
-to the rows (``np.take`` along it, several times faster than fancy
-indexing), and segment sums collect row quantities per document. The
-M-step and the corpus bound read the store batch by batch.
-``DocVariational`` objects appear only at the API edge: the states
-returned are views into the store, and functions given a list of states
-gather a store from it.
+per document. The M-step and the corpus bound read the store batch by
+batch. ``DocVariational`` objects appear only at the API edge: the
+states returned are views into the store, and functions given a list of
+states gather a store from it.
 
 One EM driver (``_run_em``) runs ``fit`` and ``baselines.fit_lda``, and
 one early-exit loop (``_coordinate_ascent``) both E-steps, on batches of
 a fixed number of documents, so results are bitwise independent of the
 thread count. A batch is a ``_WorkingSet`` (``_Batch`` here, the LDA
-one in ``baselines``): views of a store's rows for a contiguous slice of
-documents, written back by ``scatter``. Each bound pass gives every
-document's bound too, and the next E-step starts from those. Held-out
-documents all start from one symmetric state, whose bound is a closed
-form in the counts (``_symmetric_bounds``), so ``infer_doc_states``
-starts without a bound pass. A
-document's sweeps stop once its bound stalls; it is then written back
-(the MGCTM state checked, vectorized, with exactly
-``DocVariational.validate``'s conditions and error messages), and the
-documents still running are gathered into a compact working set. The
-bound after a sweep comes in collapsed form: each phi block is a softmax
-of scaled row scores, so the entropy of phi is its log normalizer minus
-the scaled expected score, and no second pass over the rows is needed.
-Products and reductions along the short topic axes (K, R, J) go through
-``numerics``' short-axis helpers, which give NumPy's broadcast and
-reduction bits without its per-row inner loops.
+one in ``baselines``) over a contiguous slice of a store's documents,
+written back by ``scatter``. ``_Batch`` copies its state out of the
+store with the topic axes first and the document or row axis last, so
+every block is plain broadcasting against that trailing axis plus
+reductions over axis 0 or 1, which NumPy adds in index order whatever
+the topic counts. A row-to-document index broadcasts per-document
+quantities to the rows (``np.take`` along it, several times faster than
+fancy indexing), and segment sums collect row quantities per document.
+Each bound pass gives every document's bound too, and the next E-step
+starts from those. Held-out documents all start from one symmetric
+state, whose bound is a closed form in the counts
+(``_symmetric_bounds``), so ``infer_doc_states`` starts without a bound
+pass. A document's sweeps stop once its bound stalls; it is then written
+back (its state moved back to the store's layout and checked,
+vectorized, with exactly ``DocVariational.validate``'s conditions and
+error messages), and the documents still running are gathered into a
+compact working set. The bound after a sweep comes in collapsed form:
+each phi block is a softmax of scaled row scores, so the entropy of phi
+is its log normalizer minus the scaled expected score, and no second
+pass over the rows is needed.
 """
 
 import copy
@@ -55,6 +56,7 @@ import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.special import expit, gammaln, psi, xlogy
@@ -73,10 +75,8 @@ from .numerics import (
     DirichletStats,
     dirichlet_mle,
     log_normalize,
-    log_normalize_scaled,
-    multiply_last,
+    log_normalize_with_norm,
     scale0,
-    sum_last,
 )
 
 logger = logging.getLogger(__name__)
@@ -119,24 +119,24 @@ E_STEP_BLOCKS = (
 )
 
 
-def _elog_dir(alpha):
-    """Expected log components of a Dirichlet, rows along the last axis."""
-    return psi(alpha) - psi(sum_last(alpha))[..., None]
+def _elog_dir(alpha, axis=-1):
+    """Expected log components of a Dirichlet along ``axis``."""
+    return psi(alpha) - psi(alpha.sum(axis=axis, keepdims=True))
 
 
-def _gdot(p, x):
-    # sum(p * x) along the last axis, p == 0 entries contributing nothing
-    # even at x = -inf
-    return sum_last(scale0(p, x))
+def _gdot(p, x, axis=-1):
+    # sum(p * x) along ``axis``, p == 0 entries contributing nothing even
+    # at x = -inf
+    return scale0(p, x).sum(axis=axis)
 
 
-def _dir_ep(alpha, elog):
-    """E[log Dir(theta; alpha)] given E[log theta], along the last axis."""
+def _dir_ep(alpha, elog, axis=-1):
+    """E[log Dir(theta; alpha)] given E[log theta], along ``axis``."""
     alpha = np.asarray(alpha)
     return (
-        gammaln(sum_last(alpha))
-        - sum_last(gammaln(alpha))
-        + sum_last((alpha - 1.0) * elog)
+        gammaln(alpha.sum(axis=axis))
+        - gammaln(alpha).sum(axis=axis)
+        + ((alpha - 1.0) * elog).sum(axis=axis)
     )
 
 
@@ -146,14 +146,10 @@ def _safe_log(p):
 
 
 def _log_topics(params):
-    """(V, J, K) local and (V, R) global log topics, term-major, so that a
-    row gather by word id is contiguous; a gather of them has the bits of
-    the log of the gathered topics."""
+    """(J, K, V) local and (R, V) global log topics; ``_Batch`` gathers
+    them by word id along the last axis."""
     with np.errstate(divide="ignore"):
-        return (
-            np.log(params.local_topics.transpose(2, 0, 1), order="C"),
-            np.log(params.global_topics.T, order="C"),
-        )
+        return np.log(params.local_topics), np.log(params.global_topics)
 
 
 def _subset(index, keep):
@@ -163,17 +159,27 @@ def _subset(index, keep):
     return index[keep]
 
 
+def _move_rows(a, source, destination):
+    # a with its axis ``source`` moved to ``destination``, C-contiguous;
+    # ``a`` itself when nothing moves and it is contiguous already
+    return np.ascontiguousarray(np.moveaxis(a, source, destination))
+
+
 class _WorkingSet:
     """E-step documents, terms end to end, for ``_coordinate_ascent``.
 
-    ``DOC_FIELDS`` name the arrays with one row per document, ``ROW_FIELDS``
-    those with one row per (document, term) pair; ``seg`` maps rows to
-    documents. ``STATE`` names the fields gathered as views of a store
-    (anything with CSR ``doc_ptr``/``words``/``counts`` and those arrays)
-    and written back by ``scatter`` once ``validate`` passes. ``docs`` and
-    ``rows`` locate the set in the store: slices at first, index arrays
-    once ``compact`` drops documents.
+    ``DOC_FIELDS`` name the arrays with one entry per document along
+    ``ROW_AXIS``, ``ROW_FIELDS`` those with one per (document, term) pair;
+    ``seg`` maps rows to documents. ``STATE`` names the fields gathered
+    from a store (anything with CSR ``doc_ptr``/``words``/``counts`` and
+    those arrays, documents or rows along their first axis) and written
+    back by ``scatter`` once ``validate`` passes. With ``ROW_AXIS`` 0
+    they are views of the store, otherwise copies with the store's first
+    axis moved there. ``docs`` and ``rows`` locate the set in the store:
+    slices at first, index arrays once ``compact`` drops documents.
     """
+
+    ROW_AXIS = 0
 
     def __init__(self, store, docs=None):
         # documents ``docs`` (a slice; all by default) of the store
@@ -184,7 +190,8 @@ class _WorkingSet:
         self.rows = slice(ptr[0], ptr[-1])
         self.counts = store.counts[self.rows]
         for name in self.STATE:
-            setattr(self, name, getattr(store, name)[self._index(name)])
+            value = getattr(store, name)[self._index(name)]
+            setattr(self, name, _move_rows(value, 0, self.ROW_AXIS))
         self._set_bounds(ptr - ptr[0])
 
     def _index(self, name):
@@ -199,7 +206,7 @@ class _WorkingSet:
 
     def _to_rows(self, a):
         # a, with one entry per document, at each of the documents' rows
-        return np.take(a, self.seg, axis=0)
+        return np.take(a, self.seg, axis=self.ROW_AXIS)
 
     def compact(self, keep):
         """Keep the documents where ``keep`` holds, gathering their rows."""
@@ -210,18 +217,18 @@ class _WorkingSet:
             for name in names:
                 value = getattr(self, name)
                 if value is not None:  # a field not yet computed stays unset
-                    setattr(self, name, value[index])
+                    setattr(self, name, np.compress(index, value, axis=self.ROW_AXIS))
         sizes = np.diff(self.bounds)[keep]
         self._set_bounds(np.concatenate([[0], np.cumsum(sizes)]))
 
     def validate(self):
-        """Check the state before ``scatter`` writes it; no check here."""
+        """The STATE arrays in the store's layout, by name; no check here."""
+        return {name: _move_rows(getattr(self, name), self.ROW_AXIS, 0) for name in self.STATE}
 
     def scatter(self):
         """Check the working set, then write its state into the store."""
-        self.validate()
-        for name in self.STATE:
-            getattr(self.store, name)[self._index(name)] = getattr(self, name)
+        for name, value in self.validate().items():
+            getattr(self.store, name)[self._index(name)] = value
 
     def write_back(self, done):
         """Scatter the documents where ``done`` holds; the set is unchanged."""
@@ -235,10 +242,16 @@ class _WorkingSet:
 class _Batch(_WorkingSet):
     """The MGCTM working set: documents of a VariationalStore.
 
-    Document quantities reach the rows by a gather along ``seg``, and row
-    quantities reach the documents by segment sums, so no cell is
-    padding. The block updates replace the ``STATE`` arrays, and
-    ``scatter`` checks them (``validate``) before it writes them back.
+    Each array keeps its topic axes first, in the parameters' order, and
+    its document or row axis last: zeta (J, n), lam (2, n), mu_l
+    (J, K, n), mu_g (R, n), tau (N,), phi_l (J, K, N), phi_g (R, N) and
+    the log emissions lb_l (J, K, N) and lb_g (R, N). The blocks are
+    broadcasts against the trailing axis and reductions over axis 0 or 1,
+    which add in index order. Document quantities reach the rows by a
+    gather along ``seg``, and row quantities reach the documents by
+    segment sums, so no cell is padding. The block updates replace the
+    ``STATE`` arrays, and ``scatter`` checks them (``validate``) in the
+    store's layout before it writes them back.
 
     The row scores x_l = E[log theta_l][seg] + log beta_l and x_g (the
     same for the global pathway) are built once per value of mu_l and
@@ -250,6 +263,7 @@ class _Batch(_WorkingSet):
     ``bound_terms`` is the full reference.
     """
 
+    ROW_AXIS = -1
     DOC_FIELDS = ("zeta", "lam", "mu_l", "mu_g")
     # log emissions are gathered with the state, not rebuilt from the topics
     ROW_FIELDS = ("counts", "lb_l", "lb_g", "tau", "phi_l", "phi_g")
@@ -263,8 +277,8 @@ class _Batch(_WorkingSet):
         self.log_k = np.log(params.local_topics_per_cluster)
         self.log_r = np.log(params.num_global_topics)
         log_l, log_g = _log_topics(params) if log_topics is None else log_topics
-        self.lb_l = np.take(log_l, words, axis=0)
-        self.lb_g = np.take(log_g, words, axis=0)
+        self.lb_l = np.take(log_l, words, axis=-1)
+        self.lb_g = np.take(log_g, words, axis=-1)
 
     def _set_bounds(self, bounds):
         super()._set_bounds(bounds)
@@ -275,34 +289,36 @@ class _Batch(_WorkingSet):
 
     def _local_scores(self):
         if self._scores_l is None:
-            elog = _elog_dir(self.mu_l)
+            elog = _elog_dir(self.mu_l, axis=1)
             self._scores_l = elog, self._to_rows(elog) + self.lb_l
         return self._scores_l
 
     def _global_scores(self):
         if self._scores_g is None:
-            elog = _elog_dir(self.mu_g)
+            elog = _elog_dir(self.mu_g, axis=0)
             self._scores_g = elog, self._to_rows(elog) + self.lb_g
         return self._scores_g
 
     def _update_phi_local(self):
-        # phi_l = softmax(s_l * x_l) with s_l = tau * zeta[seg]
-        self.s_l = multiply_last(self.tau, self._to_rows(self.zeta))
-        self.phi_l, self.lse_l = log_normalize_scaled(self.s_l, self._local_scores()[1])
+        # phi_l = softmax over k of s_l * x_l, with s_l = tau * zeta[seg]
+        self.s_l = self.tau * self._to_rows(self.zeta)
+        x_l = self._local_scores()[1]
+        self.phi_l, self.lse_l = log_normalize_with_norm(scale0(self.s_l[:, None], x_l), axis=1)
 
     def _update_phi_global(self):
-        # phi_g = softmax(s_g * x_g) with s_g = 1 - tau
+        # phi_g = softmax over r of s_g * x_g, with s_g = 1 - tau
         self.s_g = 1.0 - self.tau
-        self.phi_g, self.lse_g = log_normalize_scaled(self.s_g, self._global_scores()[1])
+        x_g = self._global_scores()[1]
+        self.phi_g, self.lse_g = log_normalize_with_norm(scale0(self.s_g, x_g), axis=0)
 
     def _update_tau(self):
         # phi . x at the scores the phi blocks saw (mu has not moved since)
-        self.px_l = _gdot(self.phi_l, self._local_scores()[1])
-        self.px_g = _gdot(self.phi_g, self._global_scores()[1])
-        coin = psi(self.lam[:, 0]) - psi(self.lam[:, 1])
+        self.px_l = _gdot(self.phi_l, self._local_scores()[1], axis=1)
+        self.px_g = _gdot(self.phi_g, self._global_scores()[1], axis=0)
+        coin = psi(self.lam[0]) - psi(self.lam[1])
         logit = (
             self._to_rows(coin)
-            + _gdot(self._to_rows(self.zeta), self.px_l)
+            + _gdot(self._to_rows(self.zeta), self.px_l, axis=0)
             + self.log_k
             - self.px_g
             - self.log_r
@@ -310,40 +326,36 @@ class _Batch(_WorkingSet):
         self.tau = expit(logit)
 
     def _update_mu_local(self):
-        zeta = self.zeta[:, :, None]
+        zeta = self.zeta[:, None]
         ct = self.counts * self.tau
         self.mu_l = (
-            zeta * self.params.local_priors[None]
-            + zeta * _segsum(ct[:, None, None] * self.phi_l, self.bounds)
+            zeta * self.params.local_priors[..., None]
+            + zeta * _segsum(ct * self.phi_l, self.bounds)
             + (1.0 - zeta)
         )
         self._scores_l = None
 
     def _update_mu_global(self):
         cg = self.counts * (1.0 - self.tau)
-        self.mu_g = self.params.global_prior[None] + _segsum(
-            multiply_last(cg, self.phi_g), self.bounds
-        )
+        self.mu_g = self.params.global_prior[:, None] + _segsum(cg * self.phi_g, self.bounds)
         self._scores_g = None
 
     def _update_lam(self):
         ct = self.counts * self.tau
         cg = self.counts * (1.0 - self.tau)
-        self.lam = self.params.gamma[None] + _segsum(
-            np.stack([ct, cg], axis=1), self.bounds
-        )
+        self.lam = self.params.gamma[:, None] + _segsum(np.stack([ct, cg]), self.bounds)
 
     def _update_zeta(self):
         elog_l, x_l = self._local_scores()
         # phi_l . x_l at the new mu_l
-        self.px_l_new = _gdot(self.phi_l, x_l)
+        self.px_l_new = _gdot(self.phi_l, x_l, axis=1)
         ct = self.counts * self.tau
         cluster_logit = (
-            _safe_log(self.params.pi)[None]
-            + _dir_ep(self.params.local_priors[None], elog_l)
+            _safe_log(self.params.pi)[:, None]
+            + _dir_ep(self.params.local_priors[..., None], elog_l, axis=1)
             + _segsum(scale0(ct, self.px_l_new), self.bounds)
         )
-        self.zeta = log_normalize(cluster_logit, axis=-1)
+        self.zeta = log_normalize(cluster_logit, axis=0)
 
     def update(self, block):
         """Apply one named closed-form block update to every document."""
@@ -360,7 +372,7 @@ class _Batch(_WorkingSet):
         from the scales and normalizers the phi blocks kept and the phi . x
         the tau block computed. The topic-choice and emission terms need
         phi . x at the new mu: the zeta block computed it for the local
-        pathway, and only phi_g . x_g, one (rows, R) product, is left.
+        pathway, and only phi_g . x_g, one (R, rows) product, is left.
         """
         for block in E_STEP_BLOCKS:
             self.update(block)
@@ -368,18 +380,18 @@ class _Batch(_WorkingSet):
         zeta_rows = self._to_rows(self.zeta)
         elog_l, _ = self._local_scores()
         elog_g, x_g = self._global_scores()
-        elog_w = _elog_dir(self.lam)
+        elog_w = _elog_dir(self.lam, axis=0)
         coin_rows = self._to_rows(elog_w)
         rows = c * (
-            tau * coin_rows[:, 0]
-            + (1.0 - tau) * coin_rows[:, 1]
+            tau * coin_rows[0]
+            + (1.0 - tau) * coin_rows[1]
             - xlogy(tau, tau)
             - xlogy(1.0 - tau, 1.0 - tau)
-            + scale0(tau, _gdot(zeta_rows, self.px_l_new))
-            - sum_last(1.0 - multiply_last(zeta_rows, tau)) * self.log_k
-            + sum_last(self.lse_l)
-            - _gdot(self.s_l, self.px_l)
-            + scale0(1.0 - tau, _gdot(self.phi_g, x_g))
+            + scale0(tau, _gdot(zeta_rows, self.px_l_new, axis=0))
+            - (1.0 - zeta_rows * tau).sum(axis=0) * self.log_k
+            + self.lse_l.sum(axis=0)
+            - _gdot(self.s_l, self.px_l, axis=0)
+            + scale0(1.0 - tau, _gdot(self.phi_g, x_g, axis=0))
             - tau * self.log_r
             + self.lse_g
             - scale0(self.s_g, self.px_g)
@@ -390,17 +402,17 @@ class _Batch(_WorkingSet):
         # the four prior groups and the entropy of zeta, lam and mu
         params = self.params
         zeta = self.zeta
-        t_cluster = _gdot(zeta, _safe_log(params.pi)[None])
-        t_coin = _dir_ep(params.gamma[None], elog_w)
-        t_local_prop = sum_last(
-            zeta * _dir_ep(params.local_priors[None], elog_l)
-        ) + sum_last(1.0 - zeta) * gammaln(params.local_topics_per_cluster)
-        t_global_prop = _dir_ep(params.global_prior[None], elog_g)
+        t_cluster = _gdot(zeta, _safe_log(params.pi)[:, None], axis=0)
+        t_coin = _dir_ep(params.gamma[:, None], elog_w, axis=0)
+        t_local_prop = (
+            zeta * _dir_ep(params.local_priors[..., None], elog_l, axis=1)
+        ).sum(axis=0) + (1.0 - zeta).sum(axis=0) * gammaln(params.local_topics_per_cluster)
+        t_global_prop = _dir_ep(params.global_prior[:, None], elog_g, axis=0)
         t_entropy = (
-            -sum_last(xlogy(zeta, zeta))
-            - _dir_ep(self.lam, elog_w)
-            - sum_last(_dir_ep(self.mu_l, elog_l))
-            - _dir_ep(self.mu_g, elog_g)
+            -xlogy(zeta, zeta).sum(axis=0)
+            - _dir_ep(self.lam, elog_w, axis=0)
+            - _dir_ep(self.mu_l, elog_l, axis=1).sum(axis=0)
+            - _dir_ep(self.mu_g, elog_g, axis=0)
         )
         return t_cluster, t_coin, t_local_prop, t_global_prop, t_entropy
 
@@ -412,39 +424,36 @@ class _Batch(_WorkingSet):
         phi_l = self.phi_l
         phi_g = self.phi_g
 
-        elog_l = _elog_dir(self.mu_l)
-        elog_g = _elog_dir(self.mu_g)
-        elog_w = _elog_dir(self.lam)
+        elog_l = _elog_dir(self.mu_l, axis=1)
+        elog_g = _elog_dir(self.mu_g, axis=0)
+        elog_w = _elog_dir(self.lam, axis=0)
         t_cluster, t_coin, t_local_prop, t_global_prop, t_doc_entropy = (
             self._doc_terms(elog_l, elog_g, elog_w)
         )
 
-        # term-level groups, one row per (document, term), summed per document
+        # term-level groups, one entry per (document, term), summed per document
         zeta_rows = self._to_rows(zeta)
         coin_rows = self._to_rows(elog_w)
-        r_pathway = c * (tau * coin_rows[:, 0] + (1.0 - tau) * coin_rows[:, 1])
-        scale = multiply_last(zeta_rows, tau)
-        phi_elog = sum_last(phi_l * self._to_rows(elog_l))
-        r_local_z = c * sum_last(scale * phi_elog - (1.0 - scale) * self.log_k)
+        r_pathway = c * (tau * coin_rows[0] + (1.0 - tau) * coin_rows[1])
+        scale = zeta_rows * tau
+        phi_elog = (phi_l * self._to_rows(elog_l)).sum(axis=1)
+        r_local_z = c * (scale * phi_elog - (1.0 - scale) * self.log_k).sum(axis=0)
         r_global_z = c * (
-            (1.0 - tau) * sum_last(phi_g * self._to_rows(elog_g)) - tau * self.log_r
+            (1.0 - tau) * (phi_g * self._to_rows(elog_g)).sum(axis=0) - tau * self.log_r
         )
-        em_l = scale0(tau, _gdot(zeta_rows, _gdot(phi_l, self.lb_l)))
-        em_g = scale0(1.0 - tau, _gdot(phi_g, self.lb_g))
+        em_l = scale0(tau, _gdot(zeta_rows, _gdot(phi_l, self.lb_l, axis=1), axis=0))
+        em_g = scale0(1.0 - tau, _gdot(phi_g, self.lb_g, axis=0))
         r_emission = c * (em_l + em_g)
-        # the J * K entries of each row one after another, in (j, k) order
-        ent_l = xlogy(phi_l, phi_l)
-        _, j_dim, k_dim = ent_l.shape
         r_entropy = -c * (
             xlogy(tau, tau)
             + xlogy(1.0 - tau, 1.0 - tau)
-            + sum(ent_l[:, j, k] for j in range(j_dim) for k in range(k_dim))
-            + sum_last(xlogy(phi_g, phi_g))
+            + xlogy(phi_l, phi_l).sum(axis=(0, 1))
+            + xlogy(phi_g, phi_g).sum(axis=0)
         )
         t_pathway, t_local_z, t_global_z, t_emission, t_words_entropy = _segsum(
-            np.stack([r_pathway, r_local_z, r_global_z, r_emission, r_entropy], axis=1),
+            np.stack([r_pathway, r_local_z, r_global_z, r_emission, r_entropy]),
             self.bounds,
-        ).T
+        )
 
         return np.stack(
             [
@@ -465,8 +474,11 @@ class _Batch(_WorkingSet):
         return self.bound_terms().sum(axis=1)
 
     def validate(self):
-        """DocVariational.validate on every document, in one vectorized pass."""
-        validate_flat(self)
+        """DocVariational.validate on every document, in one vectorized pass
+        over the state in the store's layout; returns that state."""
+        state = super().validate()
+        validate_flat(SimpleNamespace(seg=self.seg, **state))
+        return state
 
 
 def _coordinate_ascent(work, start, sweeps, rel_tol=DOC_SWEEP_REL_TOL):
@@ -671,8 +683,10 @@ def _symmetric_bounds(params, store, log_topics):
         + (psi(1.0) - psi(k_dim) + np.log(k_dim)) / 2
         + (psi(1.0) - psi(r_dim) + np.log(r_dim)) / 2
     )
-    log_l, log_g = log_topics
-    emission = (log_l.reshape(log_l.shape[0], -1).mean(axis=1) + log_g.mean(axis=1)) / 2
+    # each word's J * K and R log topics contiguous, as the means reduce them
+    v_dim = params.vocab_size
+    log_l, log_g = (np.ascontiguousarray(t.reshape(-1, v_dim).T) for t in log_topics)
+    emission = (log_l.mean(axis=1) + log_g.mean(axis=1)) / 2
     rows = store.counts * (const + np.take(emission, store.words))
     return t0 + _segsum(rows, store.doc_ptr)
 

@@ -18,7 +18,6 @@ import numpy as np
 
 from .corpus import Corpus, Document, flat_docs
 from .errors import ConfigError, DegenerateInputError, DimensionError
-from .numerics import sum_last
 
 logger = logging.getLogger(__name__)
 
@@ -243,7 +242,7 @@ def validate_flat(flat):
     validate's.
     """
     doc_checks = (
-        ~(np.abs(sum_last(flat.zeta) - 1.0) <= SIMPLEX_ATOL),
+        ~(np.abs(flat.zeta.sum(axis=-1) - 1.0) <= SIMPLEX_ATOL),
         flat.zeta < 0,
         flat.lam <= 0,
         flat.mu_l <= 0,
@@ -252,9 +251,9 @@ def validate_flat(flat):
     row_checks = (
         (flat.tau < 0) | (flat.tau > 1),
         flat.phi_l < 0,
-        ~(np.abs(sum_last(flat.phi_l) - 1.0) <= SIMPLEX_ATOL),
+        ~(np.abs(flat.phi_l.sum(axis=-1) - 1.0) <= SIMPLEX_ATOL),
         flat.phi_g < 0,
-        ~(np.abs(sum_last(flat.phi_g) - 1.0) <= SIMPLEX_ATOL),
+        ~(np.abs(flat.phi_g.sum(axis=-1) - 1.0) <= SIMPLEX_ATOL),
     )
     bad = np.zeros(flat.zeta.shape[0], dtype=bool)
     for checks, rows in ((doc_checks, False), (row_checks, True)):

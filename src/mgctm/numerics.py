@@ -1,7 +1,11 @@
 """Special functions and exponential-family estimation primitives.
 
 Everything here is a pure function; all of the variational update
-equations are built on top of these.
+equations are built on top of these. The normalizations take any axis
+and use plain NumPy reductions along it: the E-step, which keeps its
+topic axes first, normalizes along a leading axis, where NumPy adds in
+index order at every length. ``scale0`` broadcasts its scale against
+the scores as any ufunc does.
 """
 
 import logging
@@ -62,38 +66,13 @@ def log_normalize_with_norm(log_weights, axis=-1):
     return p, shift + np.log(total)
 
 
-def log_normalize_scaled(s, x):
-    """log_normalize_with_norm(scale0(s, x)) along the last axis, bit for bit.
-
-    ``s`` holds one scale per row of ``x`` (x's shape without its last
-    axis). On a short last axis each column of the product goes to the
-    normalization as it is made, and the product is never interleaved.
-    """
-    k = x.shape[-1]
-    if not 1 < k < _SHORT_AXIS:
-        return log_normalize_with_norm(scale0(s, x))
-    cols = [scale0(s, x[..., i]) for i in range(k)]
-    p, shift, total = _normalized_columns(cols, overwrite=True)
-    return p, shift + np.log(total)
-
-
 def _normalized_exp(log_weights, axis):
     # (exp(lw - max) / sum, max, sum of the exponentials), max and sum
     # with ``axis`` removed
     lw = np.asarray(log_weights, dtype=float)
-    if lw.ndim > 0 and axis % lw.ndim == lw.ndim - 1:
-        k = lw.shape[-1]
-        if 1 < k < _SHORT_AXIS:
-            return _normalized_columns([lw[..., i] for i in range(k)])
-        m = max_last(lw)
-        _check_shift(m)
-        p = lw - m[..., None]
-        np.exp(p, out=p)
-        total = sum_last(p)
-        p /= total[..., None]
-        return p, m, total
-    m = np.max(lw, axis=axis, keepdims=True)
-    _check_shift(m)
+    m = lw.max(axis=axis, keepdims=True)
+    if not np.all(np.isfinite(m)):
+        raise DegenerateInputError("log_normalize: no finite entry to normalize")
     p = lw - m
     np.exp(p, out=p)
     total = p.sum(axis=axis, keepdims=True)
@@ -101,98 +80,17 @@ def _normalized_exp(log_weights, axis):
     return p, np.squeeze(m, axis=axis), np.squeeze(total, axis=axis)
 
 
-def _normalized_columns(cols, overwrite=False):
-    # _normalized_exp along a short last axis given as its columns (arrays
-    # of one shape): the same operations on the same elements, max and sum
-    # in sum_last's order, each on contiguous arrays. ``overwrite``: the
-    # columns may be overwritten.
-    m = cols[0].copy()
-    for col in cols[1:]:
-        np.maximum(m, col, out=m)
-    _check_shift(m)
-    exps = [np.subtract(col, m, out=col if overwrite else np.empty_like(m)) for col in cols]
-    for e in exps:
-        np.exp(e, out=e)
-    total = exps[0] + 0.0
-    for e in exps[1:]:
-        total += e
-    p = np.empty(m.shape + (len(cols),))
-    for i, e in enumerate(exps):
-        np.divide(e, total, out=p[..., i])
-    return p, m, total
-
-
-def _check_shift(m):
-    if not np.all(np.isfinite(m)):
-        raise DegenerateInputError("log_normalize: no finite entry to normalize")
-
-
-# NumPy reduces every row separately, which on a last axis of a few
-# entries costs ~100x an elementwise pass. Fewer than this many terms it
-# adds one after another, starting from 0.0, so slices taken in that
-# order give the same bits; the normalizations above work column by
-# column on such axes for the same reason.
-_SHORT_AXIS = 8
-# Broadcasting a (..., 1) operand over the last axis makes that axis
-# NumPy's inner loop, so on 2-3 entries it runs one short loop per row;
-# multiply_last then makes one ufunc call per last-axis entry instead, on
-# the same elements, which gives the same bits. Each such call is a
-# strided pass over the whole array, and from 4 entries on they cost more
-# than the short loops (timed at 7k-350k rows), so there it broadcasts.
-_SLICE_AXIS = 4
-
-
-def sum_last(x):
-    """x.sum(axis=-1), bit for bit, fast when the last axis is short."""
-    k = x.shape[-1]
-    if not 0 < k < _SHORT_AXIS:
-        return x.sum(axis=-1)
-    out = x[..., 0] + 0.0
-    for i in range(1, k):
-        out += x[..., i]
-    return out
-
-
-def max_last(x):
-    """x.max(axis=-1), fast when the last axis is short."""
-    k = x.shape[-1]
-    if not 0 < k < _SHORT_AXIS:
-        return x.max(axis=-1)
-    out = x[..., 0].copy()
-    for i in range(1, k):
-        np.maximum(out, x[..., i], out=out)
-    return out
-
-
-def multiply_last(a, b):
-    """a * b, bit for bit: one operand has the other's shape without its
-    last axis and stands for its broadcast over that axis."""
-    wide = a.ndim > b.ndim
-    x = a if wide else b
-    k = x.shape[-1]
-    if not 1 < k < _SLICE_AXIS:
-        return a * b[..., None] if wide else a[..., None] * b
-    out = np.empty(x.shape, np.result_type(a, b))
-    for i in range(k):
-        np.multiply(a[..., i] if wide else a, b if wide else b[..., i], out=out[..., i])
-    return out
-
-
 def scale0(c, x):
     """c * x under the convention 0 * (-inf) = 0, for c >= 0.
 
-    ``c`` has x's shape, or x's shape without its last axis to scale
-    whole rows of x. Same bits as c * np.where(c > 0, x, 0.0) (c
-    broadcast), without a full-size temporary: where c > 0 fails the
-    product is redone as c * 0.0.
+    ``c`` broadcasts against ``x``. Same bits as c * np.where(c > 0, x,
+    0.0), without a full-size temporary: where c > 0 fails the product
+    is redone as c * 0.0.
     """
-    rows = c.ndim < x.ndim
     with np.errstate(invalid="ignore"):
-        out = multiply_last(c, x) if rows else c * x
+        out = c * x
     redo = np.logical_not(c > 0)
     if redo.any():
-        if rows:
-            c, redo = c[..., None], redo[..., None]
         np.multiply(c, 0.0, out=out, where=redo)
     return out
 

@@ -8,8 +8,9 @@ and the stopping tolerances the package's loops share. The one exception
 is ``reference_coordinate_ascent``: it drives the package's own block
 updates and full bound, so that the E-step's collapsed per-sweep bound
 can be checked against the loop it replaced. ``BroadcastBatch`` repeats
-the block updates' own arithmetic, written with plain broadcasts, so the
-package's short-axis kernels can be checked bit for bit.
+the block updates' own arithmetic, written with plain broadcasts over a
+rows-first layout, so the package's rows-last kernels can be checked bit
+for bit.
 Tests compare package outputs against these references.
 """
 
@@ -197,8 +198,9 @@ def reference_coordinate_ascent(work, start, sweeps, rel_tol=DOC_SWEEP_REL_TOL):
 
 # ---------------------------------------------------------------------------
 # The E-step blocks in broadcast form: the package's block arithmetic as
-# plain NumPy broadcasts of (..., 1) operands and axis reductions, in the
-# same order, so the package's short-axis kernels must match it bit for bit.
+# plain NumPy broadcasts of (..., 1) operands, rows first, with each sum
+# over a topic axis taken one entry after another in index order, so the
+# package's rows-last kernels must match it bit for bit.
 # ---------------------------------------------------------------------------
 
 
@@ -212,8 +214,18 @@ def broadcast_scale0(c, x):
     return out
 
 
+def index_sum(x, keepdims=False):
+    """x summed along its last axis one entry after another, from 0.0:
+    NumPy's own order below 8 entries, at any length the order in which a
+    reduction over a leading axis adds."""
+    total = 0.0
+    for i in range(x.shape[-1]):
+        total = total + x[..., i]
+    return total[..., None] if keepdims else total
+
+
 def _broadcast_gdot(p, x):
-    return broadcast_scale0(p, x).sum(axis=-1)
+    return index_sum(broadcast_scale0(p, x))
 
 
 def _broadcast_softmax_with_norm(lw):
@@ -221,16 +233,23 @@ def _broadcast_softmax_with_norm(lw):
     m = lw.max(axis=-1, keepdims=True)
     p = lw - m
     np.exp(p, out=p)
-    total = p.sum(axis=-1, keepdims=True)
+    total = index_sum(p, keepdims=True)
     p /= total
     return p, np.squeeze(m + np.log(total), axis=-1)
 
 
-def _broadcast_dir_ep(alpha, elog):
+def _numpy_sum(x):
+    return x.sum(axis=-1)
+
+
+def _broadcast_dir_ep(alpha, elog, alpha_sum=index_sum):
+    # ``alpha_sum`` adds alpha's own entries; a prior, the same for every
+    # row, passes _numpy_sum: its row is contiguous where the package sums
+    # it, so NumPy adds it pairwise from 8 entries on
     return (
-        gammaln(alpha.sum(axis=-1))
-        - gammaln(alpha).sum(axis=-1)
-        + ((alpha - 1.0) * elog).sum(axis=-1)
+        gammaln(alpha_sum(alpha))
+        - alpha_sum(gammaln(alpha))
+        + index_sum((alpha - 1.0) * elog)
     )
 
 
@@ -266,7 +285,7 @@ class BroadcastBatch:
             setattr(self, name, np.array(value, dtype=float))
 
     def _scores(self, mu, lb):
-        elog = psi(mu) - psi(mu.sum(axis=-1, keepdims=True))
+        elog = psi(mu) - psi(index_sum(mu, keepdims=True))
         return elog, elog[self.seg] + lb
 
     def update(self, block):
@@ -327,7 +346,7 @@ class BroadcastBatch:
         ct = self.counts * self.tau
         cluster_logit = (
             _log0(self.params.pi)[None]
-            + _broadcast_dir_ep(self.params.local_priors[None], elog_l)
+            + _broadcast_dir_ep(self.params.local_priors[None], elog_l, _numpy_sum)
             + _broadcast_segsum(broadcast_scale0(ct[:, None], self.px_l_new), self.bounds)
         )
         self.zeta = _broadcast_softmax_with_norm(cluster_logit)[0]
@@ -341,15 +360,15 @@ class BroadcastBatch:
         zeta_rows = zeta[seg]
         elog_l, _ = self._scores(self.mu_l, self.lb_l)
         elog_g, x_g = self._scores(self.mu_g, self.lb_g)
-        elog_w = psi(self.lam) - psi(self.lam.sum(axis=-1, keepdims=True))
+        elog_w = psi(self.lam) - psi(index_sum(self.lam, keepdims=True))
         rows = c * (
             tau * elog_w[seg, 0]
             + (1.0 - tau) * elog_w[seg, 1]
             - xlogy(tau, tau)
             - xlogy(1.0 - tau, 1.0 - tau)
             + broadcast_scale0(tau, _broadcast_gdot(zeta_rows, self.px_l_new))
-            - (1.0 - zeta_rows * tau[:, None]).sum(axis=-1) * self.log_k
-            + self.lse_l.sum(axis=-1)
+            - index_sum(1.0 - zeta_rows * tau[:, None]) * self.log_k
+            + index_sum(self.lse_l)
             - _broadcast_gdot(self.s_l, self.px_l)
             + broadcast_scale0(1.0 - tau, _broadcast_gdot(self.phi_g, x_g))
             - tau * self.log_r
@@ -358,13 +377,13 @@ class BroadcastBatch:
         )
         doc_terms = (
             _broadcast_gdot(zeta, _log0(params.pi)[None]),
-            _broadcast_dir_ep(params.gamma[None], elog_w),
-            (zeta * _broadcast_dir_ep(params.local_priors[None], elog_l)).sum(axis=-1)
-            + (1.0 - zeta).sum(axis=-1) * gammaln(params.local_topics_per_cluster),
-            _broadcast_dir_ep(params.global_prior[None], elog_g),
-            -xlogy(zeta, zeta).sum(axis=-1)
+            _broadcast_dir_ep(params.gamma[None], elog_w, _numpy_sum),
+            index_sum(zeta * _broadcast_dir_ep(params.local_priors[None], elog_l, _numpy_sum))
+            + index_sum(1.0 - zeta) * gammaln(params.local_topics_per_cluster),
+            _broadcast_dir_ep(params.global_prior[None], elog_g, _numpy_sum),
+            -index_sum(xlogy(zeta, zeta))
             - _broadcast_dir_ep(self.lam, elog_w)
-            - _broadcast_dir_ep(self.mu_l, elog_l).sum(axis=-1)
+            - index_sum(_broadcast_dir_ep(self.mu_l, elog_l))
             - _broadcast_dir_ep(self.mu_g, elog_g),
         )
         return sum(doc_terms) + _broadcast_segsum(rows, self.bounds)

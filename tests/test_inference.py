@@ -641,6 +641,14 @@ def working_set(kind):
     return store, lambda: _LdaBatch(0.1, log_beta, store, docs), ("gamma",), ("phi",)
 
 
+def store_layout(work, names):
+    # the working set's arrays ``names`` with documents or rows first, as
+    # the store keeps them
+    return SimpleNamespace(
+        **{name: np.moveaxis(getattr(work, name), work.ROW_AXIS, 0) for name in names}
+    )
+
+
 def doc_bytes(arrays, doc_names, row_names, i, rows):
     # document i's state in ``arrays`` (a store or a working set), as bytes
     return [getattr(arrays, name)[i].tobytes() for name in doc_names] + [
@@ -682,7 +690,8 @@ class TestWorkingSet:
             if i in finished:
                 k = finished[i]
                 rows = slice(work.bounds[k], work.bounds[k + 1])
-                assert got == doc_bytes(work, doc_names, row_names, k, rows), i
+                stored = store_layout(work, doc_names + row_names)
+                assert got == doc_bytes(stored, doc_names, row_names, k, rows), i
                 moved += got != old
             else:
                 assert got == old, i
@@ -929,10 +938,16 @@ def oracle_pair(params, docs, states):
     # the package's working set and the broadcast oracle on the same states
     batch = batch_of(params, docs, states)
     fields = ("zeta", "lam", "mu_l", "mu_g", "tau", "phi_l", "phi_g")
-    state = {name: getattr(batch, name) for name in fields}
     store = batch.store
+    state = {name: getattr(store, name) for name in fields}
     oracle = oracles.BroadcastBatch(params, store.doc_ptr, store.words, store.counts, state)
     return batch, oracle, fields
+
+
+def rows_first(batch, name):
+    # a working-set array with its row or document axis first, as the
+    # oracle keeps it
+    return np.moveaxis(getattr(batch, name), batch.ROW_AXIS, 0)
 
 
 class TestBroadcastOracle:
@@ -955,7 +970,7 @@ class TestBroadcastOracle:
                 batch.update(block)
                 oracle.update(block)
                 for field in fields + self.KEPT.get(block, ()):
-                    assert same_bits(getattr(batch, field), getattr(oracle, field)), (
+                    assert same_bits(rows_first(batch, field), getattr(oracle, field)), (
                         name, sweep, block, field
                     )
 
@@ -967,7 +982,7 @@ class TestBroadcastOracle:
             got, want = batch.sweep(), oracle.sweep()
             assert same_bits(got, want), (name, sweep)
             for field in fields:
-                assert same_bits(getattr(batch, field), getattr(oracle, field)), (
+                assert same_bits(rows_first(batch, field), getattr(oracle, field)), (
                     name, sweep, field
                 )
 

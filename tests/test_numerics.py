@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-import oracles
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import logsumexp
@@ -17,12 +16,8 @@ from mgctm.numerics import (
     dirichlet_objective,
     log_gamma,
     log_normalize,
-    log_normalize_scaled,
     log_normalize_with_norm,
-    max_last,
-    multiply_last,
     scale0,
-    sum_last,
 )
 
 
@@ -169,19 +164,6 @@ def short_axis_arrays(seed):
 
 
 class TestShortAxisReductions:
-    def test_sum_last_has_numpy_sum_bits(self):
-        for seed in range(3):
-            for x in short_axis_arrays(seed):
-                want = x.sum(axis=-1)
-                got = sum_last(x)
-                assert got.shape == want.shape
-                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), x.shape
-
-    def test_max_last_has_numpy_max_values(self):
-        for seed in range(3):
-            for x in short_axis_arrays(seed):
-                np.testing.assert_array_equal(max_last(x), x.max(axis=-1))
-
     def test_log_normalize_on_short_axis_matches_reduction(self):
         rng = np.random.default_rng(5)
         for k in range(1, 12):
@@ -190,6 +172,22 @@ class TestShortAxisReductions:
             p = np.exp(logs - m)
             want = p / p.sum(axis=-1, keepdims=True)
             np.testing.assert_array_equal(log_normalize(logs), want)
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_leading_axis_sums_in_index_order(self, axis):
+        # the E-step normalizes along the leading topic axes, where the
+        # normalizer adds its terms one after another, at any length
+        rng = np.random.default_rng(7)
+        for k in range(1, 13):
+            logs = rng.normal(size=(3, k, 50) if axis else (k, 50)) * 50.0
+            p, norm = log_normalize_with_norm(logs, axis=axis)
+            m = logs.max(axis=axis)
+            e = np.exp(logs - np.expand_dims(m, axis))
+            total = 0.0
+            for i in range(k):
+                total = total + np.take(e, i, axis=axis)
+            np.testing.assert_array_equal(p, e / np.expand_dims(total, axis))
+            np.testing.assert_array_equal(norm, m + np.log(total))
 
 
 def short_operand(x, rng):
@@ -209,8 +207,8 @@ def with_signed_nans(x, rng):
 
 
 class TestShortAxisElementwise:
-    """The short-axis kernels against NumPy's broadcast, bit for bit, for
-    last axes of 1-12 entries (every path of each)."""
+    """scale0 against a masked product, bit for bit, on axes of 1-12
+    entries with signed zeros, infinities and NaNs."""
 
     def cases(self):
         for seed in range(3):
@@ -224,37 +222,24 @@ class TestShortAxisElementwise:
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes(), got.shape
 
-    def test_multiply_last_keeps_operand_order(self):
-        for x, m in self.cases():
-            with np.errstate(invalid="ignore"):
-                self.same_bits(multiply_last(m, x), m[..., None] * x)
-                self.same_bits(multiply_last(x, m), x * m[..., None])
-
-    def test_scale0_per_row_has_broadcast_bits(self):
-        # c = 0 against x = -inf gives 0; c is a scale, so >= 0 or NaN
+    def test_scale0_has_masked_product_bits(self):
+        # c = 0 against x = -inf gives 0; c is a scale, so >= 0 or NaN; c
+        # broadcasts over x's last axis, over its first, or has x's shape
         for x, m in self.cases():
             c = np.array(np.abs(m))
             c[np.isinf(c)] = 0.0
             x = x.copy()
             x[..., 0] = np.where(c == 0, -np.inf, x[..., 0])
-            got = scale0(c, x)
-            self.same_bits(got, oracles.broadcast_scale0(c[..., None], x))
-            assert (got[..., 0][c == 0] == 0).all()
-
-    def test_log_normalize_scaled_has_broadcast_bits(self):
-        rng = np.random.default_rng(67)
-        for k in range(1, 13):
-            x = rng.normal(size=(40, 3, k)) * 30.0
-            x[rng.random(x.shape) < 0.1] = -np.inf
-            x[..., 0] = rng.normal(size=(40, 3))  # one finite entry per row
-            s = rng.uniform(0.0, 2.0, size=(40, 3))
-            s[rng.random(s.shape) < 0.2] = 0.0
-            p, norm = log_normalize_scaled(s, x)
-            want_p, want_norm = log_normalize_with_norm(
-                oracles.broadcast_scale0(s[..., None], x)
-            )
-            self.same_bits(p, want_p)
-            self.same_bits(norm, want_norm)
+            for c_b, x_b in (
+                (c[..., None], x),
+                (c, np.moveaxis(x, -1, 0).copy()),
+                (np.broadcast_to(c[..., None], x.shape).copy(), x),
+            ):
+                got = scale0(c_b, x_b)
+                with np.errstate(invalid="ignore"):
+                    want = c_b * np.where(c_b > 0, x_b, 0.0)
+                self.same_bits(got, want)
+            assert (scale0(c[..., None], x)[..., 0][c == 0] == 0).all()
 
     def test_covers_every_short_length(self):
         lengths = {x.shape[-1] for x, _ in self.cases()}
