@@ -98,8 +98,8 @@ class _LdaBatch(_WorkingSet):
 
     ``store`` holds the corpus in CSR form (``doc_ptr``, ``words``,
     ``counts``) beside the corpus-wide state: ``gamma`` (D, T) and
-    ``phi`` (rows, T). ``log_beta`` is the log topics, term-major, and
-    ``beta`` the topics, term-major (``exp(log_beta)`` when not given).
+    ``phi`` (rows, T). ``beta`` is the topics, term-major, and
+    ``log_beta`` their log.
 
     A sweep keeps phi in scaled form, the E[log theta] it was drawn from
     and each row's normalizer; ``phi`` forms it from them on first read,
@@ -111,13 +111,13 @@ class _LdaBatch(_WorkingSet):
     STATE = ("gamma", "phi")
     _phi_elog = _norm = None  # set by a sweep
 
-    def __init__(self, alpha, log_beta, store, docs, beta=None):
+    def __init__(self, alpha, beta, log_beta, store, docs):
         super().__init__(store, docs)
         self.alpha = alpha
         self.log_beta = log_beta
         self.words = store.words[self.rows]
         # np.take: a row gather ~10x faster than fancy indexing at few topics
-        self.b = np.take(np.exp(log_beta) if beta is None else beta, self.words, axis=0)
+        self.b = np.take(beta, self.words, axis=0)
         self.elog = _elog_dir(self.gamma)
 
     def _set_bounds(self, bounds):
@@ -282,7 +282,7 @@ def fit_lda(
     # contiguous; the M-step rewrites topics, beta and log_beta in place
     beta = topics.T.copy()
     log_beta = _safe_log(beta)
-    batch = partial(_LdaBatch, alpha, log_beta, store, beta=beta)
+    batch = partial(_LdaBatch, alpha, beta, log_beta, store)
 
     def bound():
         doc_bounds = np.concatenate([batch(d).bound() for d in _batch_slices(num_docs)])

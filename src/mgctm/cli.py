@@ -310,10 +310,13 @@ def cmd_topics(ns):
         ids = top_words(params, scope, topic, cluster=cluster, n=ns.top_n)
         return " ".join(vocab.tokens[i] for i in ids)
 
+    # every line is made before the first is printed, so a refused
+    # --top-n prints nothing
+    lines = []
     if ns.scope in ("all", "global"):
-        print("# global topics")
+        lines.append("# global topics")
         for t in range(params.num_global_topics):
-            print(f"topic {t}: {words('global', t)}")
+            lines.append(f"topic {t}: {words('global', t)}")
     if ns.scope in ("all", "local"):
         clusters = (
             [ns.cluster]
@@ -321,9 +324,10 @@ def cmd_topics(ns):
             else range(params.num_clusters)
         )
         for j in clusters:
-            print(f"# cluster {j} local topics")
+            lines.append(f"# cluster {j} local topics")
             for t in range(params.local_topics_per_cluster):
-                print(f"topic {t}: {words('local', t, cluster=j)}")
+                lines.append(f"topic {t}: {words('local', t, cluster=j)}")
+    print("\n".join(lines))
     return 0
 
 
@@ -396,6 +400,8 @@ def cmd_bench(ns):
             raise CliError(f"--seeds must be integers: {exc}") from exc
         if not seeds:
             raise CliError("--seeds selected nothing")
+        if min(seeds) < 0:
+            raise CliError("--seeds entries must be >= 0")
     k = ns.clusters if ns.clusters is not None else len(np.unique(truth))
 
     # only the k-means seed changes between runs, so tf-idf is built once
@@ -448,6 +454,8 @@ def main(argv=None):
         return exc.code
     try:
         _apply_config(ns, _flag_actions(parser, ns.command))
+        if ns.seed < 0:
+            raise CliError("--seed must be >= 0")
         return _COMMANDS[ns.command](ns)
     except (
         CliError,

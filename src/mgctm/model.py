@@ -67,6 +67,8 @@ class HyperConfig:
             raise ConfigError("elbo_rel_tol must be finite and >= 0")
         if self.prior_update not in ("every_iter", "fixed"):
             raise ConfigError(f"unknown prior_update {self.prior_update!r}")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
 
 def _check_rows_stochastic(mat, name):
@@ -648,10 +650,15 @@ def random_model_params(
 
     Topic rows are drawn from a sparse Dirichlet so each topic puts most
     of its mass on a few words; gamma is set so that on average
-    ``local_fraction`` of the words take the local pathway.
+    ``local_fraction`` of the words take the local pathway. A shape below
+    1 or a negative seed raises ConfigError.
     """
-    rng = np.random.default_rng(seed)
     j, k, r, v = num_clusters, local_topics_per_cluster, num_global_topics, vocab_size
+    if min(j, k, r, v) < 1:
+        raise ConfigError("clusters, local topics, global topics and vocab size must be >= 1")
+    if seed < 0:
+        raise ConfigError("seed must be >= 0")
+    rng = np.random.default_rng(seed)
     strength = 8.0
     return ModelParams(
         pi=np.full(j, 1.0 / j),
@@ -676,8 +683,11 @@ def top_words(params, scope, topic, cluster=None, n=10):
         scope: "local" (requires ``cluster``) or "global".
         topic: topic index within the scope.
         cluster: cluster index for local topics.
-        n: number of words to return; capped at the vocabulary size.
+        n: number of words to return; capped at the vocabulary size. A
+            negative n raises ConfigError.
     """
+    if n < 0:
+        raise ConfigError("top_words needs n >= 0")
     if scope == "local":
         if cluster is None:
             raise IndexError("local topics need a cluster index")

@@ -279,7 +279,7 @@ class TestLdaMatchesReference:
         store = SimpleNamespace(
             doc_ptr=bounds, words=np.concatenate(docs), counts=c, gamma=gamma, phi=phi
         )
-        batch = _LdaBatch(alpha, log_beta, store, slice(0, len(docs)))
+        batch = _LdaBatch(alpha, topics.T, log_beta, store, slice(0, len(docs)))
         np.testing.assert_array_equal(batch.elog, oracles.dir_elog(gamma))
         for _ in range(5):
             bound = batch.sweep()

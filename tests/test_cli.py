@@ -155,6 +155,51 @@ class TestSynth:
         assert "--docs is required" in err
 
 
+class TestRefusedSeedsAndShapes:
+    """A negative seed or an empty synth shape exits 2 with one stderr
+    line, before any output file is written."""
+
+    def refused(self, capsys, argv, outputs, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and message in err, err
+        assert not [path for path in outputs if os.path.exists(path)]
+
+    def test_train(self, tmp_path, capsys):
+        argv, model_path, _ = TestTrain().train_args(tmp_path, capsys, seed=-1)
+        self.refused(capsys, argv, [model_path], "--seed must be >= 0")
+
+    def test_eval(self, tmp_path, capsys):
+        paths = write_two_block_corpus(tmp_path)
+        argv = [
+            "eval", "--method", "kmeans", "--corpus", paths["bow"],
+            "--labels", paths["labels"], "--seed", "-1",
+        ]
+        self.refused(capsys, argv, [], "--seed must be >= 0")
+
+    @pytest.mark.parametrize(
+        "over, message",
+        [
+            ({"seed": -1}, "--seed must be >= 0"),
+            ({"clusters": 0}, "must be >= 1"),
+            ({"vocab_size": 0}, "must be >= 1"),
+        ],
+    )
+    def test_synth(self, tmp_path, capsys, over, message):
+        argv, paths = synth_args(tmp_path, **over)
+        self.refused(capsys, argv, list(paths.values()), message)
+
+    def test_bench(self, tmp_path, capsys):
+        paths = write_two_block_corpus(tmp_path)
+        out = str(tmp_path / "r.tsv")
+        argv = [
+            "bench", "--corpus", paths["bow"], "--labels", paths["labels"],
+            "--methods", "kmeans", "--seeds=1,-1", "--out", out,
+        ]
+        self.refused(capsys, argv, [out], "--seeds entries must be >= 0")
+
+
 class TestTrain:
     def train_args(self, tmp_path, capsys, model="model.json", **over):
         argv, paths = synth_args(tmp_path)
@@ -590,6 +635,19 @@ class TestTopics:
             "topic 0: dog cat",
             "",
         ]
+
+    def test_negative_top_n_rejected(self, tmp_path, capsys):
+        model_path, vocab_path = self.make_model(tmp_path)
+        code, out, err = run(
+            capsys,
+            "topics",
+            "--model", model_path,
+            "--vocab", vocab_path,
+            "--top-n", "-1",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: top_words needs n >= 0\n"
 
     def test_scope_global_only(self, tmp_path, capsys):
         model_path, vocab_path = self.make_model(tmp_path)

@@ -618,6 +618,49 @@ class TestInferDocStates:
         assert all((st.tau == 0.5).all() and (st.zeta == 0.5).all() for st in states)
 
 
+class TestThreadsAtLongAxes:
+    """Two threads give the bits of one at J, K and R all >= 8, where every
+    topic-axis sum has 8 or more terms."""
+
+    def run(self, monkeypatch, threads):
+        # (fitted params, training states, trace, held-out states, the
+        # sweep counts of every E-step call by batch)
+        counts = {}
+
+        def recording(work, start, sweeps):
+            first = work.docs.start
+            ran = _coordinate_ascent(work, start, sweeps)
+            counts.setdefault(first, []).append(ran)
+            return ran
+
+        monkeypatch.setattr(inference_mod, "BATCH_DOCS", 4)
+        monkeypatch.setattr(inference_mod, "_coordinate_ascent", recording)
+        params = random_model_params(8, 9, 9, 40, seed=71)
+        corpus, _ = sample_corpus(params, 14, lambda rng: int(rng.integers(5, 30)), seed=71)
+        cfg = HyperConfig(8, 9, 9, max_em_iters=2, e_step_iters=6, elbo_rel_tol=0.0, seed=71)
+        fitted, states, report = fit(cfg, corpus, threads=threads)
+        held = infer_doc_states(fitted, corpus, sweeps=15, threads=threads)
+        return fitted, states, report.elbo_trace, held, counts
+
+    def test_fit_and_infer_doc_states(self, monkeypatch):
+        one = self.run(monkeypatch, None)
+        two = self.run(monkeypatch, 2)
+        for name in ("pi", "local_priors", "global_prior", "local_topics", "global_topics"):
+            assert same_bits(getattr(one[0], name), getattr(two[0], name)), name
+        assert same_bits(one[2], two[2])
+        for got, want in zip(one[1] + one[3], two[1] + two[3]):
+            for field in STATE_FIELDS:
+                assert same_bits(getattr(got, field), getattr(want, field)), field
+        assert one[4].keys() == two[4].keys() and len(one[4]) == 4
+        for first, ran in one[4].items():
+            assert len(ran) == len(two[4][first]) == 3  # 2 EM iterations, 1 inference
+            for a, b in zip(ran, two[4][first]):
+                np.testing.assert_array_equal(a, b)
+        # documents stopped early, at different sweeps
+        held_ran = np.concatenate([ran[-1] for ran in one[4].values()])
+        assert (held_ran < 15).any() and np.unique(held_ran).size > 1
+
+
 def working_set(kind):
     """(store, make, doc fields, row fields): a ragged corpus's store and
     the working set over all of it, for ``_Batch`` or ``_LdaBatch``."""
@@ -636,9 +679,10 @@ def working_set(kind):
         gamma=rng.uniform(0.1, 3.0, (corpus.num_docs, num_topics)),
         phi=rng.dirichlet(np.ones(num_topics), size=words.size),
     )
-    log_beta = np.log(rng.dirichlet(np.ones(corpus.vocab_size), size=num_topics)).T
+    beta = rng.dirichlet(np.ones(corpus.vocab_size), size=num_topics).T
+    log_beta = np.log(beta)
     docs = slice(0, corpus.num_docs)
-    return store, lambda: _LdaBatch(0.1, log_beta, store, docs), ("gamma",), ("phi",)
+    return store, lambda: _LdaBatch(0.1, beta, log_beta, store, docs), ("gamma",), ("phi",)
 
 
 def store_layout(work, names):

@@ -46,6 +46,7 @@ class TestHyperConfig:
             {"elbo_rel_tol": float("nan")},
             {"elbo_rel_tol": float("inf")},
             {"prior_update": "sometimes"},
+            {"seed": -1},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -67,6 +68,22 @@ class TestModelParams:
         assert params.num_global_topics == 2
         assert params.vocab_size == 6
         np.testing.assert_allclose(params.gamma, [6.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "shape, seed, message",
+        [
+            ((0, 2, 2, 6), 0, "must be >= 1"),
+            ((2, 0, 2, 6), 0, "must be >= 1"),
+            ((2, 2, 0, 6), 0, "must be >= 1"),
+            ((2, 2, 2, 0), 0, "must be >= 1"),
+            ((2, 2, 2, 6), -1, "seed must be >= 0"),
+        ],
+    )
+    def test_random_model_params_rejects_empty_shape_and_negative_seed(
+        self, shape, seed, message
+    ):
+        with pytest.raises(ConfigError, match=message):
+            random_model_params(*shape, seed=seed)
 
     def test_bad_pi_rejected(self):
         params = tiny_params()
@@ -623,6 +640,13 @@ class TestTopWords:
     def test_n_capped_at_vocab(self):
         params = self.make_params()
         assert len(top_words(params, "global", 0, n=99)) == 4
+
+    def test_negative_n_rejected(self):
+        # a negative slice end would drop the least probable words instead
+        params = self.make_params()
+        assert top_words(params, "global", 0, n=0) == []
+        with pytest.raises(ConfigError, match="n >= 0"):
+            top_words(params, "global", 0, n=-1)
 
     def test_errors(self):
         params = self.make_params()

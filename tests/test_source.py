@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from mgctm.inference import E_STEP_BLOCKS
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "mgctm"
 
 
@@ -35,6 +37,34 @@ def used_names(tree):
             yield node.id
         elif isinstance(node, ast.Attribute):
             yield node.attr
+
+
+def class_level_names(tree):
+    """(class, name) for the methods and attributes each class body binds."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for name in module_level_names(node):
+                yield node.name, name
+
+
+def test_every_private_method_and_class_attribute_is_used():
+    # ``_Batch.update`` reaches ``_update_<block>`` through getattr, so the
+    # blocks of E_STEP_BLOCKS count as uses of those methods
+    uses = Counter("_update_" + block for block in E_STEP_BLOCKS)
+    private = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        private += [
+            (path.name, cls, name)
+            for cls, name in class_level_names(tree)
+            if name.startswith("_") and not name.startswith("__")
+        ]
+        uses.update(used_names(tree))
+    assert private, "no private methods found; is SRC right?"
+    unused = [f"{module}: {cls}.{name}" for module, cls, name in private if not uses[name]]
+    assert not unused, "private methods and attributes never used in src/: " + ", ".join(
+        unused
+    )
 
 
 def test_every_private_module_level_name_is_used():
