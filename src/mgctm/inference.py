@@ -159,12 +159,6 @@ def _subset(index, keep):
     return index[keep]
 
 
-def _move_rows(a, source, destination):
-    # a with its axis ``source`` moved to ``destination``, C-contiguous;
-    # ``a`` itself when nothing moves and it is contiguous already
-    return np.ascontiguousarray(np.moveaxis(a, source, destination))
-
-
 class _WorkingSet:
     """E-step documents, terms end to end, for ``_coordinate_ascent``.
 
@@ -174,9 +168,10 @@ class _WorkingSet:
     from a store (anything with CSR ``doc_ptr``/``words``/``counts`` and
     those arrays, documents or rows along their first axis) and written
     back by ``scatter`` once ``validate`` passes. With ``ROW_AXIS`` 0
-    they are views of the store, otherwise copies with the store's first
-    axis moved there. ``docs`` and ``rows`` locate the set in the store:
-    slices at first, index arrays once ``compact`` drops documents.
+    they are views of the store, otherwise contiguous copies with the
+    store's first axis moved there. ``docs`` and ``rows`` locate the set
+    in the store: slices at first, index arrays once ``compact`` drops
+    documents.
     """
 
     ROW_AXIS = 0
@@ -190,8 +185,8 @@ class _WorkingSet:
         self.rows = slice(ptr[0], ptr[-1])
         self.counts = store.counts[self.rows]
         for name in self.STATE:
-            value = getattr(store, name)[self._index(name)]
-            setattr(self, name, _move_rows(value, 0, self.ROW_AXIS))
+            value = np.moveaxis(getattr(store, name)[self._index(name)], 0, self.ROW_AXIS)
+            setattr(self, name, np.ascontiguousarray(value))
         self._set_bounds(ptr - ptr[0])
 
     def _index(self, name):
@@ -222,8 +217,9 @@ class _WorkingSet:
         self._set_bounds(np.concatenate([[0], np.cumsum(sizes)]))
 
     def validate(self):
-        """The STATE arrays in the store's layout, by name; no check here."""
-        return {name: _move_rows(getattr(self, name), self.ROW_AXIS, 0) for name in self.STATE}
+        """The STATE arrays as views in the store's layout, by name; no
+        check here."""
+        return {name: np.moveaxis(getattr(self, name), self.ROW_AXIS, 0) for name in self.STATE}
 
     def scatter(self):
         """Check the working set, then write its state into the store."""
@@ -475,7 +471,7 @@ class _Batch(_WorkingSet):
 
     def validate(self):
         """DocVariational.validate on every document, in one vectorized pass
-        over the state in the store's layout; returns that state."""
+        over views of the state in the store's layout; returns them."""
         state = super().validate()
         validate_flat(SimpleNamespace(seg=self.seg, **state))
         return state

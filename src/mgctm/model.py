@@ -234,10 +234,15 @@ def validate_flat(flat):
 
     ``flat`` has a VariationalStore's seven state arrays (``zeta``,
     ``lam``, ``mu_l``, ``mu_g``, ``tau``, ``phi_l``, ``phi_g``) and
-    ``seg`` (the document of each row): a VariationalStore or an E-step
-    working set. The conditions are validate's, with sums of the same
-    bits; ``|s - 1| <= SIMPLEX_ATOL`` is ``np.isclose(s, 1, rtol=0,
-    atol=SIMPLEX_ATOL)``, NaN and infinities included. Each condition is
+    ``seg`` (the document of each row): a VariationalStore, or views in
+    its layout of an E-step working set's state. The conditions are
+    validate's; ``|s - 1| <= SIMPLEX_ATOL`` is ``np.isclose(s, 1,
+    rtol=0, atol=SIMPLEX_ATOL)``, NaN and infinities included. On a
+    store the sums have validate's bits. On views of a working set that
+    keeps its rows last, NumPy adds them in index order: validate's bits
+    below 8 entries, and from 8 on a sum that may differ from validate's
+    in the last bits, so that only a sum within a few ulps of the
+    tolerance could be judged otherwise. Each condition is
     checked on its whole array first and traced to its documents only
     when it fails somewhere. Should any document fail, validate itself
     runs on the first one, so the error raised, text included, is
