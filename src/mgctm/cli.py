@@ -305,18 +305,17 @@ def cmd_topics(ns):
         )
     if ns.cluster is not None and not 0 <= ns.cluster < params.num_clusters:
         raise CliError(f"--cluster {ns.cluster} out of range")
+    if ns.top_n < 0:
+        raise CliError("--top-n must be >= 0")
 
     def words(scope, topic, cluster=None):
         ids = top_words(params, scope, topic, cluster=cluster, n=ns.top_n)
         return " ".join(vocab.tokens[i] for i in ids)
 
-    # every line is made before the first is printed, so a refused
-    # --top-n prints nothing
-    lines = []
     if ns.scope in ("all", "global"):
-        lines.append("# global topics")
+        print("# global topics")
         for t in range(params.num_global_topics):
-            lines.append(f"topic {t}: {words('global', t)}")
+            print(f"topic {t}: {words('global', t)}")
     if ns.scope in ("all", "local"):
         clusters = (
             [ns.cluster]
@@ -324,10 +323,9 @@ def cmd_topics(ns):
             else range(params.num_clusters)
         )
         for j in clusters:
-            lines.append(f"# cluster {j} local topics")
+            print(f"# cluster {j} local topics")
             for t in range(params.local_topics_per_cluster):
-                lines.append(f"topic {t}: {words('local', t, cluster=j)}")
-    print("\n".join(lines))
+                print(f"topic {t}: {words('local', t, cluster=j)}")
     return 0
 
 

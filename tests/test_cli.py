@@ -647,7 +647,7 @@ class TestTopics:
         )
         assert code == 2
         assert out == ""
-        assert err == "error: top_words needs n >= 0\n"
+        assert err == "error: --top-n must be >= 0\n"
 
     def test_scope_global_only(self, tmp_path, capsys):
         model_path, vocab_path = self.make_model(tmp_path)
