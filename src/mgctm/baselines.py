@@ -103,13 +103,14 @@ class _LdaBatch(_WorkingSet):
 
     A sweep keeps phi in scaled form, the E[log theta] it was drawn from
     and each row's normalizer; ``phi`` forms it from them on first read,
-    which for a sweeping document is when it is written back.
+    which for a sweeping document is when it is written back. Before the
+    first sweep ``phi`` is the store's.
     """
 
     DOC_FIELDS = ("gamma", "elog", "_phi_elog")
     ROW_FIELDS = ("words", "b", "counts", "_norm", "_phi")
     STATE = ("gamma", "phi")
-    _phi_elog = _norm = None  # set by a sweep
+    _phi_elog = _norm = _phi = None  # set by a sweep
 
     def __init__(self, alpha, beta, log_beta, store, docs):
         super().__init__(store, docs)
@@ -128,7 +129,7 @@ class _LdaBatch(_WorkingSet):
     @property
     def phi(self):
         if self._phi is None:
-            self._phi = self._form_phi()
+            self._phi = self._gather("phi") if self._phi_elog is None else self._form_phi()
         return self._phi
 
     @phi.setter

@@ -30,11 +30,12 @@ one early-exit loop (``_coordinate_ascent``) both E-steps, on batches of
 a fixed number of documents, so results are bitwise independent of the
 thread count. A batch is a ``_WorkingSet`` (``_Batch`` here, the LDA
 one in ``baselines``) over a contiguous slice of a store's documents,
-written back by ``scatter``. ``_Batch`` copies its state out of the
-store with the topic axes first and the document or row axis last, so
-every block is plain broadcasting against that trailing axis plus
-reductions over axis 0 or 1, which NumPy adds in index order whatever
-the topic counts. A row-to-document index broadcasts per-document
+written back by ``scatter``. ``_Batch`` copies each state array out of
+the store when it first reads it, with the topic axes first and the
+document or row axis last; the phi blocks replace phi unread, so an
+E-step given its start bounds never copies phi. Every block is plain
+broadcasting against that trailing axis plus reductions over axis 0 or
+1, which NumPy adds in index order whatever the topic counts. A row-to-document index broadcasts per-document
 quantities to the rows (``np.take`` along it, several times faster than
 fancy indexing), and segment sums collect row quantities per document.
 Each bound pass gives every document's bound too, and the next E-step
@@ -167,11 +168,12 @@ class _WorkingSet:
     ``seg`` maps rows to documents. ``STATE`` names the fields gathered
     from a store (anything with CSR ``doc_ptr``/``words``/``counts`` and
     those arrays, documents or rows along their first axis) and written
-    back by ``scatter`` once ``validate`` passes. With ``ROW_AXIS`` 0
-    they are views of the store, otherwise contiguous copies with the
-    store's first axis moved there. ``docs`` and ``rows`` locate the set
-    in the store: slices at first, index arrays once ``compact`` drops
-    documents.
+    back by ``scatter`` once ``validate`` passes. A state field is
+    gathered when first read, so one that a block replaces unread is
+    never gathered: with ``ROW_AXIS`` 0 as a view of the store, otherwise
+    as a contiguous copy with the store's first axis moved there.
+    ``docs`` and ``rows`` locate the set in the store: slices at first,
+    index arrays once ``compact`` drops documents.
     """
 
     ROW_AXIS = 0
@@ -184,10 +186,20 @@ class _WorkingSet:
         self.docs = docs
         self.rows = slice(ptr[0], ptr[-1])
         self.counts = store.counts[self.rows]
-        for name in self.STATE:
-            value = np.moveaxis(getattr(store, name)[self._index(name)], 0, self.ROW_AXIS)
-            setattr(self, name, np.ascontiguousarray(value))
         self._set_bounds(ptr - ptr[0])
+
+    def __getattr__(self, name):
+        # only reached for an attribute not set: a state field not yet read
+        if name not in type(self).STATE:
+            raise AttributeError(name)
+        value = self._gather(name)
+        setattr(self, name, value)
+        return value
+
+    def _gather(self, name):
+        # state field ``name`` of the set, from the store
+        value = np.moveaxis(getattr(self.store, name)[self._index(name)], 0, self.ROW_AXIS)
+        return np.ascontiguousarray(value)
 
     def _index(self, name):
         # where field ``name`` of the set sits in the store
@@ -210,20 +222,21 @@ class _WorkingSet:
         self.rows = _subset(self.rows, rows)
         for names, index in ((self.DOC_FIELDS, keep), (self.ROW_FIELDS, rows)):
             for name in names:
-                value = getattr(self, name)
-                if value is not None:  # a field not yet computed stays unset
+                value = vars(self).get(name)
+                if value is not None:  # a field not yet read or computed stays unset
                     setattr(self, name, np.compress(index, value, axis=self.ROW_AXIS))
         sizes = np.diff(self.bounds)[keep]
         self._set_bounds(np.concatenate([[0], np.cumsum(sizes)]))
 
-    def validate(self):
-        """The STATE arrays as views in the store's layout, by name; no
-        check here."""
-        return {name: np.moveaxis(getattr(self, name), self.ROW_AXIS, 0) for name in self.STATE}
+    def validate(self, state):
+        """Check ``state``, the STATE arrays by name in the store's layout,
+        before ``scatter`` writes it; no check here."""
 
     def scatter(self):
         """Check the working set, then write its state into the store."""
-        for name, value in self.validate().items():
+        state = {name: np.moveaxis(getattr(self, name), self.ROW_AXIS, 0) for name in self.STATE}
+        self.validate(state)
+        for name, value in state.items():
             getattr(self.store, name)[self._index(name)] = value
 
     def write_back(self, done):
@@ -469,12 +482,10 @@ class _Batch(_WorkingSet):
     def bound(self):
         return self.bound_terms().sum(axis=1)
 
-    def validate(self):
+    def validate(self, state):
         """DocVariational.validate on every document, in one vectorized pass
-        over views of the state in the store's layout; returns them."""
-        state = super().validate()
+        over ``state``."""
         validate_flat(SimpleNamespace(seg=self.seg, **state))
-        return state
 
 
 def _coordinate_ascent(work, start, sweeps, rel_tol=DOC_SWEEP_REL_TOL):

@@ -1183,7 +1183,6 @@ class TestBatchValidation:
         want = validate_error(states[doc].validate)
         if not name.endswith(("NaN", "tolerance")):
             assert want is not None
-        assert validate_error(batch_of(params, docs, states).validate) == want
         assert validate_error(batch_of(params, docs, states).scatter) == want
         assert validate_error(_as_store(params, docs, states).validate) == want
 
@@ -1194,7 +1193,7 @@ class TestBatchValidation:
         CORRUPTIONS["tau below 0"](states[2])
         want = validate_error(states[2].validate)
         assert want == "tau entries must lie in [0, 1]"
-        assert validate_error(batch_of(params, docs, states).validate) == want
+        assert validate_error(batch_of(params, docs, states).scatter) == want
         assert validate_error(_as_store(params, docs, states).validate) == want
 
     def test_random_perturbations_match_validate(self):
@@ -1215,7 +1214,7 @@ class TestBatchValidation:
             errors = [validate_error(st.validate) for st in states]
             want = next((e for e in errors if e is not None), None)
             verdicts.add(want is None)
-            assert validate_error(batch_of(params, docs, states).validate) == want
+            assert validate_error(batch_of(params, docs, states).scatter) == want
             assert validate_error(_as_store(params, docs, states).validate) == want
         assert verdicts == {True, False}
 
@@ -1283,9 +1282,9 @@ class TestValidateFlatInjections:
             corrupt(states[doc], field)
             want = validate_error(states[doc].validate)
             verdicts.add(want is None)
-            for make in (batch_of, _as_store):
+            for make, check in ((batch_of, "scatter"), (_as_store, "validate")):
                 got, seen = self.checked_docs(
-                    monkeypatch, make(params, docs, states).validate
+                    monkeypatch, getattr(make(params, docs, states), check)
                 )
                 assert got == want, (kind, make.__name__)
                 assert seen == ([] if want is None else [doc]), (kind, make.__name__)
