@@ -742,6 +742,25 @@ class TestWorkingSet:
         # the sweeps moved finished documents, so the check has teeth
         assert moved >= 3
 
+    def test_state_is_gathered_when_first_read(self):
+        # the phi blocks replace phi unread, so a sweep from a store whose
+        # phi is NaN leaves the same state as one from the real phi
+        store, make, doc_names, row_names = working_set("mgctm")
+        want = make()
+        assert not set(_Batch.STATE) & set(vars(want))
+        want.sweep()
+        for name in ("phi_l", "phi_g"):
+            getattr(store, name)[...] = np.nan
+        got = make()
+        got.sweep()
+        for name in _Batch.STATE:
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        # a field read before any block sets it is the store's, moved
+        fresh = make()
+        stored = store_layout(fresh, doc_names + row_names)
+        for name in doc_names + row_names:
+            assert getattr(stored, name).tobytes() == getattr(store, name).tobytes(), name
+
 
 def returned_states():
     # (name, states) from every function that hands out states as views
