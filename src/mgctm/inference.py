@@ -35,9 +35,10 @@ the store when it first reads it, with the topic axes first and the
 document or row axis last; the phi blocks replace phi unread, so an
 E-step given its start bounds never copies phi. Every block is plain
 broadcasting against that trailing axis plus reductions over axis 0 or
-1, which NumPy adds in index order whatever the topic counts. A row-to-document index broadcasts per-document
-quantities to the rows (``np.take`` along it, several times faster than
-fancy indexing), and segment sums collect row quantities per document.
+1, which NumPy adds in index order whatever the topic counts. A
+row-to-document index broadcasts per-document quantities to the rows
+(``np.take`` along it, several times faster than fancy indexing), and
+segment sums collect row quantities per document.
 Each bound pass gives every document's bound too, and the next E-step
 starts from those. Held-out documents all start from one symmetric
 state, whose bound is a closed form in the counts
