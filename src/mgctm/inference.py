@@ -30,24 +30,23 @@ one early-exit loop (``_coordinate_ascent``) both E-steps, on batches of
 a fixed number of documents, so results are bitwise independent of the
 thread count. A batch is a ``_WorkingSet`` (``_Batch`` here, the LDA
 one in ``baselines``) over a contiguous slice of a store's documents,
-written back by ``scatter``. ``_Batch`` copies each state array out of
-the store when it first reads it, with the topic axes first and the
-document or row axis last; the phi blocks replace phi unread, so an
-E-step given its start bounds never copies phi. Every block is plain
-broadcasting against that trailing axis plus reductions over axis 0 or
-1, which NumPy adds in index order whatever the topic counts. A
-row-to-document index broadcasts per-document quantities to the rows
-(``np.take`` along it, several times faster than fancy indexing), and
-segment sums collect row quantities per document.
+written back by ``scatter``. The store keeps every state array with
+its topic axes first and its document or row axis last, so a batch's
+state arrays are views of it, not copies; the blocks replace them and
+never write into them. Every block is plain broadcasting against that
+trailing axis plus reductions over axis 0 or 1, which NumPy adds in
+index order whatever the topic counts. A row-to-document index
+broadcasts per-document quantities to the rows (``np.take`` along it,
+several times faster than fancy indexing), and segment sums collect row
+quantities per document.
 Each bound pass gives every document's bound too, and the next E-step
 starts from those. Held-out documents all start from one symmetric
 state, whose bound is a closed form in the counts
 (``_symmetric_bounds``), so ``infer_doc_states`` starts without a bound
 pass. A document's sweeps stop once its bound stalls; it is then written
-back (its state moved back to the store's layout and checked,
-vectorized, with exactly ``DocVariational.validate``'s conditions and
-error messages), and the documents still running are gathered into a
-compact working set. The bound after a sweep comes in collapsed form:
+back (its state checked, vectorized, with exactly
+``DocVariational.validate``'s conditions and error messages), and the
+documents still running are gathered into a compact working set. The bound after a sweep comes in collapsed form:
 each phi block is a softmax of scaled row scores, so the entropy of phi
 is its log normalizer minus the scaled expected score, and no second
 pass over the rows is needed.
@@ -58,7 +57,6 @@ import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
-from types import SimpleNamespace
 
 import numpy as np
 from scipy.special import expit, gammaln, psi, xlogy
@@ -166,15 +164,13 @@ class _WorkingSet:
 
     ``DOC_FIELDS`` name the arrays with one entry per document along
     ``ROW_AXIS``, ``ROW_FIELDS`` those with one per (document, term) pair;
-    ``seg`` maps rows to documents. ``STATE`` names the fields gathered
-    from a store (anything with CSR ``doc_ptr``/``words``/``counts`` and
-    those arrays, documents or rows along their first axis) and written
-    back by ``scatter`` once ``validate`` passes. A state field is
-    gathered when first read, so one that a block replaces unread is
-    never gathered: with ``ROW_AXIS`` 0 as a view of the store, otherwise
-    as a contiguous copy with the store's first axis moved there.
-    ``docs`` and ``rows`` locate the set in the store: slices at first,
-    index arrays once ``compact`` drops documents.
+    ``seg`` maps rows to documents. ``STATE`` names the fields taken from
+    a store (anything with CSR ``doc_ptr``/``words``/``counts`` and those
+    arrays, with documents or rows along ``ROW_AXIS`` as in the set) and
+    written back by ``scatter`` once ``validate`` passes. A new set's
+    state fields are views of the store's; the blocks replace them, never
+    writing into them. ``docs`` and ``rows`` locate the set in the store:
+    slices at first, index arrays once ``compact`` drops documents.
     """
 
     ROW_AXIS = 0
@@ -188,23 +184,13 @@ class _WorkingSet:
         self.rows = slice(ptr[0], ptr[-1])
         self.counts = store.counts[self.rows]
         self._set_bounds(ptr - ptr[0])
-
-    def __getattr__(self, name):
-        # only reached for an attribute not set: a state field not yet read
-        if name not in type(self).STATE:
-            raise AttributeError(name)
-        value = self._gather(name)
-        setattr(self, name, value)
-        return value
-
-    def _gather(self, name):
-        # state field ``name`` of the set, from the store
-        value = np.moveaxis(getattr(self.store, name)[self._index(name)], 0, self.ROW_AXIS)
-        return np.ascontiguousarray(value)
+        for name in self.STATE:
+            setattr(self, name, getattr(store, name)[self._index(name)])
 
     def _index(self, name):
         # where field ``name`` of the set sits in the store
-        return self.docs if name in self.DOC_FIELDS else self.rows
+        index = self.docs if name in self.DOC_FIELDS else self.rows
+        return (index, ...) if self.ROW_AXIS == 0 else (..., index)
 
     def _set_bounds(self, bounds):
         # rows of document i are bounds[i]:bounds[i + 1]
@@ -224,21 +210,19 @@ class _WorkingSet:
         for names, index in ((self.DOC_FIELDS, keep), (self.ROW_FIELDS, rows)):
             for name in names:
                 value = vars(self).get(name)
-                if value is not None:  # a field not yet read or computed stays unset
+                if value is not None:  # a field not computed yet stays unset
                     setattr(self, name, np.compress(index, value, axis=self.ROW_AXIS))
         sizes = np.diff(self.bounds)[keep]
         self._set_bounds(np.concatenate([[0], np.cumsum(sizes)]))
 
-    def validate(self, state):
-        """Check ``state``, the STATE arrays by name in the store's layout,
-        before ``scatter`` writes it; no check here."""
+    def validate(self):
+        """Check the state before ``scatter`` writes it; no check here."""
 
     def scatter(self):
         """Check the working set, then write its state into the store."""
-        state = {name: np.moveaxis(getattr(self, name), self.ROW_AXIS, 0) for name in self.STATE}
-        self.validate(state)
-        for name, value in state.items():
-            getattr(self.store, name)[self._index(name)] = value
+        self.validate()
+        for name in self.STATE:
+            getattr(self.store, name)[self._index(name)] = getattr(self, name)
 
     def write_back(self, done):
         """Scatter the documents where ``done`` holds; the set is unchanged."""
@@ -253,15 +237,15 @@ class _Batch(_WorkingSet):
     """The MGCTM working set: documents of a VariationalStore.
 
     Each array keeps its topic axes first, in the parameters' order, and
-    its document or row axis last: zeta (J, n), lam (2, n), mu_l
-    (J, K, n), mu_g (R, n), tau (N,), phi_l (J, K, N), phi_g (R, N) and
-    the log emissions lb_l (J, K, N) and lb_g (R, N). The blocks are
-    broadcasts against the trailing axis and reductions over axis 0 or 1,
-    which add in index order. Document quantities reach the rows by a
-    gather along ``seg``, and row quantities reach the documents by
-    segment sums, so no cell is padding. The block updates replace the
-    ``STATE`` arrays, and ``scatter`` checks them (``validate``) in the
-    store's layout before it writes them back.
+    its document or row axis last, as the store does: zeta (J, n), lam
+    (2, n), mu_l (J, K, n), mu_g (R, n), tau (N,), phi_l (J, K, N), phi_g
+    (R, N) and the log emissions lb_l (J, K, N) and lb_g (R, N). The
+    blocks are broadcasts against the trailing axis and reductions over
+    axis 0 or 1, which add in index order. Document quantities reach the
+    rows by a gather along ``seg``, and row quantities reach the
+    documents by segment sums, so no cell is padding. The block updates
+    replace the ``STATE`` arrays, and ``scatter`` checks them
+    (``validate``) before it writes them back.
 
     The row scores x_l = E[log theta_l][seg] + log beta_l and x_g (the
     same for the global pathway) are built once per value of mu_l and
@@ -483,10 +467,9 @@ class _Batch(_WorkingSet):
     def bound(self):
         return self.bound_terms().sum(axis=1)
 
-    def validate(self, state):
-        """DocVariational.validate on every document, in one vectorized pass
-        over ``state``."""
-        validate_flat(SimpleNamespace(seg=self.seg, **state))
+    def validate(self):
+        """DocVariational.validate on every document, in one vectorized pass."""
+        validate_flat(self)
 
 
 def _coordinate_ascent(work, start, sweeps, rel_tol=DOC_SWEEP_REL_TOL):
@@ -665,7 +648,7 @@ def _symmetric_store(params, docs):
     j_dim = params.num_clusters
     return VariationalStore.symmetric(
         docs,
-        np.full((len(docs), j_dim), 1.0 / j_dim),
+        np.full((j_dim, len(docs)), 1.0 / j_dim),
         params.local_topics_per_cluster,
         params.num_global_topics,
     )
@@ -708,29 +691,28 @@ def m_step(params, states, corpus, config):
     store = _as_store(params, corpus.docs, states)
     j_dim = params.num_clusters
     k_dim = params.local_topics_per_cluster
-    r_dim = params.num_global_topics
     v_dim = params.vocab_size
     num_docs = corpus.num_docs
 
-    zeta_mat = store.zeta
+    # copies documents first, so that the sums over documents add them in order
+    zeta_mat, lam, mu_l, mu_g = (
+        np.moveaxis(a, -1, 0).copy() for a in (store.zeta, store.lam, store.mu_l, store.mu_g)
+    )
     occupancy = zeta_mat.sum(axis=0)
     pi = occupancy / num_docs
 
-    # Accumulate term-major; word ids repeat across documents, so the
-    # scatter must sum repeated indices.
-    beta_l = np.zeros((v_dim, j_dim, k_dim))
-    beta_g = np.zeros((v_dim, r_dim))
-    seg = store.seg
-    for docs in _batch_slices(num_docs):
-        rows = slice(store.doc_ptr[docs.start], store.doc_ptr[docs.stop])
-        words, counts, tau = store.words[rows], store.counts[rows], store.tau[rows]
-        ct = counts * tau
-        cg = counts * (1.0 - tau)
-        local_w = ct[:, None, None] * store.phi_l[rows]
-        np.add.at(beta_l, words, store.zeta[seg[rows]][:, :, None] * local_w)
-        np.add.at(beta_g, words, cg[:, None] * store.phi_g[rows])
-    beta_l = beta_l.transpose(1, 2, 0).copy()
-    beta_g = beta_g.T.copy()
+    # Each topic's expected word counts: np.bincount adds every row's
+    # weight into its word one row after another, as a scatter over all
+    # rows in order would.
+    zeta_rows = np.take(store.zeta, store.seg, axis=-1)
+    ct = store.counts * store.tau
+    cg = store.counts * (1.0 - store.tau)
+    beta_l = np.empty((j_dim, k_dim, v_dim))
+    for j, k in np.ndindex(j_dim, k_dim):
+        beta_l[j, k] = np.bincount(
+            store.words, zeta_rows[j] * (ct * store.phi_l[j, k]), minlength=v_dim
+        )
+    beta_g = np.stack([np.bincount(store.words, cg * phi, minlength=v_dim) for phi in store.phi_g])
 
     beta_l += TOPIC_SMOOTHING
     beta_l /= beta_l.sum(axis=-1, keepdims=True)
@@ -749,9 +731,9 @@ def m_step(params, states, corpus, config):
     global_prior = params.global_prior.copy()
     gamma = params.gamma.copy()
     if config.prior_update == "every_iter":
-        elog_l_docs = _elog_dir(store.mu_l)
-        elog_g_docs = _elog_dir(store.mu_g)
-        elog_w_docs = _elog_dir(store.lam)
+        elog_l_docs = _elog_dir(mu_l)
+        elog_g_docs = _elog_dir(mu_g)
+        elog_w_docs = _elog_dir(lam)
         for j in range(j_dim):
             if empty[j]:
                 continue

@@ -233,23 +233,21 @@ def validate_flat(flat):
     """DocVariational.validate on every document of flat states, vectorized.
 
     ``flat`` has a VariationalStore's seven state arrays (``zeta``,
-    ``lam``, ``mu_l``, ``mu_g``, ``tau``, ``phi_l``, ``phi_g``) and
-    ``seg`` (the document of each row): a VariationalStore, or views in
-    its layout of an E-step working set's state. The conditions are
-    validate's; ``|s - 1| <= SIMPLEX_ATOL`` is ``np.isclose(s, 1,
-    rtol=0, atol=SIMPLEX_ATOL)``, NaN and infinities included. On a
-    store the sums have validate's bits. On views of a working set that
-    keeps its rows last, NumPy adds them in index order: validate's bits
-    below 8 entries, and from 8 on a sum that may differ from validate's
-    in the last bits, so that only a sum within a few ulps of the
-    tolerance could be judged otherwise. Each condition is
-    checked on its whole array first and traced to its documents only
-    when it fails somewhere. Should any document fail, validate itself
-    runs on the first one, so the error raised, text included, is
-    validate's.
+    ``lam``, ``mu_l``, ``mu_g``, ``tau``, ``phi_l``, ``phi_g``), in its
+    layout, and ``seg`` (the document of each row): a VariationalStore or
+    an E-step working set. The conditions are validate's; ``|s - 1| <=
+    SIMPLEX_ATOL`` is ``np.isclose(s, 1, rtol=0, atol=SIMPLEX_ATOL)``,
+    NaN and infinities included. The sums run over a leading axis, which
+    NumPy adds in index order: validate's bits below 8 entries, and from
+    8 on a sum that may differ from validate's in the last bits, so that
+    only a sum within a few ulps of the tolerance could be judged
+    otherwise. Each condition is checked on its whole array first and
+    traced to its documents only when it fails somewhere. Should any
+    document fail, validate itself runs on the first one, so the error
+    raised, text included, is validate's.
     """
     doc_checks = (
-        ~(np.abs(flat.zeta.sum(axis=-1) - 1.0) <= SIMPLEX_ATOL),
+        ~(np.abs(flat.zeta.sum(axis=0) - 1.0) <= SIMPLEX_ATOL),
         flat.zeta < 0,
         flat.lam <= 0,
         flat.mu_l <= 0,
@@ -258,25 +256,25 @@ def validate_flat(flat):
     row_checks = (
         (flat.tau < 0) | (flat.tau > 1),
         flat.phi_l < 0,
-        ~(np.abs(flat.phi_l.sum(axis=-1) - 1.0) <= SIMPLEX_ATOL),
+        ~(np.abs(flat.phi_l.sum(axis=1) - 1.0) <= SIMPLEX_ATOL),
         flat.phi_g < 0,
-        ~(np.abs(flat.phi_g.sum(axis=-1) - 1.0) <= SIMPLEX_ATOL),
+        ~(np.abs(flat.phi_g.sum(axis=0) - 1.0) <= SIMPLEX_ATOL),
     )
-    bad = np.zeros(flat.zeta.shape[0], dtype=bool)
+    bad = np.zeros(flat.zeta.shape[-1], dtype=bool)
     for checks, rows in ((doc_checks, False), (row_checks, True)):
         for failed in checks:
             if failed.any():
-                hit = failed.reshape(failed.shape[0], -1).any(axis=1)
+                hit = failed.reshape(-1, failed.shape[-1]).any(axis=0)
                 bad[flat.seg[hit] if rows else hit] = True
     for i in np.flatnonzero(bad):
         _doc_state(flat, i, flat.seg == i).validate()
 
 
 def _doc_state(flat, i, rows):
-    # document i of flat states, its rows picked by ``rows``
+    # document i of flat states, its rows picked by ``rows``, in DocVariational's layout
     return DocVariational(
-        flat.zeta[i], flat.lam[i], flat.mu_l[i], flat.mu_g[i],
-        flat.tau[rows], flat.phi_l[rows], flat.phi_g[rows],
+        flat.zeta[:, i], flat.lam[:, i], flat.mu_l[..., i], flat.mu_g[:, i],
+        flat.tau[rows], np.moveaxis(flat.phi_l[..., rows], -1, 0), flat.phi_g[:, rows].T,
     )
 
 
@@ -286,11 +284,11 @@ class VariationalStore:
 
     Documents sit in CSR form: document i's distinct terms are rows
     doc_ptr[i]:doc_ptr[i + 1] of ``words`` and ``counts`` (floats). The
-    row arrays ``tau`` (N,), ``phi_l`` (N, J, K) and ``phi_g`` (N, R)
-    follow the same rows; the document arrays ``zeta`` (D, J), ``lam``
-    (D, 2), ``mu_l`` (D, J, K) and ``mu_g`` (D, R) hold one row per
-    document. ``state(i)`` is document i's DocVariational as views of
-    these arrays.
+    state arrays keep topic axes first and rows or documents last, as an
+    E-step working set does, so a set is views of them: ``tau`` (N,),
+    ``phi_l`` (J, K, N) and ``phi_g`` (R, N); ``zeta`` (J, D), ``lam``
+    (2, D), ``mu_l`` (J, K, D) and ``mu_g`` (R, D). ``state(i)`` is
+    document i's DocVariational as views of these arrays, axes moved.
     """
 
     doc_ptr: np.ndarray
@@ -306,20 +304,20 @@ class VariationalStore:
 
     @classmethod
     def symmetric(cls, docs, zeta, num_local, num_global):
-        """Store with the given (D, J) responsibilities, other fields flat."""
+        """Store with the given (J, D) responsibilities, other fields flat."""
         doc_ptr, words, counts = flat_docs(docs)
-        (num_docs, num_clusters), rows = zeta.shape, words.size
+        (num_clusters, num_docs), rows = zeta.shape, words.size
         return cls(
             doc_ptr,
             words,
             counts,
             zeta=zeta,
-            lam=np.ones((num_docs, 2)),
-            mu_l=np.ones((num_docs, num_clusters, num_local)),
-            mu_g=np.ones((num_docs, num_global)),
+            lam=np.ones((2, num_docs)),
+            mu_l=np.ones((num_clusters, num_local, num_docs)),
+            mu_g=np.ones((num_global, num_docs)),
             tau=np.full(rows, 0.5),
-            phi_l=np.full((rows, num_clusters, num_local), 1.0 / num_local),
-            phi_g=np.full((rows, num_global), 1.0 / num_global),
+            phi_l=np.full((num_clusters, num_local, rows), 1.0 / num_local),
+            phi_g=np.full((num_global, rows), 1.0 / num_global),
         )
 
     @classmethod
@@ -354,8 +352,11 @@ class VariationalStore:
         def join(name):
             parts = [getattr(state, name) for state in states]
             if not parts:
-                return np.empty((0,) + shapes[name])
-            return (np.concatenate if name in row_fields else np.stack)(parts)
+                joined = np.empty((0,) + shapes[name])
+            else:
+                joined = (np.concatenate if name in row_fields else np.stack)(parts)
+            # documents or rows last, in C order as the rest of the store
+            return np.moveaxis(joined, 0, -1).copy()
 
         return cls(doc_ptr, words, counts, *map(join, shapes))
 
@@ -384,12 +385,14 @@ class DocStates(list):
 
     def __init__(self, store):
         ptr = store.doc_ptr.tolist()
-        tau, phi_l, phi_g = store.tau, store.phi_l, store.phi_g
+        # each state array as views with its document or row axis first
+        zeta, lam, mu_l, mu_g, tau, phi_l, phi_g = (
+            np.moveaxis(getattr(store, name), -1, 0)
+            for name in ("zeta", "lam", "mu_l", "mu_g", "tau", "phi_l", "phi_g")
+        )
         super().__init__(
-            DocVariational(zeta, lam, mu_l, mu_g, tau[lo:hi], phi_l[lo:hi], phi_g[lo:hi])
-            for zeta, lam, mu_l, mu_g, lo, hi in zip(
-                store.zeta, store.lam, store.mu_l, store.mu_g, ptr[:-1], ptr[1:]
-            )
+            DocVariational(*doc, tau[lo:hi], phi_l[lo:hi], phi_g[lo:hi])
+            for *doc, lo, hi in zip(zeta, lam, mu_l, mu_g, ptr[:-1], ptr[1:])
         )
         self.store = store
 
@@ -533,7 +536,7 @@ def sample_corpus(params, num_docs, doc_length, seed=0):
         num_docs: number of documents to draw (>= 1).
         doc_length: fixed token count per document, or a callable
             rng -> int drawn per document.
-        seed: integer seed; output is deterministic given it.
+        seed: integer seed >= 0; output is deterministic given it.
 
     Returns:
         (Corpus, HiddenAssignments); Corpus documents carry the sampled
@@ -544,6 +547,8 @@ def sample_corpus(params, num_docs, doc_length, seed=0):
         raise ConfigError("sampler needs at least one global topic")
     if num_docs < 1:
         raise ConfigError("num_docs must be >= 1")
+    if seed < 0:
+        raise ConfigError("seed must be >= 0")
     rng = np.random.default_rng(seed)
     # bisect_right on the sorted list is searchsorted(side="right")
     pi_cdf = _choice_cdf(params.pi).tolist()
@@ -631,13 +636,13 @@ def init_model(config, corpus, init_labels=None):
 
     num_docs = corpus.num_docs
     if j == 1:
-        zeta = np.ones((num_docs, 1))
+        zeta = np.ones((1, num_docs))
     elif labels is not None:
-        zeta = np.full((num_docs, j), 0.1 / (j - 1))
-        zeta[np.arange(num_docs), labels] = 0.9
+        zeta = np.full((j, num_docs), 0.1 / (j - 1))
+        zeta[labels, np.arange(num_docs)] = 0.9
     else:
         # the same draws as one rng.dirichlet call per document
-        zeta = rng.dirichlet(np.ones(j), size=num_docs)
+        zeta = rng.dirichlet(np.ones(j), size=num_docs).T.copy()
     return params, DocStates(VariationalStore.symmetric(corpus.docs, zeta, k, r))
 
 

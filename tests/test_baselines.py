@@ -98,6 +98,10 @@ class TestFitLda:
         with pytest.raises(DegenerateInputError):
             fit_lda(Corpus(docs=[], vocab_size=3), 2)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            fit_lda(two_block_corpus(num_docs=4), 2, seed=-1)
+
     @pytest.mark.parametrize(
         "opts", [{"max_em_iters": -1}, {"e_step_iters": -1}, {"elbo_rel_tol": -1e-3}]
     )
@@ -376,6 +380,10 @@ class TestKmeans:
         with pytest.raises(ConfigError):
             kmeans(points, 2, max_iters=0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            kmeans(np.eye(3), 2, seed=-1)
+
     def test_lloyd_cost_trace_never_increases(self):
         rng = np.random.default_rng(2)
         points = np.vstack(
@@ -504,12 +512,21 @@ class TestThetaKmeans:
         assert labels[2] == labels[3]
         assert labels[0] != labels[2]
 
+    def test_negative_seed_rejected(self):
+        model = LdaModel(np.full((2, 4), 0.25), np.ones((3, 2)), 0.1)
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            theta_kmeans(model, 2, seed=-1)
+
 
 class TestLdaKmeans:
     def test_separable_corpus_recovered(self):
         corpus = two_block_corpus(num_docs=40, seed=6)
         labels = lda_kmeans(corpus, 2, num_topics=2, seed=0, max_em_iters=40)
         assert clustering_accuracy(labels, corpus.labels()) >= 0.95
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            lda_kmeans(two_block_corpus(num_docs=4), 2, num_topics=2, seed=-1)
 
     def test_single_cluster(self):
         corpus = two_block_corpus(num_docs=10)

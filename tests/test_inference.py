@@ -1,3 +1,4 @@
+import copy
 import logging
 import math
 from types import SimpleNamespace
@@ -685,19 +686,13 @@ def working_set(kind):
     return store, lambda: _LdaBatch(0.1, beta, log_beta, store, docs), ("gamma",), ("phi",)
 
 
-def store_layout(work, names):
-    # the working set's arrays ``names`` with documents or rows first, as
-    # the store keeps them
-    return SimpleNamespace(
-        **{name: np.moveaxis(getattr(work, name), work.ROW_AXIS, 0) for name in names}
-    )
+def doc_bytes(arrays, axis, doc_names, row_names, i, rows):
+    # document i's state in ``arrays`` (a store or a working set, documents
+    # and rows along ``axis``), as bytes
+    def part(name, index):
+        return np.moveaxis(getattr(arrays, name), axis, 0)[index].tobytes()
 
-
-def doc_bytes(arrays, doc_names, row_names, i, rows):
-    # document i's state in ``arrays`` (a store or a working set), as bytes
-    return [getattr(arrays, name)[i].tobytes() for name in doc_names] + [
-        getattr(arrays, name)[rows].tobytes() for name in row_names
-    ]
+    return [part(name, i) for name in doc_names] + [part(name, rows) for name in row_names]
 
 
 class TestWorkingSet:
@@ -714,6 +709,7 @@ class TestWorkingSet:
         store, make, doc_names, row_names = working_set(kind)
         ptr = store.doc_ptr
         work = make()
+        axis = work.ROW_AXIS
         work.sweep()
         kept = np.arange(work.num_docs) % 3 != 1
         work.compact(kept)
@@ -729,52 +725,69 @@ class TestWorkingSet:
         moved = 0
         for i in range(ptr.size - 1):
             rows = slice(ptr[i], ptr[i + 1])
-            got = doc_bytes(store, doc_names, row_names, i, rows)
-            old = doc_bytes(before, doc_names, row_names, i, rows)
+            got = doc_bytes(store, axis, doc_names, row_names, i, rows)
+            old = doc_bytes(before, axis, doc_names, row_names, i, rows)
             if i in finished:
                 k = finished[i]
                 rows = slice(work.bounds[k], work.bounds[k + 1])
-                stored = store_layout(work, doc_names + row_names)
-                assert got == doc_bytes(stored, doc_names, row_names, k, rows), i
+                assert got == doc_bytes(work, axis, doc_names, row_names, k, rows), i
                 moved += got != old
             else:
                 assert got == old, i
         # the sweeps moved finished documents, so the check has teeth
         assert moved >= 3
 
-    def test_state_is_gathered_when_first_read(self):
+    @pytest.mark.parametrize("kind", ["mgctm", "lda"])
+    def test_state_fields_are_views_of_the_store(self, kind):
+        store, make, doc_names, row_names = working_set(kind)
+        work = make()
+        for name in doc_names + row_names:
+            assert np.shares_memory(getattr(work, name), getattr(store, name)), name
+
+    def test_sweep_reads_no_stored_phi(self):
         # the phi blocks replace phi unread, so a sweep from a store whose
         # phi is NaN leaves the same state as one from the real phi
-        store, make, doc_names, row_names = working_set("mgctm")
+        store, make, _, _ = working_set("mgctm")
         want = make()
-        assert not set(_Batch.STATE) & set(vars(want))
         want.sweep()
+        want = {name: getattr(want, name).tobytes() for name in _Batch.STATE}
         for name in ("phi_l", "phi_g"):
             getattr(store, name)[...] = np.nan
         got = make()
         got.sweep()
         for name in _Batch.STATE:
-            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
-        # a field read before any block sets it is the store's, moved
-        fresh = make()
-        stored = store_layout(fresh, doc_names + row_names)
-        for name in doc_names + row_names:
-            assert getattr(stored, name).tobytes() == getattr(store, name).tobytes(), name
+            assert getattr(got, name).tobytes() == want[name], name
+
+    def test_corpus_bound_leaves_store_unchanged(self):
+        params, corpus = ragged_corpus(41)
+        states = infer_doc_states(params, corpus, sweeps=2)
+        before = copy.deepcopy(states.store)
+        elbo(params, states.store, corpus)
+        for name, value in vars(before).items():
+            assert getattr(states.store, name).tobytes() == value.tobytes(), name
 
 
-def returned_states():
-    # (name, states) from every function that hands out states as views
+STATE_SOURCES = ["infer_doc_states", "fit", "init_model"]
+
+
+def returned_states(source):
+    # (params, corpus, states) from ``source``, one of the functions that
+    # hand out states as views
     params, corpus = ragged_corpus(35)
     cfg = HyperConfig(2, 2, 2, max_em_iters=2, elbo_rel_tol=0.0, seed=5)
-    yield "infer_doc_states", infer_doc_states(params, corpus, sweeps=5)
-    yield "fit", fit(cfg, corpus)[1]
-    yield "init_model", init_model(cfg, corpus)[1]
+    if source == "infer_doc_states":
+        return params, corpus, infer_doc_states(params, corpus, sweeps=5)
+    if source == "fit":
+        fitted, states, _ = fit(cfg, corpus)
+        return fitted, corpus, states
+    initial, states = init_model(cfg, corpus)
+    return initial, corpus, states
 
 
 class TestReturnedStatesAreViews:
-    @pytest.mark.parametrize("source", ["infer_doc_states", "fit", "init_model"])
+    @pytest.mark.parametrize("source", STATE_SOURCES)
     def test_writes_stay_in_their_document(self, source):
-        states = dict(returned_states())[source]
+        states = returned_states(source)[2]
         before = [st.copy() for st in states]
         for i, st in enumerate(states):
             for field in STATE_FIELDS:
@@ -786,12 +799,12 @@ class TestReturnedStatesAreViews:
                 assert (getattr(st, field) == -1.0 - i).all(), (source, i, field)
         # and each write landed in the one store the states share
         np.testing.assert_array_equal(
-            states.store.zeta[:, 0], -1.0 - np.arange(len(states))
+            states.store.zeta[0], -1.0 - np.arange(len(states))
         )
 
-    @pytest.mark.parametrize("source", ["infer_doc_states", "fit", "init_model"])
+    @pytest.mark.parametrize("source", STATE_SOURCES)
     def test_copy_detaches(self, source):
-        states = dict(returned_states())[source]
+        states = returned_states(source)[2]
         detached = states[3].copy()
         kept = detached.copy()
         for field in STATE_FIELDS:
@@ -800,6 +813,19 @@ class TestReturnedStatesAreViews:
         for field in STATE_FIELDS:
             getattr(detached, field)[...] = 3.0
             assert (getattr(states[3], field) == 7.0).all()
+
+
+class TestCorpusBoundMatchesReference:
+    """elbo reads the store's layout right: it matches the scalar-loop
+    oracle on the states each source returns, given as a list or a store."""
+
+    @pytest.mark.parametrize("as_store", [False, True], ids=["list", "store"])
+    @pytest.mark.parametrize("source", STATE_SOURCES)
+    def test_elbo_matches_reference(self, source, as_store):
+        params, corpus, states = returned_states(source)
+        want = oracles.reference_corpus_bound(params, corpus, states)
+        got = elbo(params, states.store if as_store else states, corpus)
+        assert math.isclose(got, want, rel_tol=1e-10), (got, want)
 
 
 class TestRaggedBatches:
@@ -1002,7 +1028,7 @@ def oracle_pair(params, docs, states):
     batch = batch_of(params, docs, states)
     fields = ("zeta", "lam", "mu_l", "mu_g", "tau", "phi_l", "phi_g")
     store = batch.store
-    state = {name: getattr(store, name) for name in fields}
+    state = {name: np.moveaxis(getattr(store, name), -1, 0) for name in fields}
     oracle = oracles.BroadcastBatch(params, store.doc_ptr, store.words, store.counts, state)
     return batch, oracle, fields
 

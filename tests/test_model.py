@@ -212,13 +212,20 @@ class TestGather:
     def states(self):
         # J=2, K=3, R=4 over documents of 2, 0 and 1 terms
         docs = [Document([0, 3], [1, 2]), Document([], []), Document([1], [5])]
-        store = VariationalStore.symmetric(docs, np.full((3, 2), 0.5), 3, 4)
+        store = VariationalStore.symmetric(docs, np.full((2, 3), 0.5), 3, 4)
         return docs, [store.state(i).copy() for i in range(3)]
 
     def test_no_documents(self):
         store = VariationalStore.gather([], [], 2, 3, 4)
         assert store.num_docs == 0
-        assert store.phi_l.shape == (0, 2, 3) and store.mu_l.shape == (0, 2, 3)
+        assert store.phi_l.shape == (2, 3, 0) and store.mu_l.shape == (2, 3, 0)
+
+    def test_arrays_are_c_contiguous(self):
+        # so that an E-step batch, views of them, reduces as on any store
+        docs, states = self.states()
+        store = VariationalStore.gather(docs, states, 2, 3, 4)
+        for name in ("zeta", "lam", "mu_l", "mu_g", "tau", "phi_l", "phi_g"):
+            assert getattr(store, name).flags.c_contiguous, name
 
     def test_one_state_per_document(self):
         docs, states = self.states()
@@ -329,6 +336,10 @@ class TestSampler:
             sample_corpus(params, 0, 10)
         with pytest.raises(ConfigError):
             sample_corpus(params, 3, 0)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            sample_corpus(tiny_params(), 3, 10, seed=-1)
 
 
 def _sparse_params():

@@ -12,6 +12,7 @@ import pytest
 from mgctm.inference import E_STEP_BLOCKS
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "mgctm"
+TESTS = Path(__file__).resolve().parent
 
 
 def module_level_names(tree):
@@ -80,6 +81,44 @@ def test_every_private_module_level_name_is_used():
     assert private, "no private names found; is SRC right?"
     unused = [f"{module}: {name}" for module, name in private if not uses[name]]
     assert not unused, "private names never used in src/: " + ", ".join(unused)
+
+
+def parameter_names(tree):
+    """Parameter names of every function: how a test asks for a fixture."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            for arg in args.posonlyargs + args.args + args.kwonlyargs:
+                yield arg.arg
+
+
+def fixture_names(tree):
+    """Names of the module's top-level pytest fixtures."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+            "fixture" in ast.unparse(dec) for dec in node.decorator_list
+        ):
+            yield node.name
+
+
+def test_every_test_helper_is_used():
+    # pytest collects the test_* functions and Test* classes itself, and a
+    # fixture is used by naming it as a parameter
+    helpers, uses, fixtures, params = [], Counter(), set(), set()
+    for path in sorted(TESTS.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        helpers += [
+            (path.name, name)
+            for name in module_level_names(tree)
+            if not name.startswith(("test_", "Test"))
+        ]
+        uses.update(used_names(tree))
+        fixtures.update(fixture_names(tree))
+        params.update(parameter_names(tree))
+    uses.update(fixtures & params)
+    assert helpers, "no test helpers found; is TESTS right?"
+    unused = [f"{module}: {name}" for module, name in helpers if not uses[name]]
+    assert not unused, "test helpers never used in tests/: " + ", ".join(unused)
 
 
 def imported_names(tree):
