@@ -5,7 +5,17 @@ File formats
 Bag-of-words file: the first line is ``D V NNZ`` (documents, vocabulary
 size, number of nonzero triples). Each of the following NNZ lines is
 ``doc_id word_id count`` with 1-based ids, sorted ascending by doc_id
-and then word_id, and strictly positive counts.
+and then word_id, and strictly positive counts. Fields are ASCII
+decimal integers (an optional sign, then digits) separated by spaces or
+tabs; lines end in LF, CRLF or CR, and lines of spaces and tabs only
+are skipped.
+
+``load_bow`` parses the triples in bulk: one ``np.loadtxt`` call over
+the text after the header, range and order checks on its columns, and
+documents cut where the doc id changes, as slices of one word-id array
+and one count array. Memory follows the triples, not the header's D.
+Only a file that fails is read again line by line, to name its first
+bad line with that line's error.
 
 Vocabulary file: one token per line; line i (1-based) is the token with
 word id i.
@@ -15,6 +25,7 @@ of document d (referring to documents in their original file order,
 before any empty documents are dropped).
 """
 
+import io
 import logging
 import os
 import secrets
@@ -28,6 +39,14 @@ logger = logging.getLogger(__name__)
 
 # Triples ``save_bow`` formats in one call; see its docstring.
 SAVE_BOW_ROWS = 1 << 16
+
+# The characters of a bag-of-words line; the file adds line breaks.
+_LINE_CHARS = "0123456789+- \t"
+_PLAIN_CHARS = frozenset(_LINE_CHARS)
+_PLAIN_BYTES = (_LINE_CHARS + "\n").encode()
+_INT64_MAX = np.iinfo(np.int64).max
+# Empty document ids the dropped-documents warning names.
+_MISSING_SHOWN = 5
 
 
 def _create_temp(directory):
@@ -101,6 +120,13 @@ class Document:
         # neighbours compared, not subtracted: an int64 difference can wrap
         if (self.word_ids[1:] <= self.word_ids[:-1]).any():
             raise ValueError("word_ids must be strictly increasing")
+
+    @classmethod
+    def _checked(cls, word_ids, counts, label):
+        # int64 arrays already known to meet the invariants, kept as given
+        doc = cls.__new__(cls)
+        doc.word_ids, doc.counts, doc.label = word_ids, counts, label
+        return doc
 
     @property
     def length(self):
@@ -213,6 +239,131 @@ def load_labels(labels_path):
     return np.array(labels, dtype=np.int64)
 
 
+def _parse_bow_fields(line, n_fields, lineno, what):
+    # _parse_int_fields, then the bag-of-words syntax: int() also takes
+    # underscores, non-ASCII digits and other whitespace
+    values = _parse_int_fields(line, n_fields, lineno, what)
+    _check_plain(line, lineno)
+    return values
+
+
+def _check_plain(line, lineno):
+    bad = set(line) - _PLAIN_CHARS
+    if bad:
+        raise CorpusFormatError(
+            f"unexpected character {min(bad, key=line.index)!r}: fields are "
+            "ASCII decimal integers separated by spaces or tabs",
+            line=lineno,
+        )
+
+
+def _parse_header(line):
+    num_docs, vocab_size, nnz = _parse_bow_fields(line, 3, 1, "header")
+    if num_docs < 1 or vocab_size < 1:
+        raise CorpusFormatError(
+            f"empty corpus: header declares D={num_docs}, V={vocab_size}", line=1
+        )
+    return num_docs, vocab_size, nnz
+
+
+def _bulk_triples(body, num_docs, vocab_size, nnz):
+    """The (nnz, 3) int64 triples of ``body`` if it passes every check, else None."""
+    if not body or body.isspace():
+        table = np.empty((0, 3), dtype=np.int64)
+    else:
+        try:
+            table = np.loadtxt(
+                io.BytesIO(body), dtype=np.int64, comments=None, ndmin=2
+            )
+        except ValueError:  # a malformed field, a ragged line or int64 overflow
+            return None
+    if table.shape != (nnz, 3):
+        return None
+    doc, word, count = table.T
+    # neighbours compared, not subtracted, as in Document
+    ok = (
+        (doc >= 1).all()
+        and (doc <= num_docs).all()
+        and (word >= 1).all()
+        and (word <= vocab_size).all()
+        and (count >= 1).all()
+        and not (doc[1:] < doc[:-1]).any()
+        and not ((doc[1:] == doc[:-1]) & (word[1:] <= word[:-1])).any()
+    )
+    return table if ok else None
+
+
+def _raise_first_bad_line(data):
+    """Raise the error of the first bad line of a refused bag-of-words file.
+
+    The checks run line by line in file order, so the error and its line
+    are those of a per-line parser.
+    """
+    if not data:
+        raise CorpusFormatError("empty bag-of-words file", line=1)
+    lines = data.decode("utf-8").split("\n")
+    num_docs, vocab_size, nnz = _parse_header(lines[0])
+    filled = sum(1 for line in lines[1:] if line.strip())
+    if filled != nnz:
+        raise CorpusFormatError(
+            f"header declares {nnz} triples but file has {filled}", line=1
+        )
+    prev_doc, prev_word = 0, 0
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            _check_plain(line, lineno)
+            continue
+        doc_id, word_id, count = _parse_bow_fields(line, 3, lineno, "triple")
+        if not 1 <= doc_id <= num_docs:
+            raise CorpusFormatError(
+                f"doc id {doc_id} outside 1..{num_docs}", line=lineno
+            )
+        if not 1 <= word_id <= vocab_size:
+            raise CorpusFormatError(
+                f"word id {word_id} outside 1..{vocab_size}", line=lineno
+            )
+        if count <= 0:
+            raise CorpusFormatError(f"count {count} must be positive", line=lineno)
+        for name, value in (("doc id", doc_id), ("word id", word_id), ("count", count)):
+            if value > _INT64_MAX:
+                raise CorpusFormatError(
+                    f"{name} {value} does not fit in a signed 64-bit integer",
+                    line=lineno,
+                )
+        if doc_id < prev_doc or (doc_id == prev_doc and word_id <= prev_word):
+            raise CorpusFormatError(
+                "triples must ascend by doc id then word id", line=lineno
+            )
+        prev_doc, prev_word = doc_id, word_id
+    raise AssertionError("the line checks accept a file the bulk parse refused")
+
+
+def _read_triples(bow_path):
+    """``(D, V, triples)`` of a bag-of-words file, triples (NNZ, 3) int64."""
+    with open(bow_path, "rb") as fh:
+        data = fh.read()
+    if b"\r" in data:  # universal newlines, as a text-mode read gives
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if data and not data.translate(None, _PLAIN_BYTES):
+        header, _, body = data.partition(b"\n")
+        num_docs, vocab_size, nnz = _parse_header(header.decode("ascii"))
+        table = _bulk_triples(body, num_docs, vocab_size, nnz)
+        if table is not None:
+            return num_docs, vocab_size, table
+    _raise_first_bad_line(data)
+
+
+def _first_missing(present, num_docs, limit):
+    # the first ``limit`` ids in 1..num_docs not in ``present`` (ascending)
+    missing, prev = [], 0
+    for doc_id in present.tolist() + [num_docs + 1]:
+        missing.extend(range(prev + 1, doc_id)[: limit - len(missing)])
+        if len(missing) == limit:
+            break
+        prev = doc_id
+    return missing
+
+
 def load_bow(bow_path, vocab_path=None, labels_path=None):
     """Load a sparse bag-of-words corpus.
 
@@ -225,53 +376,17 @@ def load_bow(bow_path, vocab_path=None, labels_path=None):
 
     Returns:
         Corpus with invariants established. Empty documents (ids that
-        never appear in a triple) are dropped with a warning and counted
-        in ``Corpus.dropped_docs``; their labels are dropped with them.
+        never appear in a triple) are dropped with one warning and
+        counted in ``Corpus.dropped_docs``; their labels are dropped
+        with them. Each document's arrays are views of two arrays
+        shared by the corpus.
 
     Raises:
         CorpusFormatError: malformed lines, out-of-range ids, ordering
             violations, or an empty corpus. Messages name the offending
             1-based line.
     """
-    with open(bow_path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise CorpusFormatError("empty bag-of-words file", line=1)
-
-    num_docs, vocab_size, nnz = _parse_int_fields(lines[0], 3, 1, "header")
-    if num_docs < 1 or vocab_size < 1:
-        raise CorpusFormatError(
-            f"empty corpus: header declares D={num_docs}, V={vocab_size}", line=1
-        )
-
-    body = [(i + 2, ln) for i, ln in enumerate(lines[1:]) if ln.strip()]
-    if len(body) != nnz:
-        raise CorpusFormatError(
-            f"header declares {nnz} triples but file has {len(body)}", line=1
-        )
-
-    per_doc_ids = [[] for _ in range(num_docs)]
-    per_doc_counts = [[] for _ in range(num_docs)]
-    prev_doc, prev_word = 0, 0
-    for lineno, line in body:
-        doc_id, word_id, count = _parse_int_fields(line, 3, lineno, "triple")
-        if not 1 <= doc_id <= num_docs:
-            raise CorpusFormatError(
-                f"doc id {doc_id} outside 1..{num_docs}", line=lineno
-            )
-        if not 1 <= word_id <= vocab_size:
-            raise CorpusFormatError(
-                f"word id {word_id} outside 1..{vocab_size}", line=lineno
-            )
-        if count <= 0:
-            raise CorpusFormatError(f"count {count} must be positive", line=lineno)
-        if doc_id < prev_doc or (doc_id == prev_doc and word_id <= prev_word):
-            raise CorpusFormatError(
-                "triples must ascend by doc id then word id", line=lineno
-            )
-        prev_doc, prev_word = doc_id, word_id
-        per_doc_ids[doc_id - 1].append(word_id - 1)
-        per_doc_counts[doc_id - 1].append(count)
+    num_docs, vocab_size, table = _read_triples(bow_path)
 
     vocab = None
     if vocab_path is not None:
@@ -289,20 +404,31 @@ def load_bow(bow_path, vocab_path=None, labels_path=None):
                 f"labels file has {len(labels)} entries for {num_docs} documents"
             )
 
-    docs = []
-    dropped = 0
-    for d in range(num_docs):
-        if not per_doc_ids[d]:
-            dropped += 1
-            logger.warning("dropping empty document %d", d + 1)
-            continue
-        label = int(labels[d]) if labels is not None else None
-        docs.append(Document(per_doc_ids[d], per_doc_counts[d], label=label))
-    if not docs:
+    if not table.size:
         raise CorpusFormatError("empty corpus: every document is empty")
+    doc_ids = table[:, 0]
+    # documents start where the doc id changes
+    bounds = np.concatenate(
+        [[0], np.flatnonzero(doc_ids[1:] != doc_ids[:-1]) + 1, [len(table)]]
+    )
+    present = doc_ids[bounds[:-1]]
+    dropped = num_docs - present.size
     if dropped:
-        logger.warning("dropped %d empty document(s)", dropped)
-
+        missing = _first_missing(present, num_docs, _MISSING_SHOWN)
+        logger.warning(
+            "dropped %d empty document(s), doc id(s) %s%s",
+            dropped,
+            ", ".join(map(str, missing)),
+            ", ..." if dropped > len(missing) else "",
+        )
+    word_ids = table[:, 1] - 1
+    counts = table[:, 2].copy()
+    doc_labels = [None] * present.size if labels is None else labels[present - 1].tolist()
+    cuts = bounds.tolist()
+    docs = [
+        Document._checked(word_ids[a:b], counts[a:b], label)
+        for a, b, label in zip(cuts[:-1], cuts[1:], doc_labels)
+    ]
     return Corpus(docs=docs, vocab_size=vocab_size, vocab=vocab, dropped_docs=dropped)
 
 

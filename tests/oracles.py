@@ -23,8 +23,14 @@ from scipy.optimize import minimize, minimize_scalar
 from scipy.special import expit, gammaln, psi, xlogy
 
 from mgctm.baselines import LdaModel
-from mgctm.corpus import Corpus, Document
-from mgctm.errors import ConfigError, DegenerateInputError, NumericalError
+from mgctm.corpus import Corpus, Document, load_labels
+from mgctm.errors import (
+    ConfigError,
+    CorpusFormatError,
+    DegenerateInputError,
+    DimensionError,
+    NumericalError,
+)
 from mgctm.inference import DECREASE_SLACK, DOC_SWEEP_REL_TOL, E_STEP_BLOCKS, _Batch
 from mgctm.model import (
     DocVariational,
@@ -1041,6 +1047,87 @@ def reference_save_bow(corpus, path):
             lines.append(f"{d} {int(w) + 1} {int(c)}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _reference_int_fields(line, n_fields, lineno, what):
+    parts = line.split()
+    if len(parts) != n_fields:
+        raise CorpusFormatError(
+            f"expected {n_fields} fields for {what}, got {len(parts)}", line=lineno
+        )
+    try:
+        return [int(p) for p in parts]
+    except ValueError as exc:
+        raise CorpusFormatError(f"non-integer field in {what}: {exc}", line=lineno)
+
+
+def reference_load_bow(bow_path, labels_path=None):
+    """Read a bag-of-words file one line at a time.
+
+    Each non-blank line after the header is split and converted with
+    int(), range- and order-checked, and appended to its document's
+    lists; documents with no triples are dropped. Every field int()
+    takes is accepted, so underscores and non-ASCII digits pass here
+    and not in ``load_bow``, and a count beyond int64 raises
+    OverflowError when its Document is built.
+    """
+    with open(bow_path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise CorpusFormatError("empty bag-of-words file", line=1)
+
+    num_docs, vocab_size, nnz = _reference_int_fields(lines[0], 3, 1, "header")
+    if num_docs < 1 or vocab_size < 1:
+        raise CorpusFormatError(
+            f"empty corpus: header declares D={num_docs}, V={vocab_size}", line=1
+        )
+
+    body = [(i + 2, ln) for i, ln in enumerate(lines[1:]) if ln.strip()]
+    if len(body) != nnz:
+        raise CorpusFormatError(
+            f"header declares {nnz} triples but file has {len(body)}", line=1
+        )
+
+    per_doc = {}
+    prev_doc, prev_word = 0, 0
+    for lineno, line in body:
+        doc_id, word_id, count = _reference_int_fields(line, 3, lineno, "triple")
+        if not 1 <= doc_id <= num_docs:
+            raise CorpusFormatError(
+                f"doc id {doc_id} outside 1..{num_docs}", line=lineno
+            )
+        if not 1 <= word_id <= vocab_size:
+            raise CorpusFormatError(
+                f"word id {word_id} outside 1..{vocab_size}", line=lineno
+            )
+        if count <= 0:
+            raise CorpusFormatError(f"count {count} must be positive", line=lineno)
+        if doc_id < prev_doc or (doc_id == prev_doc and word_id <= prev_word):
+            raise CorpusFormatError(
+                "triples must ascend by doc id then word id", line=lineno
+            )
+        prev_doc, prev_word = doc_id, word_id
+        per_doc.setdefault(doc_id, ([], []))
+        per_doc[doc_id][0].append(word_id - 1)
+        per_doc[doc_id][1].append(count)
+
+    labels = None
+    if labels_path is not None:
+        labels = load_labels(labels_path)
+        if len(labels) != num_docs:
+            raise DimensionError(
+                f"labels file has {len(labels)} entries for {num_docs} documents"
+            )
+
+    if not per_doc:
+        raise CorpusFormatError("empty corpus: every document is empty")
+    docs = [
+        Document(ids, counts, label=None if labels is None else int(labels[d - 1]))
+        for d, (ids, counts) in per_doc.items()
+    ]
+    return Corpus(
+        docs=docs, vocab_size=vocab_size, dropped_docs=num_docs - len(docs)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 import logging
 import math
 import os
+import time
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -259,6 +262,210 @@ class TestLoadBow:
         path = write(tmp_path / "c.bow", "1 3 2\n\n1 1 1\n\n1 2 1\n")
         corpus = load_bow(path)
         assert corpus.docs[0].entries == [(0, 1), (1, 1)]
+
+
+class TestLoadBowSyntax:
+    """What the bulk parse refuses that int() takes, and what it keeps."""
+
+    @pytest.mark.parametrize(
+        "line, char",
+        [
+            pytest.param("1 1_000 1", "_", id="underscore"),
+            pytest.param("1 \u0661 1", "\u0661", id="arabic-indic-digit"),
+            pytest.param("1\xa01 1", "\xa0", id="no-break-space"),
+            pytest.param("1 1 1\x1f", "\x1f", id="unit-separator"),
+        ],
+    )
+    def test_int_syntax_beyond_ascii_refused(self, tmp_path, line, char):
+        path = write(tmp_path / "c.bow", f"1 2000 2\n1 1 1\n\n{line}\n")
+        with pytest.raises(CorpusFormatError, match="unexpected character") as err:
+            load_bow(path)
+        assert err.value.line == 4
+        assert repr(char) in str(err.value)
+
+    def test_other_whitespace_in_blank_line_refused(self, tmp_path):
+        path = write(tmp_path / "c.bow", "1 3 1\n1 1 1\n\x0c\n")
+        with pytest.raises(CorpusFormatError, match="unexpected character") as err:
+            load_bow(path)
+        assert err.value.line == 3
+
+    def test_underscore_in_header_refused(self, tmp_path):
+        path = write(tmp_path / "c.bow", "1 1_0 1\n1 1 1\n")
+        with pytest.raises(CorpusFormatError, match="unexpected character") as err:
+            load_bow(path)
+        assert err.value.line == 1
+
+    def test_count_beyond_int64(self, tmp_path):
+        path = write(tmp_path / "c.bow", f"1 3 1\n1 1 {2**63}\n")
+        with pytest.raises(CorpusFormatError, match="64-bit") as err:
+            load_bow(path)
+        assert err.value.line == 2
+
+    def test_doc_id_beyond_int64_is_out_of_range(self, tmp_path):
+        path = write(tmp_path / "c.bow", f"3 3 2\n1 1 1\n{2**64} 1 1\n")
+        with pytest.raises(CorpusFormatError, match=f"doc id {2**64} outside 1..3") as err:
+            load_bow(path)
+        assert err.value.line == 3
+
+    def test_signs_leading_zeros_crlf_tabs_and_lone_cr(self, tmp_path):
+        path = tmp_path / "c.bow"
+        path.write_bytes(b"2 3 3\r\n+1\t01 2\r\n \t\r\n1 3 +1\r2\t\t2 005 \r\n")
+        corpus = load_bow(str(path))
+        assert corpus.docs[0].entries == [(0, 2), (2, 1)]
+        assert corpus.docs[1].entries == [(1, 5)]
+
+    def test_no_trailing_newline(self, tmp_path):
+        corpus = load_bow(write(tmp_path / "c.bow", "1 3 1\n1 2 4"))
+        assert corpus.docs[0].entries == [(1, 4)]
+
+    def test_documents_share_two_arrays(self, tmp_path):
+        corpus = load_bow(write(tmp_path / "c.bow", "2 3 3\n1 1 2\n1 3 1\n2 2 5\n"))
+        first, second = corpus.docs
+        assert first.word_ids.base is second.word_ids.base is not None
+        assert first.counts.base is second.counts.base is not None
+
+    def test_huge_declared_doc_count_allocates_nothing_per_document(
+        self, tmp_path, caplog
+    ):
+        path = tmp_path / "c.bow"
+        path.write_bytes(b"50000000 3 1\n1 1 1\n")
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            with caplog.at_level(logging.WARNING, logger="mgctm.corpus"):
+                corpus = load_bow(str(path))
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert corpus.num_docs == 1
+        assert corpus.dropped_docs == 49_999_999
+        assert len(caplog.records) <= 3
+        assert "49999999 empty document(s), doc id(s) 2, 3, 4, 5, 6, ..." in caplog.text
+        assert peak < 1 << 20
+        assert elapsed < 2.0
+
+    def test_dropped_ids_named_once(self, tmp_path, caplog):
+        path = write(tmp_path / "c.bow", "6 2 2\n2 1 1\n5 2 2\n")
+        with caplog.at_level(logging.WARNING, logger="mgctm.corpus"):
+            corpus = load_bow(path)
+        assert corpus.dropped_docs == 4
+        assert [rec.getMessage() for rec in caplog.records] == [
+            "dropped 4 empty document(s), doc id(s) 1, 3, 4, 6"
+        ]
+
+
+def _mutate_token(tokens, how, num_docs, vocab_size, draw):
+    # one token-level change to the fields of one line
+    if how == "drop":
+        del tokens[draw(st.integers(0, len(tokens) - 1))]
+        return tokens
+    if how == "add":
+        tokens.insert(draw(st.integers(0, len(tokens))), str(draw(st.integers(1, 9))))
+        return tokens
+    field = draw(st.integers(0, len(tokens) - 1))
+    if how == "non-integer":
+        tokens[field] = draw(st.sampled_from(["x", "1.5", "1e3", "--1", "+", "-", "1-2", "0x1"]))
+    elif how == "zero":
+        tokens[field] = draw(st.sampled_from(["0", "-0", "+0", "000"]))
+    elif how == "out-of-range":
+        limit = (num_docs, vocab_size, 9)[min(field, 2)]
+        tokens[field] = str(draw(st.sampled_from([-1, limit + 1, limit + 7])))
+    elif how == "beyond-int64":
+        # an id: a count beyond int64 is refused here and overflows there
+        field = min(field, 1)
+        tokens[field] = str(draw(st.sampled_from([2**63, 2**64 + 3, -(2**63) - 1])))
+    return tokens
+
+
+@st.composite
+def perturbed_bow(draw):
+    """A save_bow file, perturbed: (text, a newline, labels or None)."""
+    num_v = draw(st.integers(1, 6))
+    raw = draw(
+        st.lists(
+            st.dictionaries(st.integers(0, num_v - 1), st.integers(1, 9), max_size=4),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    docs = [Document(sorted(m), [m[w] for w in sorted(m)]) for m in raw]
+    corpus = Corpus(docs=docs, vocab_size=num_v)
+    lines = [f"{corpus.num_docs} {num_v} {sum(len(m) for m in raw)}"]
+    lines += [f"{d} {w + 1} {c}" for d, m in enumerate(raw, 1) for w, c in sorted(m.items())]
+    how = draw(
+        st.sampled_from(
+            ["none", "drop", "add", "non-integer", "zero", "out-of-range",
+             "beyond-int64", "swap", "compensate"]
+        )
+    )
+    split = [ln.split() for ln in lines]
+    if how == "swap" and len(split) > 2:
+        i, j = draw(st.lists(st.integers(1, len(split) - 1), min_size=2, max_size=2, unique=True))
+        split[i], split[j] = split[j], split[i]
+    elif how == "compensate" and len(split) > 2:
+        # one line loses a field and another gains one: the token count holds
+        i, j = draw(st.lists(st.integers(1, len(split) - 1), min_size=2, max_size=2, unique=True))
+        split[i] = _mutate_token(split[i], "drop", corpus.num_docs, num_v, draw)
+        split[j] = _mutate_token(split[j], "add", corpus.num_docs, num_v, draw)
+    elif how not in ("none", "swap", "compensate"):
+        i = draw(st.integers(0, len(split) - 1))
+        split[i] = _mutate_token(split[i], how, corpus.num_docs, num_v, draw)
+    seps = st.sampled_from([" ", "\t", "  ", " \t"])
+    text_lines = [draw(seps).join(tokens) for tokens in split]
+    if draw(st.booleans()):
+        text_lines = [draw(st.sampled_from(["", " ", "\t"])) + ln for ln in text_lines]
+    for _ in range(draw(st.integers(0, 3))):
+        text_lines.insert(
+            draw(st.integers(1, len(text_lines))), draw(st.sampled_from(["", " ", " \t "]))
+        )
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(text_lines) + draw(st.sampled_from([newline, ""]))
+    labels = None
+    if draw(st.booleans()):
+        labels = draw(st.lists(st.integers(0, 4), min_size=corpus.num_docs, max_size=corpus.num_docs))
+    return text, labels
+
+
+def _outcome(load, *args):
+    try:
+        return load(*args)
+    except Exception as exc:
+        return exc
+
+
+class TestLoadBowMatchesReference:
+    """``load_bow`` against oracles.reference_load_bow, the per-line parser."""
+
+    @given(case=perturbed_bow())
+    def test_same_corpus_or_same_error(self, case, tmp_path_factory):
+        text, labels = case
+        folder = tmp_path_factory.mktemp("bow")
+        path = folder / "c.bow"
+        path.write_bytes(text.encode())
+        labels_path = None
+        if labels is not None:
+            labels_path = str(folder / "c.labels")
+            save_labels(labels, labels_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _outcome(load_bow, str(path), None, labels_path)
+        want = _outcome(oracles.reference_load_bow, str(path), labels_path)
+        if isinstance(want, Exception):
+            assert type(got) is type(want)
+            assert str(got) == str(want)
+            assert getattr(got, "line", None) == getattr(want, "line", None)
+            return
+        assert not isinstance(got, Exception), got
+        assert (got.num_docs, got.vocab_size, got.dropped_docs) == (
+            want.num_docs, want.vocab_size, want.dropped_docs
+        )
+        for a, b in zip(got.docs, want.docs):
+            assert a.word_ids.dtype == b.word_ids.dtype == np.int64
+            assert a.counts.dtype == b.counts.dtype == np.int64
+            np.testing.assert_array_equal(a.word_ids, b.word_ids)
+            np.testing.assert_array_equal(a.counts, b.counts)
+            assert a.label == b.label
 
 
 class TestLabelsFile:
