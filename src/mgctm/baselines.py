@@ -175,6 +175,39 @@ class _LdaBatch(_WorkingSet):
         words = c * (_gdot(phi, x) - xlogy(phi, phi).sum(axis=-1))
         return self._doc_terms(self.gamma, self.elog) + _segsum(words, self.bounds)
 
+    def step(self):
+        """The updates of ``sweep``, without its bound.
+
+        Returns what the bound needs beyond the new state: the shift m,
+        ``expected`` (gamma - alpha before rounding), and the underflowed
+        rows with their log normalizers.
+        """
+        # imported here: scipy.sparse adds ~18 ms to every process start
+        from scipy.sparse import csr_array
+
+        c, seg, bounds, elog = self.counts, self.seg, self.bounds, self.elog
+        shift = elog.max(axis=-1)
+        e = np.exp(elog - shift[:, None])
+        norm = np.einsum("rt,rt->r", np.take(e, seg, axis=0), self.b)
+        ok = norm >= _NORM_FLOOR
+        # an underflowed row drops out of the product (c / inf = 0)
+        norm = np.where(ok, norm, np.inf)
+        if self._weights is None:
+            self._weights = csr_array(
+                (c, np.arange(c.size), bounds), shape=(self.num_docs, c.size)
+            )
+        self._weights.data = c / norm
+        expected = e * (self._weights @ self.b)
+        under = np.flatnonzero(~ok)
+        under_lse = None
+        if under.size:
+            phi, under_lse = self._softmax_rows(under, elog)
+            np.add.at(expected, seg[under], c[under, None] * phi)
+        self.gamma = self.alpha + expected
+        self.elog = _elog_dir(self.gamma)
+        self._phi_elog, self._norm, self._phi = elog, norm, None
+        return shift, expected, under, under_lse
+
     def sweep(self):
         """phi = softmax(E[log theta][seg] + log beta) row by row, then
         gamma = alpha + per-document sums of c * phi; returns the new bounds.
@@ -192,37 +225,16 @@ class _LdaBatch(_WorkingSet):
         E[log theta]_old) . (gamma_new - alpha) + sum over rows of c *
         logsumexp(x_old), and no second pass over the rows is needed.
         """
-        # imported here: scipy.sparse adds ~18 ms to every process start
-        from scipy.sparse import csr_array
-
-        c, seg, bounds, elog = self.counts, self.seg, self.bounds, self.elog
-        shift = elog.max(axis=-1)
-        e = np.exp(elog - shift[:, None])
-        norm = np.einsum("rt,rt->r", np.take(e, seg, axis=0), self.b)
-        ok = norm >= _NORM_FLOOR
-        # an underflowed row drops out of the product (c / inf = 0)
-        norm = np.where(ok, norm, np.inf)
-        log_norm = np.log(norm) + shift[seg]
-        if self._weights is None:
-            self._weights = csr_array(
-                (c, np.arange(c.size), bounds), shape=(self.num_docs, c.size)
-            )
-        self._weights.data = c / norm
-        expected = e * (self._weights @ self.b)
-        if not ok.all():
-            under = np.flatnonzero(~ok)
-            phi, log_norm[under] = self._softmax_rows(under, elog)
-            np.add.at(expected, seg[under], c[under, None] * phi)
-        gamma = self.alpha + expected
-        new_elog = _elog_dir(gamma)
-        bound = (
-            self._doc_terms(gamma, new_elog)
-            + ((new_elog - elog) * expected).sum(axis=-1)
-            + _segsum(c * log_norm, bounds)
+        elog = self.elog
+        shift, expected, under, under_lse = self.step()
+        log_norm = np.log(self._norm) + shift[self.seg]
+        if under.size:
+            log_norm[under] = under_lse
+        return (
+            self._doc_terms(self.gamma, self.elog)
+            + ((self.elog - elog) * expected).sum(axis=-1)
+            + _segsum(self.counts * log_norm, self.bounds)
         )
-        self.gamma, self.elog = gamma, new_elog
-        self._phi_elog, self._norm, self._phi = elog, norm, None
-        return bound
 
 
 def fit_lda(

@@ -357,8 +357,13 @@ class _Batch(_WorkingSet):
             raise ValueError(f"unknown coordinate block {block!r}")
         getattr(self, "_update_" + block)()
 
+    def step(self):
+        """One coordinate pass over every document, without its bound."""
+        for block in E_STEP_BLOCKS:
+            self.update(block)
+
     def sweep(self):
-        """One coordinate pass over every document; returns their new bounds.
+        """``step``, then the documents' new bounds.
 
         The bounds equal ``bound_terms().sum(axis=1)`` up to rounding, in
         collapsed form. Each phi block sets phi = softmax(s * x) with
@@ -368,8 +373,7 @@ class _Batch(_WorkingSet):
         phi . x at the new mu: the zeta block computed it for the local
         pathway, and only phi_g . x_g, one (R, rows) product, is left.
         """
-        for block in E_STEP_BLOCKS:
-            self.update(block)
+        self.step()
         c, tau = self.counts, self.tau
         zeta_rows = self._to_rows(self.zeta)
         elog_l, _ = self._local_scores()
@@ -480,18 +484,23 @@ def _coordinate_ascent(work, start, sweeps, rel_tol=DOC_SWEEP_REL_TOL):
     from ``work.bound()``; later bounds are those ``work.sweep()`` returns.
     A document stops once a sweep improves its bound by less than
     ``rel_tol`` relative, or after ``sweeps`` sweeps, and is then written
-    back, once. Returns per-document sweep counts.
+    back, once. Every document still running stops after the last
+    allowed sweep, so that sweep is a ``work.step()``, whose bound would
+    go unread. Returns per-document sweep counts.
     """
     running = np.arange(work.num_docs)
     ran = np.zeros(work.num_docs, dtype=np.int64)
     prev = start
     for sweep in range(sweeps):
+        ran[running] += 1
+        if sweep + 1 == sweeps:
+            work.step()
+            work.scatter()
+            break
         if prev is None:
             prev = work.bound()
         val = work.sweep()
-        ran[running] += 1
         keep = val - prev >= rel_tol * np.maximum(1.0, np.abs(prev))
-        keep &= sweep + 1 < sweeps
         if not keep.all():
             work.write_back(~keep)
             if not keep.any():

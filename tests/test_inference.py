@@ -744,6 +744,40 @@ class TestWorkingSet:
         for name in doc_names + row_names:
             assert np.shares_memory(getattr(work, name), getattr(store, name)), name
 
+    @pytest.mark.parametrize("kind", ["mgctm", "lda"])
+    def test_step_leaves_the_state_sweep_leaves(self, kind):
+        _, make, _, _ = working_set(kind)
+        want, got = make(), make()
+        want.sweep()
+        got.step()
+        for name in want.STATE:
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+    @pytest.mark.parametrize("kind", ["mgctm", "lda"])
+    @pytest.mark.parametrize("sweeps", [1, 3])
+    def test_last_allowed_sweep_takes_no_bound(self, monkeypatch, kind, sweeps):
+        _, make, _, _ = working_set(kind)
+        work = make()
+        cls = type(work)
+        real_sweep, real_step = cls.sweep, cls.step
+        calls = []
+
+        def sweep(self):
+            calls.append("sweep")
+            return real_sweep(self)
+
+        def step(self):
+            calls.append("step")
+            return real_step(self)
+
+        monkeypatch.setattr(cls, "sweep", sweep)
+        monkeypatch.setattr(cls, "step", step)
+        # a relative tolerance of -inf lets no document stop early
+        ran = _coordinate_ascent(work, np.zeros(work.num_docs), sweeps, -np.inf)
+        np.testing.assert_array_equal(ran, sweeps)
+        # each sweep but the last also runs step inside sweep
+        assert calls == ["sweep", "step"] * (sweeps - 1) + ["step"]
+
     def test_sweep_reads_no_stored_phi(self):
         # the phi blocks replace phi unread, so a sweep from a store whose
         # phi is NaN leaves the same state as one from the real phi
