@@ -175,12 +175,23 @@ class _LdaBatch(_WorkingSet):
         words = c * (_gdot(phi, x) - xlogy(phi, phi).sum(axis=-1))
         return self._doc_terms(self.gamma, self.elog) + _segsum(words, self.bounds)
 
-    def step(self):
-        """The updates of ``sweep``, without its bound.
+    def sweep(self, bound=True):
+        """phi = softmax(E[log theta][seg] + log beta) row by row, then
+        gamma = alpha + per-document sums of c * phi; returns the new
+        bounds, or None without ``bound``.
 
-        Returns what the bound needs beyond the new state: the shift m,
-        ``expected`` (gamma - alpha before rounding), and the underflowed
-        rows with their log normalizers.
+        phi is kept in scaled form: with e = exp(E[log theta] - m) per
+        document (m its largest entry) and b the word's topic row, a row's
+        phi is e[seg] * b / n, n = e[seg] . b. So gamma = alpha + e * (W @ b),
+        W the (documents x rows) sparse matrix of weights c / n, and the
+        row's log normalizer is log n + m. A row with n below _NORM_FLOOR
+        is normalized by a softmax of its own scores instead.
+
+        The bound comes in collapsed form: log phi is x_old -
+        logsumexp(x_old) with x_old = E[log theta]_old[seg] + log beta, so
+        the word and phi-entropy terms sum to (E[log theta]_new -
+        E[log theta]_old) . (gamma_new - alpha) + sum over rows of c *
+        logsumexp(x_old), and no second pass over the rows is needed.
         """
         # imported here: scipy.sparse adds ~18 ms to every process start
         from scipy.sparse import csr_array
@@ -199,41 +210,22 @@ class _LdaBatch(_WorkingSet):
         self._weights.data = c / norm
         expected = e * (self._weights @ self.b)
         under = np.flatnonzero(~ok)
-        under_lse = None
         if under.size:
             phi, under_lse = self._softmax_rows(under, elog)
             np.add.at(expected, seg[under], c[under, None] * phi)
-        self.gamma = self.alpha + expected
-        self.elog = _elog_dir(self.gamma)
+        gamma = self.alpha + expected
+        new_elog = _elog_dir(gamma)
+        self.gamma, self.elog = gamma, new_elog
         self._phi_elog, self._norm, self._phi = elog, norm, None
-        return shift, expected, under, under_lse
-
-    def sweep(self):
-        """phi = softmax(E[log theta][seg] + log beta) row by row, then
-        gamma = alpha + per-document sums of c * phi; returns the new bounds.
-
-        phi is kept in scaled form: with e = exp(E[log theta] - m) per
-        document (m its largest entry) and b the word's topic row, a row's
-        phi is e[seg] * b / n, n = e[seg] . b. So gamma = alpha + e * (W @ b),
-        W the (documents x rows) sparse matrix of weights c / n, and the
-        row's log normalizer is log n + m. A row with n below _NORM_FLOOR
-        is normalized by a softmax of its own scores instead.
-
-        The bound comes in collapsed form: log phi is x_old -
-        logsumexp(x_old) with x_old = E[log theta]_old[seg] + log beta, so
-        the word and phi-entropy terms sum to (E[log theta]_new -
-        E[log theta]_old) . (gamma_new - alpha) + sum over rows of c *
-        logsumexp(x_old), and no second pass over the rows is needed.
-        """
-        elog = self.elog
-        shift, expected, under, under_lse = self.step()
-        log_norm = np.log(self._norm) + shift[self.seg]
+        if not bound:
+            return None
+        log_norm = np.log(norm) + shift[seg]
         if under.size:
             log_norm[under] = under_lse
         return (
-            self._doc_terms(self.gamma, self.elog)
-            + ((self.elog - elog) * expected).sum(axis=-1)
-            + _segsum(self.counts * log_norm, self.bounds)
+            self._doc_terms(gamma, new_elog)
+            + ((new_elog - elog) * expected).sum(axis=-1)
+            + _segsum(c * log_norm, bounds)
         )
 
 

@@ -357,13 +357,9 @@ class _Batch(_WorkingSet):
             raise ValueError(f"unknown coordinate block {block!r}")
         getattr(self, "_update_" + block)()
 
-    def step(self):
-        """One coordinate pass over every document, without its bound."""
-        for block in E_STEP_BLOCKS:
-            self.update(block)
-
-    def sweep(self):
-        """``step``, then the documents' new bounds.
+    def sweep(self, bound=True):
+        """One coordinate pass over every document; returns their new
+        bounds, or None without ``bound``.
 
         The bounds equal ``bound_terms().sum(axis=1)`` up to rounding, in
         collapsed form. Each phi block sets phi = softmax(s * x) with
@@ -373,7 +369,10 @@ class _Batch(_WorkingSet):
         phi . x at the new mu: the zeta block computed it for the local
         pathway, and only phi_g . x_g, one (R, rows) product, is left.
         """
-        self.step()
+        for block in E_STEP_BLOCKS:
+            self.update(block)
+        if not bound:
+            return None
         c, tau = self.counts, self.tau
         zeta_rows = self._to_rows(self.zeta)
         elog_l, _ = self._local_scores()
@@ -485,8 +484,8 @@ def _coordinate_ascent(work, start, sweeps, rel_tol=DOC_SWEEP_REL_TOL):
     A document stops once a sweep improves its bound by less than
     ``rel_tol`` relative, or after ``sweeps`` sweeps, and is then written
     back, once. Every document still running stops after the last
-    allowed sweep, so that sweep is a ``work.step()``, whose bound would
-    go unread. Returns per-document sweep counts.
+    allowed sweep, so that sweep skips its bound, which would go unread.
+    Returns per-document sweep counts.
     """
     running = np.arange(work.num_docs)
     ran = np.zeros(work.num_docs, dtype=np.int64)
@@ -494,7 +493,7 @@ def _coordinate_ascent(work, start, sweeps, rel_tol=DOC_SWEEP_REL_TOL):
     for sweep in range(sweeps):
         ran[running] += 1
         if sweep + 1 == sweeps:
-            work.step()
+            work.sweep(bound=False)
             work.scatter()
             break
         if prev is None:

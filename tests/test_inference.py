@@ -745,11 +745,11 @@ class TestWorkingSet:
             assert np.shares_memory(getattr(work, name), getattr(store, name)), name
 
     @pytest.mark.parametrize("kind", ["mgctm", "lda"])
-    def test_step_leaves_the_state_sweep_leaves(self, kind):
+    def test_sweep_without_bound_leaves_the_same_state(self, kind):
         _, make, _, _ = working_set(kind)
         want, got = make(), make()
         want.sweep()
-        got.step()
+        assert got.sweep(bound=False) is None
         for name in want.STATE:
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
@@ -758,25 +758,18 @@ class TestWorkingSet:
     def test_last_allowed_sweep_takes_no_bound(self, monkeypatch, kind, sweeps):
         _, make, _, _ = working_set(kind)
         work = make()
-        cls = type(work)
-        real_sweep, real_step = cls.sweep, cls.step
+        real = type(work).sweep
         calls = []
 
-        def sweep(self):
-            calls.append("sweep")
-            return real_sweep(self)
+        def sweep(self, bound=True):
+            calls.append(bound)
+            return real(self, bound)
 
-        def step(self):
-            calls.append("step")
-            return real_step(self)
-
-        monkeypatch.setattr(cls, "sweep", sweep)
-        monkeypatch.setattr(cls, "step", step)
+        monkeypatch.setattr(type(work), "sweep", sweep)
         # a relative tolerance of -inf lets no document stop early
         ran = _coordinate_ascent(work, np.zeros(work.num_docs), sweeps, -np.inf)
         np.testing.assert_array_equal(ran, sweeps)
-        # each sweep but the last also runs step inside sweep
-        assert calls == ["sweep", "step"] * (sweeps - 1) + ["step"]
+        assert calls == [True] * (sweeps - 1) + [False]
 
     def test_sweep_reads_no_stored_phi(self):
         # the phi blocks replace phi unread, so a sweep from a store whose
