@@ -353,17 +353,6 @@ def _read_triples(bow_path):
     _raise_first_bad_line(data)
 
 
-def _first_missing(present, num_docs, limit):
-    # the first ``limit`` ids in 1..num_docs not in ``present`` (ascending)
-    missing, prev = [], 0
-    for doc_id in present.tolist() + [num_docs + 1]:
-        missing.extend(range(prev + 1, doc_id)[: limit - len(missing)])
-        if len(missing) == limit:
-            break
-        prev = doc_id
-    return missing
-
-
 def load_bow(bow_path, vocab_path=None, labels_path=None):
     """Load a sparse bag-of-words corpus.
 
@@ -414,7 +403,9 @@ def load_bow(bow_path, vocab_path=None, labels_path=None):
     present = doc_ids[bounds[:-1]]
     dropped = num_docs - present.size
     if dropped:
-        missing = _first_missing(present, num_docs, _MISSING_SHOWN)
+        # the first few absent ids lie within the first len(present) + few
+        first = np.arange(1, min(num_docs, present.size + _MISSING_SHOWN) + 1)
+        missing = first[~np.isin(first, present)][:_MISSING_SHOWN].tolist()
         logger.warning(
             "dropped %d empty document(s), doc id(s) %s%s",
             dropped,
