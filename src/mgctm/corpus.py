@@ -14,7 +14,7 @@ are skipped.
 the text after the header, range and order checks on its columns, and
 documents cut where the doc id changes, as slices of one word-id array
 and one count array. Memory follows the triples, not the header's D.
-Only a file that fails is read again line by line, to name its first
+Only a file that fails is checked again line by line, to name its first
 bad line with that line's error.
 
 Vocabulary file: one token per line; line i (1-based) is the token with

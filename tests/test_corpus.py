@@ -378,53 +378,37 @@ def _mutate_token(tokens, how, num_docs, vocab_size, draw):
     return tokens
 
 
-@st.composite
-def perturbed_bow(draw):
-    """A save_bow file, perturbed: (text, a newline, labels or None)."""
-    num_v = draw(st.integers(1, 6))
-    raw = draw(
-        st.lists(
-            st.dictionaries(st.integers(0, num_v - 1), st.integers(1, 9), max_size=4),
-            min_size=1,
-            max_size=6,
-        )
-    )
-    docs = [Document(sorted(m), [m[w] for w in sorted(m)]) for m in raw]
-    corpus = Corpus(docs=docs, vocab_size=num_v)
-    lines = [f"{corpus.num_docs} {num_v} {sum(len(m) for m in raw)}"]
-    lines += [f"{d} {w + 1} {c}" for d, m in enumerate(raw, 1) for w, c in sorted(m.items())]
-    how = draw(
-        st.sampled_from(
-            ["none", "drop", "add", "non-integer", "zero", "out-of-range",
-             "beyond-int64", "swap", "compensate"]
-        )
-    )
+PERTURBATIONS = [
+    "none", "drop", "add", "non-integer", "zero", "out-of-range",
+    "beyond-int64", "swap", "compensate",
+]
+
+
+def _perturb(lines, num_docs, vocab_size, draw):
+    """``lines`` of a bag-of-words file with one drawn perturbation, then
+    drawn separators, indentation, blank lines and line ends: the text."""
     split = [ln.split() for ln in lines]
+    how = draw(st.sampled_from(PERTURBATIONS))
+    two = st.lists(st.integers(1, len(split) - 1), min_size=2, max_size=2, unique=True)
     if how == "swap" and len(split) > 2:
-        i, j = draw(st.lists(st.integers(1, len(split) - 1), min_size=2, max_size=2, unique=True))
+        i, j = draw(two)
         split[i], split[j] = split[j], split[i]
     elif how == "compensate" and len(split) > 2:
         # one line loses a field and another gains one: the token count holds
-        i, j = draw(st.lists(st.integers(1, len(split) - 1), min_size=2, max_size=2, unique=True))
-        split[i] = _mutate_token(split[i], "drop", corpus.num_docs, num_v, draw)
-        split[j] = _mutate_token(split[j], "add", corpus.num_docs, num_v, draw)
+        i, j = draw(two)
+        split[i] = _mutate_token(split[i], "drop", num_docs, vocab_size, draw)
+        split[j] = _mutate_token(split[j], "add", num_docs, vocab_size, draw)
     elif how not in ("none", "swap", "compensate"):
         i = draw(st.integers(0, len(split) - 1))
-        split[i] = _mutate_token(split[i], how, corpus.num_docs, num_v, draw)
+        split[i] = _mutate_token(split[i], how, num_docs, vocab_size, draw)
     seps = st.sampled_from([" ", "\t", "  ", " \t"])
-    text_lines = [draw(seps).join(tokens) for tokens in split]
+    out = [draw(seps).join(tokens) for tokens in split]
     if draw(st.booleans()):
-        text_lines = [draw(st.sampled_from(["", " ", "\t"])) + ln for ln in text_lines]
+        out = [draw(st.sampled_from(["", " ", "\t"])) + ln for ln in out]
     for _ in range(draw(st.integers(0, 3))):
-        text_lines.insert(
-            draw(st.integers(1, len(text_lines))), draw(st.sampled_from(["", " ", " \t "]))
-        )
+        out.insert(draw(st.integers(1, len(out))), draw(st.sampled_from(["", " ", " \t "])))
     newline = draw(st.sampled_from(["\n", "\r\n"]))
-    text = newline.join(text_lines) + draw(st.sampled_from([newline, ""]))
-    labels = None
-    if draw(st.booleans()):
-        labels = draw(st.lists(st.integers(0, 4), min_size=corpus.num_docs, max_size=corpus.num_docs))
-    return text, labels
+    return newline.join(out) + draw(st.sampled_from([newline, ""]))
 
 
 def _outcome(load, *args):
@@ -437,16 +421,27 @@ def _outcome(load, *args):
 class TestLoadBowMatchesReference:
     """``load_bow`` against oracles.reference_load_bow, the per-line parser."""
 
-    @given(case=perturbed_bow())
-    def test_same_corpus_or_same_error(self, case, tmp_path_factory):
-        text, labels = case
+    @given(
+        raw_docs=st.lists(
+            st.dictionaries(st.integers(0, 5), st.integers(1, 9), max_size=4),
+            min_size=1,
+            max_size=6,
+        ),
+        labeled=st.booleans(),
+        data=st.data(),
+    )
+    def test_same_corpus_or_same_error(self, raw_docs, labeled, data, tmp_path_factory):
+        docs = [Document(sorted(m), [m[w] for w in sorted(m)]) for m in raw_docs]
+        corpus = Corpus(docs=docs, vocab_size=6)
         folder = tmp_path_factory.mktemp("bow")
         path = folder / "c.bow"
-        path.write_bytes(text.encode())
+        save_bow(corpus, str(path))
+        lines = path.read_text().splitlines()
+        path.write_bytes(_perturb(lines, corpus.num_docs, 6, data.draw).encode())
         labels_path = None
-        if labels is not None:
+        if labeled:
             labels_path = str(folder / "c.labels")
-            save_labels(labels, labels_path)
+            save_labels(np.arange(corpus.num_docs) % 4, labels_path)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = _outcome(load_bow, str(path), None, labels_path)
