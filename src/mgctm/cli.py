@@ -198,13 +198,12 @@ def _load_corpus(ns):
     return corpus_mod.load_bow(ns.corpus, vocab_path=ns.vocab, labels_path=ns.labels)
 
 
-def _load_truth(ns, corpus):
-    truth = np.asarray(corpus_mod.load_labels(ns.labels), dtype=np.int64)
-    if corpus is not None and truth.shape[0] != corpus.num_docs:
-        raise DimensionError(
-            f"{truth.shape[0]} labels for {corpus.num_docs} documents"
-        )
-    return truth
+def _cluster_count(ns, truth):
+    """--clusters, by default the number of distinct true labels."""
+    k = ns.clusters if ns.clusters is not None else len(np.unique(truth))
+    if k < 1:
+        raise CliError("--clusters must be >= 1")
+    return k
 
 
 def _fit_mgctm(ns, corpus, k, seed, **schedule):
@@ -255,19 +254,18 @@ def _lda_labels(method, lda, k, seed):
     return baselines.theta_kmeans(lda, k, seed=seed)
 
 
-def _eval_predictions(ns, truth_classes):
-    """Run the requested method and return its predicted labels."""
-    k = ns.clusters if ns.clusters is not None else truth_classes
-    if k < 1:
-        raise CliError("--clusters must be >= 1")
+def _eval_predictions(ns, corpus, k):
+    """Run the requested method and return its predicted labels.
+
+    ``corpus`` is the loaded --corpus, or None without one.
+    """
     if ns.method == "mgctm":
-        _require(ns, "model")
-        corpus = _load_corpus(ns)
+        _require(ns, "model", "corpus")
         params, _ = serialize.load_model(ns.model)
         states = infer_doc_states(params, corpus, threads=ns.threads)
         return np.array([predict_cluster(s) for s in states], dtype=np.int64)
     if ns.method == "kmeans":
-        corpus = _load_corpus(ns)
+        _require(ns, "corpus")
         vectors = corpus_mod.tfidf_vectors(corpus)
         labels, _, _ = baselines.kmeans(vectors, k, seed=ns.seed)
         return labels
@@ -275,17 +273,25 @@ def _eval_predictions(ns, truth_classes):
     if ns.model is not None:
         lda, _ = serialize.load_lda(ns.model)
     else:
+        _require(ns, "corpus")
         topics = k if ns.method == "lda-naive" else ns.lda_topics
-        lda, _ = baselines.fit_lda(_load_corpus(ns), topics, seed=ns.seed)
+        lda, _ = baselines.fit_lda(corpus, topics, seed=ns.seed)
     return _lda_labels(ns.method, lda, k, ns.seed)
 
 
 def cmd_eval(ns):
     _require(ns, "method", "labels")
-    truth = np.asarray(corpus_mod.load_labels(ns.labels), dtype=np.int64)
-    if truth.size == 0:
-        raise DimensionError("labels file is empty")
-    pred = _eval_predictions(ns, len(np.unique(truth)))
+    # with a corpus, the labels of the documents it kept; without one,
+    # only a fitted LDA model file can give the predictions
+    corpus = None
+    if ns.corpus is not None:
+        corpus = _load_corpus(ns)
+        truth = corpus.labels()
+    else:
+        truth = corpus_mod.load_labels(ns.labels)
+        if truth.size == 0:
+            raise DimensionError("labels file is empty")
+    pred = _eval_predictions(ns, corpus, _cluster_count(ns, truth))
     if pred.shape[0] != truth.shape[0]:
         raise DimensionError(
             f"{pred.shape[0]} predictions for {truth.shape[0]} labels"
@@ -371,7 +377,7 @@ def _bench_predictions(method, corpus, k, seed, ns, vectors):
 def cmd_bench(ns):
     _require(ns, "corpus", "labels", "methods", "out")
     corpus = _load_corpus(ns)
-    truth = _load_truth(ns, corpus)
+    truth = corpus.labels()
     if ns.local_topics is None:
         ns.local_topics = 1
     if ns.global_topics is None:
@@ -400,7 +406,7 @@ def cmd_bench(ns):
             raise CliError("--seeds selected nothing")
         if min(seeds) < 0:
             raise CliError("--seeds entries must be >= 0")
-    k = ns.clusters if ns.clusters is not None else len(np.unique(truth))
+    k = _cluster_count(ns, truth)
 
     # only the k-means seed changes between runs, so tf-idf is built once
     vectors = corpus_mod.tfidf_vectors(corpus) if "kmeans" in methods else None

@@ -18,10 +18,11 @@ Only a file that fails is checked again line by line, to name its first
 bad line with that line's error.
 
 Vocabulary file: one token per line; line i (1-based) is the token with
-word id i.
+word id i. Blank lines may follow the last token, but not precede it.
 
-Labels file: one integer per line; line d is the ground-truth category
-of document d (referring to documents in their original file order,
+Labels file: one non-negative integer per line, with the bag-of-words
+field and blank-line rules; line d is the ground-truth category of
+document d (referring to documents in their original file order,
 before any empty documents are dropped).
 """
 
@@ -207,44 +208,55 @@ def _segsum(rows, bounds):
 
 
 def _parse_int_fields(line, n_fields, lineno, what):
+    # ``line`` without its line end; int() also takes underscores,
+    # non-ASCII digits and other whitespace, which _check_plain refuses
     parts = line.split()
     if len(parts) != n_fields:
         raise CorpusFormatError(
             f"expected {n_fields} fields for {what}, got {len(parts)}", line=lineno
         )
     try:
-        return [int(p) for p in parts]
+        values = [int(p) for p in parts]
     except ValueError as exc:
         raise CorpusFormatError(f"non-integer field in {what}: {exc}", line=lineno)
+    _check_plain(line, lineno)
+    return values
 
 
 def load_vocab(vocab_path):
-    """Read a vocabulary file (one token per line)."""
+    """Read a vocabulary file (one token per line).
+
+    Blank lines after the last token are ignored; one before it is an
+    empty token, which ``Vocabulary`` refuses.
+    """
     with open(vocab_path, encoding="utf-8") as fh:
-        tokens = [line.strip() for line in fh if line.strip()]
+        tokens = [line.strip() for line in fh]
+    while tokens and not tokens[-1]:
+        tokens.pop()
     return Vocabulary(tokens)
 
 
 def load_labels(labels_path):
-    """Read a labels file (one non-negative integer per line)."""
+    """Read a labels file (one non-negative integer per line).
+
+    Fields and blank lines follow the bag-of-words rules.
+    """
     labels = []
     with open(labels_path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
+            line = line.removesuffix("\n")
             if not line.strip():
+                _check_plain(line, lineno)
                 continue
             (lab,) = _parse_int_fields(line, 1, lineno, "label")
             if lab < 0:
                 raise CorpusFormatError("labels must be non-negative", line=lineno)
+            if lab > _INT64_MAX:
+                raise CorpusFormatError(
+                    f"label {lab} does not fit in a signed 64-bit integer", line=lineno
+                )
             labels.append(lab)
     return np.array(labels, dtype=np.int64)
-
-
-def _parse_bow_fields(line, n_fields, lineno, what):
-    # _parse_int_fields, then the bag-of-words syntax: int() also takes
-    # underscores, non-ASCII digits and other whitespace
-    values = _parse_int_fields(line, n_fields, lineno, what)
-    _check_plain(line, lineno)
-    return values
 
 
 def _check_plain(line, lineno):
@@ -258,7 +270,7 @@ def _check_plain(line, lineno):
 
 
 def _parse_header(line):
-    num_docs, vocab_size, nnz = _parse_bow_fields(line, 3, 1, "header")
+    num_docs, vocab_size, nnz = _parse_int_fields(line, 3, 1, "header")
     if num_docs < 1 or vocab_size < 1:
         raise CorpusFormatError(
             f"empty corpus: header declares D={num_docs}, V={vocab_size}", line=1
@@ -313,7 +325,7 @@ def _raise_first_bad_line(data):
         if not line.strip():
             _check_plain(line, lineno)
             continue
-        doc_id, word_id, count = _parse_bow_fields(line, 3, lineno, "triple")
+        doc_id, word_id, count = _parse_int_fields(line, 3, lineno, "triple")
         if not 1 <= doc_id <= num_docs:
             raise CorpusFormatError(
                 f"doc id {doc_id} outside 1..{num_docs}", line=lineno

@@ -612,9 +612,9 @@ def update_block(params, doc, state, block):
 
 def _run_e_step(batch, num_docs, start, sweeps, threads=None):
     # _coordinate_ascent on every batch; batch(docs) builds the working set
-    # of the slice ``docs``; ``start``: every document's bound, or None
+    # of the slice ``docs``; ``start``: every document's bound
     def work(docs):
-        _coordinate_ascent(batch(docs), None if start is None else start[docs], sweeps)
+        _coordinate_ascent(batch(docs), start[docs], sweeps)
 
     slices = _batch_slices(num_docs)
     if threads is not None and threads > 1:

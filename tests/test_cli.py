@@ -9,7 +9,7 @@ import mgctm.cli as cli_mod
 import oracles
 from mgctm.baselines import LdaModel, fit_lda, lda_naive_cluster, theta_kmeans
 from mgctm.cli import main
-from mgctm.corpus import load_bow, load_labels, save_labels, save_vocab
+from mgctm.corpus import Document, load_bow, load_labels, save_bow, save_labels, save_vocab
 from mgctm.errors import NumericalError
 from mgctm.evaluation import clustering_accuracy, nmi
 from mgctm.model import HyperConfig, init_model, random_model_params
@@ -198,6 +198,16 @@ class TestRefusedSeedsAndShapes:
             "--methods", "kmeans", "--seeds=1,-1", "--out", out,
         ]
         self.refused(capsys, argv, [out], "--seeds entries must be >= 0")
+
+    def test_bench_zero_clusters(self, tmp_path, capsys):
+        # refused before the LDA fit that would run first
+        paths = write_two_block_corpus(tmp_path)
+        out = str(tmp_path / "r.tsv")
+        argv = [
+            "bench", "--corpus", paths["bow"], "--labels", paths["labels"],
+            "--methods", "lda-naive,kmeans", "--clusters", "0", "--out", out,
+        ]
+        self.refused(capsys, argv, [out], "error: --clusters must be >= 1")
 
 
 class TestTrain:
@@ -1065,3 +1075,58 @@ class TestBench:
         )
         assert code == 2
         assert "labels file has 2 entries for 12 documents" in err
+
+
+class TestDroppedDocument:
+    """eval and bench on a corpus with an empty document print what they
+    print on the corpus without that document and its label."""
+
+    @pytest.fixture
+    def corpora(self, tmp_path):
+        """(full, reduced) corpus paths; the full corpus's document 4 is
+        empty and labelled with a class no kept document has."""
+        reduced = write_two_block_corpus(tmp_path)
+        bow = load_bow(reduced["bow"])
+        bow.docs.insert(3, Document([], []))
+        labels = load_labels(reduced["labels"]).tolist()
+        labels.insert(3, 7)
+        full = {"bow": str(tmp_path / "full.bow"), "labels": str(tmp_path / "full.labels")}
+        save_bow(bow, full["bow"])
+        save_labels(labels, full["labels"])
+        assert load_bow(full["bow"]).dropped_docs == 1
+        return full, reduced
+
+    @pytest.mark.parametrize("method", ["mgctm", "kmeans", "lda-naive", "lda-kmeans"])
+    def test_eval(self, tmp_path, capsys, corpora, method):
+        full, reduced = corpora
+        model = []
+        if method == "mgctm":
+            model = ["--model", str(tmp_path / "m.json")]
+            code, _, _ = run(
+                capsys, "train", "--corpus", reduced["bow"], *model,
+                "--clusters", "2", "--local-topics", "1", "--global-topics", "1",
+                "--max-em-iters", "5",
+            )
+            assert code == 0
+        outs = []
+        for paths in (full, reduced):
+            code, out, _ = run(
+                capsys, "eval", "--method", method, "--corpus", paths["bow"],
+                "--labels", paths["labels"], "--lda-topics", "2", *model,
+            )
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+
+    def test_bench(self, tmp_path, capsys, corpora):
+        results = []
+        for paths in corpora:
+            report = tmp_path / "report.tsv"
+            code, out, _ = run(
+                capsys, "bench", "--corpus", paths["bow"], "--labels", paths["labels"],
+                "--methods", "mgctm,kmeans,lda-naive,lda-kmeans", "--seeds", "0,1",
+                "--lda-topics", "2", "--max-em-iters", "5", "--out", str(report),
+            )
+            assert code == 0
+            results.append((out, report.read_bytes()))
+        assert results[0] == results[1]

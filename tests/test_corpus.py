@@ -264,29 +264,46 @@ class TestLoadBow:
         assert corpus.docs[0].entries == [(0, 1), (1, 1)]
 
 
+# For each integer text format, its reader and a file whose line 4 holds
+# the field ``{}`` after a blank line 3
+FIELD_FILES = {
+    "bow": (load_bow, "1 2000 2\n1 1 1\n\n1 {} 1\n"),
+    "labels": (load_labels, "0\n1\n\n{}\n"),
+}
+# ... and a file whose line 3 is ``{}``
+LINE_3_FILES = {
+    "bow": (load_bow, "1 3 1\n1 1 1\n{}\n"),
+    "labels": (load_labels, "0\n1\n{}\n"),
+}
+
+
 class TestLoadBowSyntax:
     """What the bulk parse refuses that int() takes, and what it keeps."""
 
+    @pytest.mark.parametrize("reader", ["bow", "labels"])
     @pytest.mark.parametrize(
-        "line, char",
+        "field, char",
         [
-            pytest.param("1 1_000 1", "_", id="underscore"),
-            pytest.param("1 \u0661 1", "\u0661", id="arabic-indic-digit"),
-            pytest.param("1\xa01 1", "\xa0", id="no-break-space"),
-            pytest.param("1 1 1\x1f", "\x1f", id="unit-separator"),
+            pytest.param("1_000", "_", id="underscore"),
+            pytest.param("\u0661", "\u0661", id="arabic-indic-digit"),
+            pytest.param("1\xa0", "\xa0", id="no-break-space"),
+            pytest.param("1\x1f", "\x1f", id="unit-separator"),
         ],
     )
-    def test_int_syntax_beyond_ascii_refused(self, tmp_path, line, char):
-        path = write(tmp_path / "c.bow", f"1 2000 2\n1 1 1\n\n{line}\n")
+    def test_int_syntax_beyond_ascii_refused(self, tmp_path, reader, field, char):
+        load, text = FIELD_FILES[reader]
+        path = write(tmp_path / "c.txt", text.format(field))
         with pytest.raises(CorpusFormatError, match="unexpected character") as err:
-            load_bow(path)
+            load(path)
         assert err.value.line == 4
         assert repr(char) in str(err.value)
 
-    def test_other_whitespace_in_blank_line_refused(self, tmp_path):
-        path = write(tmp_path / "c.bow", "1 3 1\n1 1 1\n\x0c\n")
+    @pytest.mark.parametrize("reader", ["bow", "labels"])
+    def test_other_whitespace_in_blank_line_refused(self, tmp_path, reader):
+        load, text = LINE_3_FILES[reader]
+        path = write(tmp_path / "c.txt", text.format("\x0c"))
         with pytest.raises(CorpusFormatError, match="unexpected character") as err:
-            load_bow(path)
+            load(path)
         assert err.value.line == 3
 
     def test_underscore_in_header_refused(self, tmp_path):
@@ -475,6 +492,17 @@ class TestLabelsFile:
         save_labels(np.array([3, 0, 2]), str(path))
         np.testing.assert_array_equal(load_labels(str(path)), [3, 0, 2])
 
+    def test_signs_leading_zeros_crlf_tabs_and_lone_cr(self, tmp_path):
+        path = tmp_path / "c.labels"
+        path.write_bytes(b"+3\r\n \t\r\n\t007 \r0")
+        np.testing.assert_array_equal(load_labels(str(path)), [3, 7, 0])
+
+    def test_label_beyond_int64_rejected(self, tmp_path):
+        path = write(tmp_path / "c.labels", f"0\n{2**63}\n")
+        with pytest.raises(CorpusFormatError, match="64-bit") as err:
+            load_labels(path)
+        assert err.value.line == 2
+
 
 class TestVocabFile:
     def test_round_trip(self, tmp_path):
@@ -486,6 +514,16 @@ class TestVocabFile:
         path = tmp_path / "c.vocab"
         save_vocab(["x", "y"], str(path))
         assert load_vocab(str(path)).tokens == ["x", "y"]
+
+    def test_blank_line_before_a_token_is_an_empty_token(self, tmp_path):
+        # dropping it would give "beta" on line 3 word id 2
+        path = write(tmp_path / "c.vocab", "alpha\n\nbeta\ngamma\n")
+        with pytest.raises(CorpusFormatError, match="empty token at word id 2"):
+            load_vocab(path)
+
+    def test_blank_lines_after_the_last_token_ignored(self, tmp_path):
+        path = write(tmp_path / "c.vocab", "alpha\nbeta\n\n \n")
+        assert load_vocab(path).tokens == ["alpha", "beta"]
 
 
 docs_strategy = st.lists(
