@@ -198,12 +198,20 @@ def _load_corpus(ns):
     return corpus_mod.load_bow(ns.corpus, vocab_path=ns.vocab, labels_path=ns.labels)
 
 
-def _cluster_count(ns, truth):
-    """--clusters, by default the number of distinct true labels."""
-    k = ns.clusters if ns.clusters is not None else len(np.unique(truth))
-    if k < 1:
+def _check_clusters(ns):
+    """Refuse --clusters below 1; reads no file."""
+    if ns.clusters is not None and ns.clusters < 1:
         raise CliError("--clusters must be >= 1")
-    return k
+
+
+def _cluster_count(ns, truth):
+    """--clusters, by default the number of distinct true labels.
+
+    ``truth`` is never empty: both commands refuse an empty labels file
+    and a corpus whose documents are all empty.
+    """
+    _check_clusters(ns)
+    return ns.clusters if ns.clusters is not None else len(np.unique(truth))
 
 
 def _fit_mgctm(ns, corpus, k, seed, **schedule):
@@ -285,6 +293,11 @@ def cmd_eval(ns):
     # only a fitted LDA model file can give the predictions
     corpus = None
     if ns.corpus is not None:
+        # flag faults are reported before the corpus read, which reads
+        # the labels too, so that they win over any file fault
+        _check_clusters(ns)
+        if ns.method == "mgctm":
+            _require(ns, "model")
         corpus = _load_corpus(ns)
         truth = corpus.labels()
     else:

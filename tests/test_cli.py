@@ -603,6 +603,30 @@ class TestEval:
         assert code == 2
         assert "--method is required" in err
 
+    @pytest.mark.parametrize(
+        "method, flags, message",
+        [
+            pytest.param("mgctm", [], "error: --model is required", id="model"),
+            pytest.param(
+                "kmeans", ["--clusters", "0"], "error: --clusters must be >= 1", id="clusters"
+            ),
+        ],
+    )
+    def test_flag_faults_reported_before_the_corpus_read(
+        self, tmp_path, capsys, method, flags, message
+    ):
+        # the corpus read would refuse this one-line labels file
+        paths = write_two_block_corpus(tmp_path)
+        labels = tmp_path / "short.labels"
+        labels.write_text("0\n")
+        code, out, err = run(
+            capsys, "eval", "--method", method, "--corpus", paths["bow"],
+            "--labels", str(labels), *flags,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == message + "\n"
+
 
 class TestTopics:
     def make_model(self, tmp_path):

@@ -264,44 +264,48 @@ class TestLoadBow:
         assert corpus.docs[0].entries == [(0, 1), (1, 1)]
 
 
-# For each integer text format, its reader and a file whose line 4 holds
-# the field ``{}`` after a blank line 3
-FIELD_FILES = {
-    "bow": (load_bow, "1 2000 2\n1 1 1\n\n1 {} 1\n"),
-    "labels": (load_labels, "0\n1\n\n{}\n"),
-}
-# ... and a file whose line 3 is ``{}``
-LINE_3_FILES = {
-    "bow": (load_bow, "1 3 1\n1 1 1\n{}\n"),
-    "labels": (load_labels, "0\n1\n{}\n"),
-}
-
-
 class TestLoadBowSyntax:
     """What the bulk parse refuses that int() takes, and what it keeps."""
 
-    @pytest.mark.parametrize("reader", ["bow", "labels"])
     @pytest.mark.parametrize(
-        "field, char",
+        "load, text, char",
         [
-            pytest.param("1_000", "_", id="underscore"),
-            pytest.param("\u0661", "\u0661", id="arabic-indic-digit"),
-            pytest.param("1\xa0", "\xa0", id="no-break-space"),
-            pytest.param("1\x1f", "\x1f", id="unit-separator"),
+            pytest.param(
+                load_bow, "1 2000 2\n1 1 1\n\n1 1_000 1\n", "_", id="underscore"
+            ),
+            pytest.param(
+                load_bow, "1 2000 2\n1 1 1\n\n1 \u0661 1\n", "\u0661", id="arabic-indic-digit"
+            ),
+            pytest.param(
+                load_bow, "1 2000 2\n1 1 1\n\n1\xa01 1\n", "\xa0", id="no-break-space"
+            ),
+            pytest.param(
+                load_bow, "1 2000 2\n1 1 1\n\n1 1 1\x1f\n", "\x1f", id="unit-separator"
+            ),
+            pytest.param(load_labels, "0\n1\n\n1_000\n", "_", id="underscore-labels"),
+            pytest.param(
+                load_labels, "0\n1\n\n\u0661\n", "\u0661", id="arabic-indic-digit-labels"
+            ),
+            pytest.param(load_labels, "0\n1\n\n1\xa0\n", "\xa0", id="no-break-space-labels"),
+            pytest.param(load_labels, "0\n1\n\n1\x1f\n", "\x1f", id="unit-separator-labels"),
         ],
     )
-    def test_int_syntax_beyond_ascii_refused(self, tmp_path, reader, field, char):
-        load, text = FIELD_FILES[reader]
-        path = write(tmp_path / "c.txt", text.format(field))
+    def test_int_syntax_beyond_ascii_refused(self, tmp_path, load, text, char):
+        path = write(tmp_path / "c.txt", text)
         with pytest.raises(CorpusFormatError, match="unexpected character") as err:
             load(path)
         assert err.value.line == 4
         assert repr(char) in str(err.value)
 
-    @pytest.mark.parametrize("reader", ["bow", "labels"])
-    def test_other_whitespace_in_blank_line_refused(self, tmp_path, reader):
-        load, text = LINE_3_FILES[reader]
-        path = write(tmp_path / "c.txt", text.format("\x0c"))
+    @pytest.mark.parametrize(
+        "load, text",
+        [
+            pytest.param(load_bow, "1 3 1\n1 1 1\n\x0c\n", id="bow"),
+            pytest.param(load_labels, "0\n1\n\x0c\n", id="labels"),
+        ],
+    )
+    def test_other_whitespace_in_blank_line_refused(self, tmp_path, load, text):
+        path = write(tmp_path / "c.txt", text)
         with pytest.raises(CorpusFormatError, match="unexpected character") as err:
             load(path)
         assert err.value.line == 3
