@@ -10,10 +10,11 @@ run directly on tf-idf vectors.
 
 ``kmeans`` takes dense or ``scipy.sparse`` points and works on one CSR
 view of them, so its cost scales with the points' nonzeros: on tf-idf
-vectors, well under 1% of the cells. A dense array's view is built from
-one scan for its nonzero cells. ``corpus.tfidf_vectors`` still
-returns a dense array, because the benchmark's checks index its rows;
-it can turn sparse once those checks densify their inputs.
+vectors, well under 1% of the cells. The CLI clusters the CSR tf-idf of
+``corpus.tfidf_csr``; ``corpus.tfidf_vectors`` is its dense form, for
+API users and the benchmark, whose checks index its rows. A dense
+array's view is built from one scan for its nonzero cells, which
+``theta_kmeans`` and the benchmark still need.
 
 LDA shares the main model's flat layout and machinery: the documents'
 distinct terms sit end to end, one row per (document, term) pair, and

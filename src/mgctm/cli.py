@@ -274,7 +274,7 @@ def _eval_predictions(ns, corpus, k):
         return np.array([predict_cluster(s) for s in states], dtype=np.int64)
     if ns.method == "kmeans":
         _require(ns, "corpus")
-        vectors = corpus_mod.tfidf_vectors(corpus)
+        vectors = corpus_mod.tfidf_csr(corpus)
         labels, _, _ = baselines.kmeans(vectors, k, seed=ns.seed)
         return labels
     # the two LDA routes accept a fitted model file or fit on the fly
@@ -422,7 +422,7 @@ def cmd_bench(ns):
     k = _cluster_count(ns, truth)
 
     # only the k-means seed changes between runs, so tf-idf is built once
-    vectors = corpus_mod.tfidf_vectors(corpus) if "kmeans" in methods else None
+    vectors = corpus_mod.tfidf_csr(corpus) if "kmeans" in methods else None
 
     lines = ["method\tseed\tac\tnmi\tstatus"]
     any_failed = False

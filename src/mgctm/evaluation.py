@@ -2,9 +2,11 @@
 
 Accuracy is the fraction of documents whose predicted cluster maps to
 their true class under the best one-to-one cluster-to-class assignment,
-found exactly on the contingency matrix. NMI is I(pred; truth) divided
-by sqrt(H(pred) * H(truth)), with natural-log entropies computed from
-the empirical joint distribution.
+found exactly on the contingency matrix by the Hungarian algorithm with
+potentials, in integer arithmetic and plain NumPy (scipy.optimize costs
+~130 ms and ~21 MB of resident memory to import). NMI is I(pred; truth)
+divided by sqrt(H(pred) * H(truth)), with natural-log entropies computed
+from the empirical joint distribution.
 """
 
 from dataclasses import dataclass
@@ -62,6 +64,51 @@ def contingency(pred, truth):
     return table
 
 
+def _max_assignment(table):
+    """Max-weight assignment on a square integer table, with its dual.
+
+    The Hungarian algorithm with potentials (the O(k^3) form that adds
+    one row at a time along a shortest augmenting path), minimizing
+    -table in int64, so every comparison is exact. Returns (cols, tight):
+    row i takes column cols[i], and tight marks the cells where the final
+    potentials meet the cost. Those potentials are an optimal dual, so
+    the optimal assignments are exactly the perfect matchings on tight
+    cells.
+    """
+    k = table.shape[0]
+    cost = -np.asarray(table, dtype=np.int64)
+    # 1-based: column 0 is the virtual start column of each row's search
+    u = np.zeros(k + 1, dtype=np.int64)
+    v = np.zeros(k + 1, dtype=np.int64)
+    row_of = np.zeros(k + 1, dtype=np.int64)  # row of each column, 0 = free
+    way = np.zeros(k + 1, dtype=np.int64)
+    inf = np.iinfo(np.int64).max
+    for i in range(1, k + 1):
+        row_of[0] = i
+        j0 = 0
+        minv = np.full(k + 1, inf, dtype=np.int64)
+        used = np.zeros(k + 1, dtype=bool)
+        while row_of[j0]:
+            used[j0] = True
+            reduced = cost[row_of[j0] - 1] - u[row_of[j0]] - v[1:]
+            better = ~used[1:] & (reduced < minv[1:])
+            minv[1:][better] = reduced[better]
+            way[1:][better] = j0
+            j1 = int(np.where(used, inf, minv).argmin())
+            delta = minv[j1]
+            u[row_of[used]] += delta
+            v[used] -= delta
+            minv[~used] -= delta
+            j0 = j1
+        while j0:
+            row_of[j0] = row_of[way[j0]]
+            j0 = way[j0]
+    cols = np.empty(k, dtype=np.int64)
+    cols[row_of[1:] - 1] = np.arange(k)
+    tight = u[1:, None] + v[None, 1:] == cost
+    return cols, tight
+
+
 def align_labels(pred, truth):
     """Optimal one-to-one mapping from predicted clusters to true classes.
 
@@ -69,46 +116,50 @@ def align_labels(pred, truth):
     that gives cluster 0 the lowest possible class, then cluster 1, and
     so on. Returned as an int array indexed by predicted cluster.
     """
-    # imported here: scipy.optimize adds ~0.25 s to every process start
-    from scipy.optimize import linear_sum_assignment
-
-    table = contingency(pred, truth)
-    k = table.shape[0]
-
-    def best_total(t):
-        rows, cols = linear_sum_assignment(t, maximize=True)
-        return int(t[rows, cols].sum())
-
-    target = best_total(table)
-    mapping = np.full(k, -1, dtype=np.int64)
-    taken = np.zeros(k, dtype=bool)
-    # Fix clusters one at a time, lowest class first, keeping optimality.
-    fixed_gain = 0
-    for p in range(k):
-        remaining_rows = np.arange(p + 1, k)
-        for t in range(k):
-            if taken[t]:
-                continue
-            rest_cols = np.array(
-                [c for c in range(k) if not taken[c] and c != t], dtype=np.int64
-            )
-            rest = table[np.ix_(remaining_rows, rest_cols)] if remaining_rows.size else None
-            rest_total = best_total(rest) if rest is not None and rest.size else 0
-            if fixed_gain + table[p, t] + rest_total == target:
-                mapping[p] = t
-                taken[t] = True
-                fixed_gain += int(table[p, t])
+    cols, tight = _max_assignment(contingency(pred, truth))
+    row_of = np.argsort(cols)
+    # Fix clusters one at a time, lowest class first. Cluster p can take
+    # a tight class t held by a later cluster when an alternating path of
+    # tight cells among the later clusters leads from t to p's class:
+    # each cluster on it moves one class along, so the total stays optimal.
+    for p in range(cols.size):
+        for t in np.flatnonzero(tight[p]):
+            if t == cols[p]:
                 break
-    return mapping
+            if row_of[t] > p and _reroute(tight, cols, row_of, p, t):
+                break
+    return cols
+
+
+def _reroute(tight, cols, row_of, p, t):
+    """Give cluster p class t along an alternating path of tight cells
+    through clusters after p; False, changing nothing, if there is none."""
+    goal = cols[p]
+    came = {t: None}  # each reached class, from the class before it
+    stack = [t]
+    while stack:
+        c = stack.pop()
+        for d in np.flatnonzero(tight[row_of[c]]):
+            if d in came or row_of[d] < p:
+                continue
+            came[d] = c
+            if d == goal:
+                while d != t:  # each cluster on the path takes the next class
+                    c = came[d]
+                    r = row_of[c]
+                    cols[r], row_of[d] = d, r
+                    d = c
+                cols[p], row_of[t] = t, p
+                return True
+            stack.append(d)
+    return False
 
 
 def clustering_accuracy(pred, truth):
     """Best-map clustering accuracy in [0, 1]."""
-    from scipy.optimize import linear_sum_assignment
-
     table = contingency(pred, truth)
-    rows, cols = linear_sum_assignment(table, maximize=True)
-    return float(table[rows, cols].sum()) / float(table.sum())
+    cols, _ = _max_assignment(table)
+    return float(table[np.arange(cols.size), cols].sum()) / float(table.sum())
 
 
 def nmi(pred, truth):

@@ -1,6 +1,9 @@
 import json
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ import mgctm.cli as cli_mod
 import oracles
 from mgctm.baselines import LdaModel, fit_lda, lda_naive_cluster, theta_kmeans
 from mgctm.cli import main
-from mgctm.corpus import Document, load_bow, load_labels, save_bow, save_labels, save_vocab
+from mgctm.corpus import Corpus, Document, load_bow, load_labels, save_bow, save_labels, save_vocab
 from mgctm.errors import NumericalError
 from mgctm.evaluation import clustering_accuracy, nmi
 from mgctm.model import HyperConfig, init_model, random_model_params
@@ -1007,13 +1010,13 @@ class TestBench:
         argv, paths = synth_args(tmp_path, docs=30)
         assert run(capsys, *argv)[0] == 0
         calls = []
-        real = corpus_mod.tfidf_vectors
+        real = corpus_mod.tfidf_csr
 
         def counting(corpus):
             calls.append(corpus.num_docs)
             return real(corpus)
 
-        monkeypatch.setattr(corpus_mod, "tfidf_vectors", counting)
+        monkeypatch.setattr(corpus_mod, "tfidf_csr", counting)
         out_path = tmp_path / "report.tsv"
         code, _, _ = run(
             capsys,
@@ -1154,3 +1157,51 @@ class TestDroppedDocument:
             assert code == 0
             results.append((out, report.read_bytes()))
         assert results[0] == results[1]
+
+
+class TestWideVocabulary:
+    """k-means scoring clusters a sparse tf-idf: on 500 documents over
+    V = 1,000,000 a dense one would take 3.73 GiB, more than the 3 GiB
+    address space the child process gives itself."""
+
+    # the child caps its own address space, then runs one CLI command
+    CAPPED_MAIN = (
+        "import resource, sys; "
+        "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30)); "
+        "from mgctm.cli import main; "
+        "sys.exit(main(sys.argv[1:]))"
+    )
+
+    @pytest.fixture(scope="class")
+    def wide_corpus(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("wide")
+        rng = np.random.default_rng(0)
+        docs = [
+            Document(np.sort(rng.choice(10**6, 20, replace=False)), rng.integers(1, 4, 20))
+            for _ in range(500)
+        ]
+        paths = {"corpus": str(tmp / "wide.bow"), "labels": str(tmp / "wide.labels")}
+        save_bow(Corpus(docs, 10**6), paths["corpus"])
+        save_labels(np.arange(500) % 2, paths["labels"])
+        return tmp, paths
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["eval", "--method", "kmeans"], ["bench", "--methods", "kmeans", "--seeds", "0"]],
+        ids=["eval", "bench"],
+    )
+    def test_kmeans_runs_under_a_3_gib_address_space(self, wide_corpus, argv):
+        tmp, paths = wide_corpus
+        argv = argv + ["--corpus", paths["corpus"], "--labels", paths["labels"]]
+        if argv[0] == "bench":
+            argv += ["--out", str(tmp / "bench.tsv")]
+        path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        result = subprocess.run(
+            [sys.executable, "-c", self.CAPPED_MAIN, *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr

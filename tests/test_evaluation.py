@@ -10,6 +10,7 @@ import oracles
 from mgctm.errors import DimensionError
 from mgctm.evaluation import (
     ClusterLabels,
+    _max_assignment,
     align_labels,
     clustering_accuracy,
     contingency,
@@ -197,3 +198,77 @@ class TestAlignLabels:
                 for pi in permutations(range(len(mapping)))
             )
             assert matched == best
+
+
+def matched_total(table):
+    """The matched count of ``_max_assignment``'s assignment, checked to
+    be a permutation that only uses cells where its dual is tight."""
+    cols, tight = _max_assignment(table)
+    rows = np.arange(table.shape[0])
+    assert sorted(cols.tolist()) == rows.tolist()
+    assert tight[rows, cols].all()
+    return int(table[rows, cols].sum())
+
+
+def tables_of_size(k, rng):
+    """Random contingency tables of size k, with the degenerate shapes:
+    all zero, one nonzero row, all equal (every assignment ties)."""
+    one_row = np.zeros((k, k), dtype=np.int64)
+    one_row[rng.integers(k)] = rng.integers(0, 9, k)
+    yield np.zeros((k, k), dtype=np.int64)
+    yield one_row
+    yield np.full((k, k), 3, dtype=np.int64)
+    for high in (2, 3, 50):
+        for _ in range(3):
+            yield rng.integers(0, high, (k, k))
+
+
+def labels_from_table(table):
+    """(pred, truth) label vectors whose contingency table is ``table``."""
+    pairs = [(p, t) for (p, t), n in np.ndenumerate(table) for _ in range(n)]
+    return np.array(pairs, dtype=np.int64).T
+
+
+class TestMaxAssignment:
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_total_matches_permutation_oracle(self, k):
+        rng = np.random.default_rng(k)
+        for table in tables_of_size(k, rng):
+            n = int(table.sum())
+            if n == 0:
+                assert matched_total(table) == 0
+            else:
+                # both sides divide the same two integers
+                assert matched_total(table) / n == oracles.accuracy_from_table(table)
+
+    @pytest.mark.parametrize("k_pred, k_truth", [(1, 4), (4, 1), (2, 5), (6, 3)])
+    def test_accuracy_with_different_cluster_counts(self, k_pred, k_truth):
+        rng = np.random.default_rng(10 * k_pred + k_truth)
+        for _ in range(10):
+            pred = rng.integers(0, k_pred, 30)
+            truth = rng.integers(0, k_truth, 30)
+            assert clustering_accuracy(pred, truth) == oracles.accuracy_from_table(
+                contingency(pred, truth)
+            )
+
+    @pytest.mark.parametrize("k", [8, 9, 13, 20, 31, 40])
+    def test_total_matches_scipy(self, k):
+        from scipy.optimize import linear_sum_assignment
+
+        rng = np.random.default_rng(k)
+        for table in tables_of_size(k, rng):
+            rows, cols = linear_sum_assignment(table, maximize=True)
+            assert matched_total(table) == int(table[rows, cols].sum())
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_align_labels_is_first_optimal_permutation(self, k):
+        rng = np.random.default_rng(100 + k)
+        for table in tables_of_size(k, rng):
+            table = table.copy()
+            table[k - 1, k - 1] += 1  # both labelings reach k clusters
+            first = max(
+                permutations(range(k)),
+                key=lambda perm: sum(int(table[i, perm[i]]) for i in range(k)),
+            )
+            pred, truth = labels_from_table(table)
+            np.testing.assert_array_equal(align_labels(pred, truth), first)

@@ -177,3 +177,53 @@ def test_import_leaves_scipy_optimize_unloaded(module):
         timeout=60,
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_no_module_imports_scipy_optimize():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [
+                    f"{node.module}.{alias.name}" for alias in node.names
+                ]
+            else:
+                continue
+            if any(name.split(".")[:2] == ["scipy", "optimize"] for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, "scipy.optimize imported at " + ", ".join(found)
+
+
+def test_scoring_leaves_scipy_optimize_unloaded(tmp_path):
+    # the matching is plain NumPy: scoring, aligning and the CLI's k-means
+    # evaluation never pay scipy.optimize's ~130 ms and ~21 MB
+    code = (
+        "import sys\n"
+        "from mgctm.cli import main\n"
+        "from mgctm.evaluation import align_labels, clustering_accuracy\n"
+        "clustering_accuracy([0, 0, 1, 2], [1, 1, 0, 2])\n"
+        "align_labels([0, 0, 1, 2], [1, 1, 0, 2])\n"
+        "assert main(['synth', '--clusters', '2', '--local-topics', '1',\n"
+        "             '--global-topics', '1', '--vocab-size', '20', '--docs', '30',\n"
+        "             '--doc-length', '20', '--corpus', 'c.bow',\n"
+        "             '--vocab', 'c.vocab', '--labels', 'c.labels']) == 0\n"
+        "assert main(['eval', '--method', 'kmeans', '--corpus', 'c.bow',\n"
+        "             '--labels', 'c.labels']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC.parent)] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert out.stdout.strip().splitlines()[-1] == "[]"
