@@ -186,9 +186,7 @@ def test_no_module_imports_scipy_optimize():
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""] + [
-                    f"{node.module}.{alias.name}" for alias in node.names
-                ]
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
             else:
                 continue
             if any(name.split(".")[:2] == ["scipy", "optimize"] for name in names):
