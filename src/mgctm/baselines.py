@@ -423,13 +423,26 @@ def kmeans(points, num_clusters, seed=0, restarts=10, max_iters=100):
     if not np.isfinite(points.data).all():
         raise DegenerateInputError("points must be finite")
 
-    rows = np.repeat(np.arange(points.shape[0]), np.diff(points.indptr))
-    norms = np.bincount(rows, weights=points.data * points.data, minlength=points.shape[0])
+    # The runs see only the columns the points use, numbered in order, so
+    # their dense k-wide passes scale with those, not with V; every other
+    # column of a center is 0.
+    n, v = points.shape
+    used = np.zeros(v, dtype=bool)
+    used[points.indices] = True
+    narrow = csr_array(
+        (points.data, (np.cumsum(used) - 1)[points.indices], points.indptr),
+        shape=(n, np.count_nonzero(used)),
+    )
+    rows = np.repeat(np.arange(n), np.diff(points.indptr))
+    norms = np.bincount(rows, weights=points.data * points.data, minlength=n)
     runs = (
-        _lloyd(points, rows, norms, num_clusters, np.random.default_rng([seed, r]), max_iters)
+        _lloyd(narrow, rows, norms, num_clusters, np.random.default_rng([seed, r]), max_iters)
         for r in range(restarts)
     )
-    return min(runs, key=lambda run: run[2])  # the first run of least wcss
+    labels, centers, wcss = min(runs, key=lambda run: run[2])  # the first run of least wcss
+    wide = np.zeros((num_clusters, v))
+    wide[:, used] = centers
+    return labels, wide, wcss
 
 
 def theta_kmeans(model, num_clusters, seed=0, restarts=10, max_iters=100):

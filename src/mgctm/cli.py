@@ -239,7 +239,7 @@ def _fit_mgctm(ns, corpus, k, seed, **schedule):
 def cmd_train(ns):
     _require(ns, "corpus", "model", "clusters", "local_topics", "global_topics")
     corpus = _load_corpus(ns)
-    params, _, report = _fit_mgctm(
+    params, states, report = _fit_mgctm(
         ns,
         corpus,
         ns.clusters,
@@ -250,6 +250,7 @@ def cmd_train(ns):
     for i, value in enumerate(report.elbo_trace):
         print(f"iter={i} elbo={value:.6f}")
     print(f"converged={str(report.converged).lower()} iterations={report.iterations_run}")
+    del states  # corpus-sized, and the model's encoding needs the room
     serialize.save_model(params, ns.model, report=report)
     return 0
 

@@ -694,69 +694,63 @@ def m_step(params, states, corpus, config):
     """Re-estimate global parameters from the per-document expectations.
 
     ``states`` is a list of DocVariational, one per document, or the
-    VariationalStore holding them.
+    VariationalStore holding them. One pass per cluster reads the store in
+    its own layout. Sums over documents add them in index order: they run
+    over documents-first copies, of ``mu_l`` one cluster's block at a time.
     """
     store = _as_store(params, corpus.docs, states)
     j_dim = params.num_clusters
     k_dim = params.local_topics_per_cluster
     v_dim = params.vocab_size
     num_docs = corpus.num_docs
+    every_iter = config.prior_update == "every_iter"
 
-    # copies documents first, so that the sums over documents add them in order
-    zeta_mat, lam, mu_l, mu_g = (
-        np.moveaxis(a, -1, 0).copy() for a in (store.zeta, store.lam, store.mu_l, store.mu_g)
+    zeta_mat, lam, mu_g = (
+        np.moveaxis(a, -1, 0).copy() for a in (store.zeta, store.lam, store.mu_g)
     )
     occupancy = zeta_mat.sum(axis=0)
     pi = occupancy / num_docs
-
-    # Each topic's expected word counts: np.bincount adds every row's
-    # weight into its word one row after another, as a scatter over all
-    # rows in order would.
-    zeta_rows = np.take(store.zeta, store.seg, axis=-1)
-    ct = store.counts * store.tau
-    cg = store.counts * (1.0 - store.tau)
-    beta_l = np.empty((j_dim, k_dim, v_dim))
-    for j, k in np.ndindex(j_dim, k_dim):
-        beta_l[j, k] = np.bincount(
-            store.words, zeta_rows[j] * (ct * store.phi_l[j, k]), minlength=v_dim
-        )
-    beta_g = np.stack([np.bincount(store.words, cg * phi, minlength=v_dim) for phi in store.phi_g])
-
-    beta_l += TOPIC_SMOOTHING
-    beta_l /= beta_l.sum(axis=-1, keepdims=True)
-    beta_g += TOPIC_SMOOTHING
-    beta_g /= beta_g.sum(axis=-1, keepdims=True)
-
     empty = occupancy < EMPTY_CLUSTER_EPS
     if np.any(empty):
         logger.warning(
             "clusters %s have near-zero responsibility; freezing their topics",
             np.flatnonzero(empty).tolist(),
         )
-        beta_l[empty] = params.local_topics[empty]
 
+    # Each topic's expected word counts: np.bincount adds every row's
+    # weight into its word one row after another, as a scatter over all
+    # rows in order would.
+    seg = store.seg
+    ct = store.counts * store.tau
+    cg = store.counts * (1.0 - store.tau)
+    beta_l = np.empty((j_dim, k_dim, v_dim))
     local_priors = params.local_priors.copy()
-    global_prior = params.global_prior.copy()
-    gamma = params.gamma.copy()
-    if config.prior_update == "every_iter":
-        elog_l_docs = _elog_dir(mu_l)
-        elog_g_docs = _elog_dir(mu_g)
-        elog_w_docs = _elog_dir(lam)
-        for j in range(j_dim):
-            if empty[j]:
-                continue
-            weights = zeta_mat[:, j]
-            mean_log = (weights[:, None] * elog_l_docs[:, j, :]).sum(
-                axis=0
-            ) / occupancy[j]
+    for j in range(j_dim):
+        zeta_rows = np.take(store.zeta[j], seg)
+        for k, phi in enumerate(store.phi_l[j]):
+            beta_l[j, k] = np.bincount(store.words, zeta_rows * (ct * phi), minlength=v_dim)
+        if every_iter and not empty[j]:
+            elog = _elog_dir(np.moveaxis(store.mu_l[j], -1, 0).copy())
+            mean_log = (zeta_mat[:, j, None] * elog).sum(axis=0) / occupancy[j]
             stats = DirichletStats(mean_log=mean_log, num_obs=float(occupancy[j]))
             local_priors[j] = dirichlet_mle(stats, init=params.local_priors[j])
+    beta_g = np.stack([np.bincount(store.words, cg * phi, minlength=v_dim) for phi in store.phi_g])
+
+    beta_l += TOPIC_SMOOTHING
+    beta_l /= beta_l.sum(axis=-1, keepdims=True)
+    beta_g += TOPIC_SMOOTHING
+    beta_g /= beta_g.sum(axis=-1, keepdims=True)
+    beta_l[empty] = params.local_topics[empty]
+
+    global_prior = params.global_prior.copy()
+    gamma = params.gamma.copy()
+    if every_iter:
         global_prior = dirichlet_mle(
-            DirichletStats(mean_log=elog_g_docs.mean(axis=0), num_obs=float(num_docs)),
+            DirichletStats(mean_log=_elog_dir(mu_g).mean(axis=0), num_obs=float(num_docs)),
             init=params.global_prior,
         )
         gamma = dirichlet_mle(
-            DirichletStats(mean_log=elog_w_docs.mean(axis=0), num_obs=float(num_docs)),
+            DirichletStats(mean_log=_elog_dir(lam).mean(axis=0), num_obs=float(num_docs)),
             init=params.gamma,
         )
 
@@ -818,6 +812,7 @@ def fit(config, corpus, init_labels=None, initial=None, threads=None):
     else:
         params, states = init_model(config, corpus, init_labels)
         store = states.store
+        del states  # its per-document views are not read again
 
     log_topics = _log_topics(params)
 

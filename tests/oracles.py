@@ -10,7 +10,10 @@ updates and full bound, so that the E-step's collapsed per-sweep bound
 can be checked against the loop it replaced. ``BroadcastBatch`` repeats
 the block updates' own arithmetic, written with plain broadcasts over a
 rows-first layout, so the package's rows-last kernels can be checked bit
-for bit.
+for bit. ``reference_m_step`` is the M-step as it read whole documents-first
+copies of a store; it shares the package's Dirichlet solver, so that the
+M-step's statistics and the order of their sums can be checked bit for
+bit.
 Tests compare package outputs against these references.
 """
 
@@ -31,7 +34,14 @@ from mgctm.errors import (
     DimensionError,
     NumericalError,
 )
-from mgctm.inference import DECREASE_SLACK, DOC_SWEEP_REL_TOL, E_STEP_BLOCKS, _Batch
+from mgctm.inference import (
+    DECREASE_SLACK,
+    DOC_SWEEP_REL_TOL,
+    E_STEP_BLOCKS,
+    EMPTY_CLUSTER_EPS,
+    TOPIC_SMOOTHING,
+    _Batch,
+)
 from mgctm.model import (
     DocVariational,
     FitReport,
@@ -39,6 +49,7 @@ from mgctm.model import (
     ModelParams,
     VariationalStore,
 )
+from mgctm.numerics import DirichletStats, dirichlet_mle
 
 
 def _plogp(p):
@@ -692,6 +703,71 @@ def numeric_prior_vector(weighted_elogs, rng):
         )
 
     return maximize_over_positive(f, dim, rng)[0]
+
+
+def _docs_elog_dir(alpha):
+    # E[log theta] of Dirichlets along the last axis
+    return psi(alpha) - psi(alpha.sum(axis=-1, keepdims=True))
+
+
+def reference_m_step(params, store, corpus, config):
+    """The M-step over a VariationalStore in three corpus-wide passes.
+
+    Documents-first copies of ``zeta``, ``lam``, ``mu_l`` and ``mu_g``;
+    a (J, rows) gather of the responsibilities feeding one bincount per
+    (cluster, topic); the Dirichlet statistics from a (D, J, K) array.
+    Returns ModelParams; logs nothing.
+    """
+    j_dim = params.num_clusters
+    k_dim = params.local_topics_per_cluster
+    v_dim = params.vocab_size
+    num_docs = corpus.num_docs
+    zeta_mat, lam, mu_l, mu_g = (
+        np.moveaxis(a, -1, 0).copy() for a in (store.zeta, store.lam, store.mu_l, store.mu_g)
+    )
+    occupancy = zeta_mat.sum(axis=0)
+    seg = np.repeat(np.arange(store.doc_ptr.size - 1), np.diff(store.doc_ptr))
+    zeta_rows = np.take(store.zeta, seg, axis=-1)
+    ct = store.counts * store.tau
+    cg = store.counts * (1.0 - store.tau)
+    beta_l = np.empty((j_dim, k_dim, v_dim))
+    for j, k in np.ndindex(j_dim, k_dim):
+        beta_l[j, k] = np.bincount(
+            store.words, zeta_rows[j] * (ct * store.phi_l[j, k]), minlength=v_dim
+        )
+    beta_g = np.stack([np.bincount(store.words, cg * phi, minlength=v_dim) for phi in store.phi_g])
+    beta_l += TOPIC_SMOOTHING
+    beta_l /= beta_l.sum(axis=-1, keepdims=True)
+    beta_g += TOPIC_SMOOTHING
+    beta_g /= beta_g.sum(axis=-1, keepdims=True)
+    empty = occupancy < EMPTY_CLUSTER_EPS
+    beta_l[empty] = params.local_topics[empty]
+
+    local_priors = params.local_priors.copy()
+    global_prior = params.global_prior.copy()
+    gamma = params.gamma.copy()
+    if config.prior_update == "every_iter":
+        elog_l_docs = _docs_elog_dir(mu_l)
+        for j in np.flatnonzero(~empty):
+            mean_log = (zeta_mat[:, j][:, None] * elog_l_docs[:, j, :]).sum(axis=0) / occupancy[j]
+            stats = DirichletStats(mean_log=mean_log, num_obs=float(occupancy[j]))
+            local_priors[j] = dirichlet_mle(stats, init=params.local_priors[j])
+        global_prior = dirichlet_mle(
+            DirichletStats(mean_log=_docs_elog_dir(mu_g).mean(axis=0), num_obs=float(num_docs)),
+            init=params.global_prior,
+        )
+        gamma = dirichlet_mle(
+            DirichletStats(mean_log=_docs_elog_dir(lam).mean(axis=0), num_obs=float(num_docs)),
+            init=params.gamma,
+        )
+    return ModelParams(
+        pi=occupancy / num_docs,
+        gamma=gamma,
+        local_priors=local_priors,
+        global_prior=global_prior,
+        local_topics=beta_l,
+        global_topics=beta_g,
+    )
 
 
 # ---------------------------------------------------------------------------

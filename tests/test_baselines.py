@@ -361,6 +361,25 @@ class TestKmeans:
         _, _, w10 = kmeans(points, 4, seed=5, restarts=10)
         assert w10 <= w1 + 1e-12
 
+    @pytest.mark.parametrize("nnz", [400, 0], ids=["sparse", "all-zero"])
+    def test_wide_vocabulary_is_clustered_on_the_used_columns(self, nnz):
+        # the same bits as k-means on the points narrowed to the columns
+        # they use, the centers widened back with zeros
+        rng = np.random.default_rng(12)
+        n, v = 40, 10**6
+        cols = rng.integers(0, v, nnz)
+        points = sparse.csr_array(
+            (rng.random(nnz), (rng.integers(0, n, nnz), cols)), shape=(n, v)
+        )
+        used = np.unique(cols)
+        labels, centers, wcss = kmeans(points, 3, seed=2, restarts=2)
+        want_labels, narrow_centers, want_wcss = kmeans(points[:, used], 3, seed=2, restarts=2)
+        want_centers = np.zeros((3, v))
+        want_centers[:, used] = narrow_centers
+        np.testing.assert_array_equal(labels, want_labels)
+        assert centers.tobytes() == want_centers.tobytes()
+        assert wcss == want_wcss
+
     def test_identical_points_keep_k_clusters_alive(self):
         points = np.ones((5, 2))
         labels, centers, wcss = kmeans(points, 2, seed=0)

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import re
@@ -15,7 +16,7 @@ from mgctm.cli import main
 from mgctm.corpus import Corpus, Document, load_bow, load_labels, save_bow, save_labels, save_vocab
 from mgctm.errors import NumericalError
 from mgctm.evaluation import clustering_accuracy, nmi
-from mgctm.model import HyperConfig, init_model, random_model_params
+from mgctm.model import HyperConfig, VariationalStore, init_model, random_model_params
 from mgctm.serialize import load_hidden, load_model, save_hidden, save_lda, save_model
 
 
@@ -248,6 +249,28 @@ class TestTrain:
         assert report.iterations_run == 3
         assert len(report.elbo_trace) == 4
         params.validate()
+
+    def test_fit_states_freed_before_the_model_is_written(self, tmp_path, capsys, monkeypatch):
+        # a corpus-sized store would stay alive through the model's encoding
+        argv, model_path, _ = self.train_args(tmp_path, capsys)
+        # held, so that no new store can take one of their ids
+        stores = {id(o): o for o in gc.get_objects() if isinstance(o, VariationalStore)}
+        real = cli_mod.serialize.save_model
+        alive = []
+
+        def save_model(*args, **kwargs):
+            gc.collect()
+            alive.extend(
+                o for o in gc.get_objects()
+                if isinstance(o, VariationalStore) and id(o) not in stores
+            )
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli_mod.serialize, "save_model", save_model)
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        assert alive == []
+        assert Path(model_path).is_file()
 
     def test_zero_iterations_saves_initial_model(self, tmp_path, capsys):
         argv, model_path, paths = self.train_args(tmp_path, capsys, max_em_iters="0")

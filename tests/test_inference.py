@@ -1,6 +1,8 @@
 import copy
+import gc
 import logging
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -35,6 +37,7 @@ from mgctm.inference import (
 )
 from mgctm.model import (
     SIMPLEX_ATOL,
+    DocStates,
     DocVariational,
     HyperConfig,
     ModelParams,
@@ -351,6 +354,97 @@ class TestMStep:
         assert not np.array_equal(new.gamma, params.gamma)
         assert (new.local_priors > 0).all()
         assert (new.global_prior > 0).all()
+
+
+PARAM_FIELDS = (
+    "pi", "gamma", "local_priors", "global_prior", "local_topics", "global_topics",
+)
+EMPTY_WARNING = "have near-zero responsibility; freezing their topics"
+
+
+class TestMStepMatchesReference:
+    """The M-step gives the bytes of the three-pass reference, whose sums
+    over documents run over whole documents-first copies."""
+
+    @pytest.mark.parametrize("form", ["list", "store"])
+    @pytest.mark.parametrize("prior_update", ["fixed", "every_iter"])
+    @pytest.mark.parametrize(
+        "shape, empty",
+        [
+            pytest.param((1, 1, 1), None, id="J1K1R1"),
+            pytest.param((3, 2, 3), None, id="J3K2R3"),
+            # topic axes of 8 or more, where a last-axis sum adds pairwise
+            pytest.param((12, 9, 8), None, id="J12K9R8"),
+            pytest.param((3, 2, 3), 1, id="J3K2R3-cluster-1-empty"),
+        ],
+    )
+    def test_same_bytes(self, shape, empty, prior_update, form, caplog, monkeypatch):
+        num_j, num_k, num_r = shape
+        params = random_model_params(num_j, num_k, num_r, 30, seed=3)
+        corpus, _ = sample_corpus(params, 40, 30, seed=3)
+        cfg = HyperConfig(
+            num_j, num_k, num_r, max_em_iters=1, e_step_iters=2, prior_update=prior_update
+        )
+        params, states, _ = fit(cfg, corpus)
+        store = states.store
+        if empty is not None:
+            store.zeta[0] += store.zeta[empty]
+            store.zeta[empty] = 0.0
+        want = oracles.reference_m_step(params, store, corpus, cfg)
+
+        # each Dirichlet solve records whether the warning came before it
+        solves = []
+        real_solve = inference_mod.dirichlet_mle
+
+        def solve(*args, **kwargs):
+            solves.append(any(EMPTY_WARNING in r.getMessage() for r in caplog.records))
+            return real_solve(*args, **kwargs)
+
+        monkeypatch.setattr(inference_mod, "dirichlet_mle", solve)
+        with caplog.at_level(logging.WARNING, logger="mgctm.inference"):
+            got = m_step(params, states if form == "list" else store, corpus, cfg)
+        for name in PARAM_FIELDS:
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        warnings = [r.getMessage() for r in caplog.records if EMPTY_WARNING in r.getMessage()]
+        assert warnings == ([] if empty is None else [f"clusters [{empty}] {EMPTY_WARNING}"])
+        num_solves = 0 if prior_update == "fixed" else num_j - (empty is not None) + 2
+        assert solves == [empty is not None] * num_solves
+
+    def test_peak_memory_below_a_clusters_by_rows_array(self):
+        # J-heavy: a (J, rows) float array alone would take 8 * J * rows bytes
+        num_j = 16
+        params = random_model_params(num_j, 1, 1, 50, seed=0)
+        corpus, _ = sample_corpus(params, 1250, 100, seed=1)
+        cfg = HyperConfig(num_j, 1, 1, prior_update="every_iter")
+        params, states = init_model(cfg, corpus)
+        store = states.store
+        rows = store.words.size
+        assert rows > 15_000
+        tracemalloc.start()
+        try:
+            m_step(params, store, corpus, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * num_j * rows
+
+    def test_fit_holds_no_per_document_states_at_the_m_step(self, monkeypatch):
+        # init_model's DocStates list is not read after its store is taken
+        real = inference_mod.m_step
+        alive = []
+
+        def checked(params, states, corpus, config):
+            gc.collect()
+            alive.append(
+                [o for o in gc.get_objects() if isinstance(o, DocStates) and o.store is states]
+            )
+            return real(params, states, corpus, config)
+
+        monkeypatch.setattr(inference_mod, "m_step", checked)
+        corpus = small_fit_corpus(seed=1)
+        labels = np.arange(corpus.num_docs) % 2
+        fit(HyperConfig(2, 2, 2, max_em_iters=2, seed=1), corpus, init_labels=labels)
+        assert alive == [[], []]
 
 
 class TestFit:
