@@ -22,11 +22,11 @@ distinct terms sit end to end, one row per (document, term) pair, and
 Its state is a store like the main model's: the corpus in CSR form
 beside ``gamma`` (D, T) and ``phi`` (rows, T), documents and rows first,
 which at T = 2 to 60 measured faster than T first. Its E-step is the
-same early-exit loop (``inference._coordinate_ascent``) over the same
-fixed batches, on an LDA working set (``_LdaBatch``) whose state is views
-of that store and which compacts and writes back through
-``inference._WorkingSet`` as the main model's does, so results depend on
-nothing but the inputs and the seed.
+same early-exit loop (``inference._coordinate_ascent``) over batches cut
+the same way (``inference._batch_slices``, T cells a row), on an LDA
+working set (``_LdaBatch``) whose state is views of that store and which
+compacts and writes back through ``inference._WorkingSet`` as the main
+model's does, so results depend on nothing but the inputs and the seed.
 
 The LDA sweep works in scaled form, as lda-c does and as Hoffman, Blei
 & Bach (2010), "Online learning for latent Dirichlet allocation", write
@@ -50,13 +50,13 @@ from types import SimpleNamespace
 import numpy as np
 from scipy.special import gammaln, xlogy
 
+from . import corpus as corpus_mod
 from .corpus import _segsum, flat_docs
 from .errors import ConfigError, DegenerateInputError, DimensionError
 from .inference import (
     _batch_slices,
     _dir_ep,
     _elog_dir,
-    _gdot,
     _run_e_step,
     _run_em,
     _safe_log,
@@ -107,21 +107,22 @@ class _LdaBatch(_WorkingSet):
     A sweep keeps phi in scaled form, the E[log theta] it was drawn from
     and each row's normalizer; ``phi`` forms it from them on first read,
     which for a sweeping document is when it is written back. Before the
-    first sweep ``phi`` is a view of the store's.
+    first sweep ``phi`` is a view of the store's. The first sweep gathers
+    each row's topic row ``b``, so a set that only takes its bound never
+    does.
     """
 
     DOC_FIELDS = ("gamma", "elog", "_phi_elog")
     ROW_FIELDS = ("words", "b", "counts", "_norm", "_phi")
     STATE = ("gamma", "phi")
-    _phi_elog = _norm = None  # set by a sweep
+    _phi_elog = _norm = b = None  # set by a sweep
 
     def __init__(self, alpha, beta, log_beta, store, docs):
         super().__init__(store, docs)
         self.alpha = alpha
+        self.beta = beta
         self.log_beta = log_beta
         self.words = store.words[self.rows]
-        # np.take: a row gather ~10x faster than fancy indexing at few topics
-        self.b = np.take(beta, self.words, axis=0)
         self.elog = _elog_dir(self.gamma)
 
     def _set_bounds(self, bounds):
@@ -150,7 +151,8 @@ class _LdaBatch(_WorkingSet):
         # rows whose normalizer underflowed (stored as inf) by a softmax
         elog = self._phi_elog
         e = np.exp(elog - elog.max(axis=-1)[:, None])
-        phi = np.take(e, self.seg, axis=0) * self.b
+        phi = np.take(e, self.seg, axis=0)
+        phi *= self.b
         phi /= self._norm[:, None]
         under = np.flatnonzero(np.isinf(self._norm))
         if under.size:
@@ -171,9 +173,16 @@ class _LdaBatch(_WorkingSet):
     def bound(self):
         """Each document's bound at the current gamma and phi, term by term."""
         c, phi = self.counts, self.phi
+        # the two (rows, T) temporaries: x ends as phi * x, y as phi log phi
         x = np.take(self.elog, self.seg, axis=0)
-        x += np.take(self.log_beta, self.words, axis=0)
-        words = c * (_gdot(phi, x) - xlogy(phi, phi).sum(axis=-1))
+        y = np.take(self.log_beta, self.words, axis=0)
+        x += y
+        # phi * x with 0 * (-inf) = 0, as numerics.scale0 forms it, in place
+        with np.errstate(invalid="ignore"):
+            np.multiply(phi, x, out=x)
+        np.multiply(phi, 0.0, out=x, where=~(phi > 0))
+        entropy = xlogy(phi, phi, out=y).sum(axis=-1)
+        words = c * (x.sum(axis=-1) - entropy)
         return self._doc_terms(self.gamma, self.elog) + _segsum(words, self.bounds)
 
     def sweep(self, bound=True):
@@ -198,6 +207,9 @@ class _LdaBatch(_WorkingSet):
         from scipy.sparse import csr_array
 
         c, seg, bounds, elog = self.counts, self.seg, self.bounds, self.elog
+        if self.b is None:
+            # np.take: a row gather ~10x faster than fancy indexing at few topics
+            self.b = np.take(self.beta, self.words, axis=0)
         shift = elog.max(axis=-1)
         e = np.exp(elog - shift[:, None])
         norm = np.einsum("rt,rt->r", np.take(e, seg, axis=0), self.b)
@@ -293,9 +305,10 @@ def fit_lda(
     beta = topics.T.copy()
     log_beta = _safe_log(beta)
     batch = partial(_LdaBatch, alpha, beta, log_beta, store)
+    slices = _batch_slices(doc_ptr, num_topics)
 
     def bound():
-        doc_bounds = np.concatenate([batch(d).bound() for d in _batch_slices(num_docs)])
+        doc_bounds = np.concatenate([batch(docs).bound() for docs in slices])
         terms = {"topic_prior": eta * log_beta.sum(), "documents": doc_bounds.sum()}
         return terms, doc_bounds
 
@@ -305,7 +318,7 @@ def fit_lda(
         beta[...] = topics.T
         log_beta[...] = _safe_log(beta)
 
-    e_step = partial(_run_e_step, batch, num_docs, sweeps=e_step_iters)
+    e_step = partial(_run_e_step, batch, slices, sweeps=e_step_iters)
     report = _run_em(bound, e_step, m_step, max_em_iters, elbo_rel_tol)
     return LdaModel(topics=topics, doc_theta=gammas, alpha=alpha), report
 
@@ -376,7 +389,7 @@ def _dense_csr(points):
     # large one raises malloc's mmap threshold for the rest of the process
     # (one 6 MB scan of heavy-tail's tf-idf cost later held-out inference
     # calls ~1,000 more page faults each)
-    step = max(1, (1 << 16) // max(v, 1))
+    step = max(1, corpus_mod.CHUNK_CELLS // max(v, 1))
     flat = np.concatenate(
         [np.flatnonzero(points[i : i + step] != 0) + i * v for i in range(0, n, step)]
     )

@@ -38,8 +38,12 @@ from .errors import CorpusFormatError, DimensionError
 
 logger = logging.getLogger(__name__)
 
-# Triples ``save_bow`` formats in one call; see its docstring.
-SAVE_BOW_ROWS = 1 << 16
+# Cells in one chunk of every chunked pass: floats of an E-step batch's
+# topic blocks, tokens of a ``model.sample_corpus`` block, triples of a
+# ``save_bow`` call, entries of a dense scan in ``baselines.kmeans``.
+# Other modules read it as ``corpus_mod.CHUNK_CELLS`` at call time, so
+# that one assignment sets them all.
+CHUNK_CELLS = 1 << 16
 
 # The characters of a bag-of-words line; the file adds line breaks.
 _LINE_CHARS = "0123456789+- \t"
@@ -438,7 +442,7 @@ def load_bow(bow_path, vocab_path=None, labels_path=None):
 def save_bow(corpus, path):
     """Write a corpus back to the sparse bag-of-words format.
 
-    The triples are formatted SAVE_BOW_ROWS at a time, so the Python
+    The triples are formatted CHUNK_CELLS at a time, so the Python
     integers that formatting needs stay few beside the text.
     """
     docs = corpus.docs
@@ -451,8 +455,8 @@ def save_bow(corpus, path):
         table[:, 2] = np.concatenate([doc.counts for doc in docs])
     table[:, 1] += 1
     text = [f"{corpus.num_docs} {corpus.vocab_size} {len(table)}\n"]
-    for start in range(0, len(table), SAVE_BOW_ROWS):
-        rows = table[start:start + SAVE_BOW_ROWS]
+    for start in range(0, len(table), CHUNK_CELLS):
+        rows = table[start:start + CHUNK_CELLS]
         text.append(("%d %d %d\n" * len(rows)) % tuple(rows.ravel().tolist()))
     atomic_write_text(path, "".join(text))
 

@@ -20,22 +20,29 @@ topic counts) appear in the bound and the updates below.
 Inside ``fit`` and ``infer_doc_states`` the states of the whole corpus
 live in one ``VariationalStore``: the documents' distinct terms end to
 end, one row per (document, term) pair, with no padding, beside one row
-per document. The M-step and the corpus bound read the store batch by
-batch. ``DocVariational`` objects appear only at the API edge: the
-states returned are views into the store, and functions given a list of
-states gather a store from it.
+per document. The corpus bound reads the store batch by batch, the
+M-step one cluster at a time. ``DocVariational`` objects appear only at
+the API edge: the states returned are views into the store, and
+functions given a list of states gather a store from it.
 
 One EM driver (``_run_em``) runs ``fit`` and ``baselines.fit_lda``, and
 one early-exit loop (``_coordinate_ascent``) both E-steps, on batches of
-a fixed number of documents, so results are bitwise independent of the
-thread count. A batch is a ``_WorkingSet`` (``_Batch`` here, the LDA
-one in ``baselines``) over a contiguous slice of a store's documents,
-written back by ``scatter``. The store keeps every state array with
+consecutive documents that ``_batch_slices`` ends before their cells
+would pass ``corpus.CHUNK_CELLS``; a cell is one float of a row's topic
+block, J * K + R per (document, term) row here, T in LDA. So one
+constant, not a document count or the longest document, sets a batch's
+memory, and the cuts depend on the corpus and the model shape alone,
+never on the thread count. A batch is a ``_WorkingSet`` (``_Batch``
+here, the LDA one in ``baselines``) over a contiguous slice of a store's
+documents, written back by ``scatter``. The store keeps every state array with
 its topic axes first and its document or row axis last, so a batch's
 state arrays are views of it, not copies; the blocks replace them and
 never write into them. Every block is plain broadcasting against that
-trailing axis plus reductions over axis 0 or 1, which NumPy adds in
-index order whatever the topic counts. A row-to-document index
+trailing axis plus reductions over axis 0 or 1, which add in index
+order whatever the topic counts and however many documents the batch
+holds (``numerics.sum_in_order``), so a document gets the same bits in
+any batch; the corpus bound adds the per-document terms once, in
+document order, so no cut moves it either. A row-to-document index
 broadcasts per-document quantities to the rows (``np.take`` along it,
 several times faster than fancy indexing), and segment sums collect row
 quantities per document.
@@ -61,6 +68,7 @@ from functools import partial
 import numpy as np
 from scipy.special import expit, gammaln, psi, xlogy
 
+from . import corpus as corpus_mod
 from .corpus import Document, _segsum
 from .errors import ConfigError, DegenerateInputError, DimensionError, NumericalError
 from .model import (
@@ -77,6 +85,7 @@ from .numerics import (
     log_normalize,
     log_normalize_with_norm,
     scale0,
+    sum_in_order,
 )
 
 logger = logging.getLogger(__name__)
@@ -89,9 +98,6 @@ DOC_SWEEP_REL_TOL = 1e-8
 # A cluster with less total responsibility than this is left untouched
 # by the M-step so its topics do not collapse to the smoothing uniform.
 EMPTY_CLUSTER_EPS = 1e-6
-# Documents per E-step batch; constant so that batch boundaries (and
-# therefore float results) never depend on the worker count.
-BATCH_DOCS = 256
 
 ELBO_TERM_NAMES = (
     "cluster_choice",
@@ -121,23 +127,23 @@ E_STEP_BLOCKS = (
 
 def _elog_dir(alpha, axis=-1):
     """Expected log components of a Dirichlet along ``axis``."""
-    return psi(alpha) - psi(alpha.sum(axis=axis, keepdims=True))
+    return psi(alpha) - psi(sum_in_order(alpha, axis, keepdims=True))
 
 
 def _gdot(p, x, axis=-1):
     # sum(p * x) along ``axis``, p == 0 entries contributing nothing even
     # at x = -inf
-    return scale0(p, x).sum(axis=axis)
+    return sum_in_order(scale0(p, x), axis)
 
 
 def _dir_ep(alpha, elog, axis=-1):
-    """E[log Dir(theta; alpha)] given E[log theta], along ``axis``."""
+    """E[log Dir(theta; alpha)] given E[log theta], along ``axis``; an
+    ``alpha`` without elog's last axis is one prior for every document."""
     alpha = np.asarray(alpha)
-    return (
-        gammaln(alpha.sum(axis=axis))
-        - gammaln(alpha).sum(axis=axis)
-        + ((alpha - 1.0) * elog).sum(axis=axis)
-    )
+    norm = gammaln(sum_in_order(alpha, axis)) - sum_in_order(gammaln(alpha), axis)
+    if alpha.ndim < elog.ndim:
+        norm, alpha = norm[..., None], alpha[..., None]
+    return norm + sum_in_order((alpha - 1.0) * elog, axis)
 
 
 def _safe_log(p):
@@ -346,7 +352,7 @@ class _Batch(_WorkingSet):
         ct = self.counts * self.tau
         cluster_logit = (
             _safe_log(self.params.pi)[:, None]
-            + _dir_ep(self.params.local_priors[..., None], elog_l, axis=1)
+            + _dir_ep(self.params.local_priors, elog_l, axis=1)
             + _segsum(scale0(ct, self.px_l_new), self.bounds)
         )
         self.zeta = log_normalize(cluster_logit, axis=0)
@@ -385,8 +391,8 @@ class _Batch(_WorkingSet):
             - xlogy(tau, tau)
             - xlogy(1.0 - tau, 1.0 - tau)
             + scale0(tau, _gdot(zeta_rows, self.px_l_new, axis=0))
-            - (1.0 - zeta_rows * tau).sum(axis=0) * self.log_k
-            + self.lse_l.sum(axis=0)
+            - sum_in_order(1.0 - zeta_rows * tau, 0) * self.log_k
+            + sum_in_order(self.lse_l, 0)
             - _gdot(self.s_l, self.px_l, axis=0)
             + scale0(1.0 - tau, _gdot(self.phi_g, x_g, axis=0))
             - tau * self.log_r
@@ -400,15 +406,15 @@ class _Batch(_WorkingSet):
         params = self.params
         zeta = self.zeta
         t_cluster = _gdot(zeta, _safe_log(params.pi)[:, None], axis=0)
-        t_coin = _dir_ep(params.gamma[:, None], elog_w, axis=0)
-        t_local_prop = (
-            zeta * _dir_ep(params.local_priors[..., None], elog_l, axis=1)
-        ).sum(axis=0) + (1.0 - zeta).sum(axis=0) * gammaln(params.local_topics_per_cluster)
-        t_global_prop = _dir_ep(params.global_prior[:, None], elog_g, axis=0)
+        t_coin = _dir_ep(params.gamma, elog_w, axis=0)
+        t_local_prop = sum_in_order(
+            zeta * _dir_ep(params.local_priors, elog_l, axis=1), 0
+        ) + sum_in_order(1.0 - zeta, 0) * gammaln(params.local_topics_per_cluster)
+        t_global_prop = _dir_ep(params.global_prior, elog_g, axis=0)
         t_entropy = (
-            -xlogy(zeta, zeta).sum(axis=0)
+            -sum_in_order(xlogy(zeta, zeta), 0)
             - _dir_ep(self.lam, elog_w, axis=0)
-            - _dir_ep(self.mu_l, elog_l, axis=1).sum(axis=0)
+            - sum_in_order(_dir_ep(self.mu_l, elog_l, axis=1), 0)
             - _dir_ep(self.mu_g, elog_g, axis=0)
         )
         return t_cluster, t_coin, t_local_prop, t_global_prop, t_entropy
@@ -433,19 +439,21 @@ class _Batch(_WorkingSet):
         coin_rows = self._to_rows(elog_w)
         r_pathway = c * (tau * coin_rows[0] + (1.0 - tau) * coin_rows[1])
         scale = zeta_rows * tau
-        phi_elog = (phi_l * self._to_rows(elog_l)).sum(axis=1)
-        r_local_z = c * (scale * phi_elog - (1.0 - scale) * self.log_k).sum(axis=0)
+        phi_elog = sum_in_order(phi_l * self._to_rows(elog_l), 1)
+        r_local_z = c * sum_in_order(scale * phi_elog - (1.0 - scale) * self.log_k, 0)
         r_global_z = c * (
-            (1.0 - tau) * (phi_g * self._to_rows(elog_g)).sum(axis=0) - tau * self.log_r
+            (1.0 - tau) * sum_in_order(phi_g * self._to_rows(elog_g), 0) - tau * self.log_r
         )
         em_l = scale0(tau, _gdot(zeta_rows, _gdot(phi_l, self.lb_l, axis=1), axis=0))
         em_g = scale0(1.0 - tau, _gdot(phi_g, self.lb_g, axis=0))
         r_emission = c * (em_l + em_g)
+        # the J * K entries of each row one after another, in (j, k) order
+        phi_l_entropy = xlogy(phi_l, phi_l).reshape(phi_l.shape[0] * phi_l.shape[1], -1)
         r_entropy = -c * (
             xlogy(tau, tau)
             + xlogy(1.0 - tau, 1.0 - tau)
-            + xlogy(phi_l, phi_l).sum(axis=(0, 1))
-            + xlogy(phi_g, phi_g).sum(axis=0)
+            + sum_in_order(phi_l_entropy, 0)
+            + sum_in_order(xlogy(phi_g, phi_g), 0)
         )
         t_pathway, t_local_z, t_global_z, t_emission, t_words_entropy = _segsum(
             np.stack([r_pathway, r_local_z, r_global_z, r_emission, r_entropy]),
@@ -510,13 +518,26 @@ def _coordinate_ascent(work, start, sweeps, rel_tol=DOC_SWEEP_REL_TOL):
     return ran
 
 
-def _batch_slices(num_docs):
-    # A fixed batch size makes batch boundaries, and with them every
-    # float result, independent of the worker count.
-    return [
-        slice(lo, min(lo + BATCH_DOCS, num_docs))
-        for lo in range(0, num_docs, BATCH_DOCS)
-    ]
+def _batch_slices(doc_ptr, cells_per_row):
+    """Consecutive slices of the documents of CSR ``doc_ptr``, each ended
+    before its rows times ``cells_per_row`` would pass CHUNK_CELLS.
+
+    A document larger than that gets a slice of its own. The cuts depend
+    on the corpus and the row width alone, never on the worker count.
+    """
+    limit = corpus_mod.CHUNK_CELLS // cells_per_row  # rows per batch
+    slices, lo, num_docs = [], 0, doc_ptr.size - 1
+    while lo < num_docs:
+        hi = int(np.searchsorted(doc_ptr, doc_ptr[lo] + limit, side="right")) - 1
+        hi = max(hi, lo + 1)
+        slices.append(slice(lo, hi))
+        lo = hi
+    return slices
+
+
+def _cells_per_row(params):
+    # floats of a (document, term) row's topic blocks: phi_l and phi_g
+    return params.num_clusters * params.local_topics_per_cluster + params.num_global_topics
 
 
 def _as_store(params, docs, states):
@@ -552,16 +573,17 @@ def doc_elbo(params, doc, state):
     return float(_Batch(params, _as_store(params, [doc], [state])).bound()[0])
 
 
-def _corpus_bound(batch, num_docs):
+def _corpus_bound(batch, slices):
     """({term name: corpus total}, per-document bounds), in one pass;
-    ``batch(docs)`` builds the working set of the slice ``docs``."""
-    acc = np.zeros(len(ELBO_TERM_NAMES))
-    doc_bounds = np.empty(num_docs)
-    for docs in _batch_slices(num_docs):
-        terms = batch(docs).bound_terms()
-        acc += terms.sum(axis=0)
-        doc_bounds[docs] = terms.sum(axis=1)
-    return dict(zip(ELBO_TERM_NAMES, acc.tolist())), doc_bounds
+    ``batch(docs)`` builds the working set of the slice ``docs``.
+
+    The per-document terms are summed once, in document order, so the
+    totals do not depend on where ``slices`` cut the corpus.
+    """
+    terms = np.concatenate(
+        [np.empty((0, len(ELBO_TERM_NAMES)))] + [batch(docs).bound_terms() for docs in slices]
+    )
+    return dict(zip(ELBO_TERM_NAMES, terms.sum(axis=0).tolist())), terms.sum(axis=1)
 
 
 def elbo_breakdown(params, states, corpus):
@@ -572,7 +594,7 @@ def elbo_breakdown(params, states, corpus):
     """
     store = _as_store(params, corpus.docs, states)
     batch = partial(_Batch, params, store, log_topics=_log_topics(params))
-    return _corpus_bound(batch, store.num_docs)[0]
+    return _corpus_bound(batch, _batch_slices(store.doc_ptr, _cells_per_row(params)))[0]
 
 
 def elbo(params, states, corpus):
@@ -610,13 +632,13 @@ def update_block(params, doc, state, block):
     return state
 
 
-def _run_e_step(batch, num_docs, start, sweeps, threads=None):
-    # _coordinate_ascent on every batch; batch(docs) builds the working set
-    # of the slice ``docs``; ``start``: every document's bound
+def _run_e_step(batch, slices, start, sweeps, threads=None):
+    # _coordinate_ascent on every slice of ``slices`` (``_batch_slices``),
+    # ``threads`` at once; batch(docs) builds the working set of the slice
+    # ``docs``; ``start``: every document's bound
     def work(docs):
         _coordinate_ascent(batch(docs), start[docs], sweeps)
 
-    slices = _batch_slices(num_docs)
     if threads is not None and threads > 1:
         # Every batch touches a disjoint slice of the corpus-wide arrays.
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -631,7 +653,9 @@ def infer_doc_states(params, corpus, sweeps=50, threads=None):
 
     Starts every document from the symmetric state (uniform cluster
     responsibilities included, so the result is deterministic) and runs
-    coordinate sweeps until the per-document bound stalls.
+    coordinate sweeps until the per-document bound stalls. The documents
+    run in batches of at most ``corpus.CHUNK_CELLS`` cells, ``threads``
+    batches at once; results are identical for any ``threads``.
 
     Returns a DocStates list, one DocVariational per document: views into
     one VariationalStore, so writing into one state's arrays writes into
@@ -647,7 +671,8 @@ def infer_doc_states(params, corpus, sweeps=50, threads=None):
     log_topics = _log_topics(params)
     batch = partial(_Batch, params, store, log_topics=log_topics)
     start = _symmetric_bounds(params, store, log_topics)
-    _run_e_step(batch, corpus.num_docs, start, sweeps, threads)
+    slices = _batch_slices(store.doc_ptr, _cells_per_row(params))
+    _run_e_step(batch, slices, start, sweeps, threads)
     return DocStates(store)
 
 
@@ -789,8 +814,9 @@ def fit(config, corpus, init_labels=None, initial=None, threads=None):
         initial: optional (ModelParams, list[DocVariational]) starting
             point of the config's shape over the corpus's vocabulary, one
             state per document; copied, the caller's objects are not mutated.
-        threads: worker threads for the per-document E-step; results are
-            identical for any value.
+        threads: worker threads for the per-document E-step, one batch
+            of at most ``corpus.CHUNK_CELLS`` cells per thread; results
+            are identical for any value.
 
     Returns:
         (ModelParams, DocStates, FitReport). The states, one
@@ -826,10 +852,9 @@ def fit(config, corpus, init_labels=None, initial=None, threads=None):
     def batch(docs):
         return _Batch(params, store, docs, log_topics)
 
-    e_step = partial(
-        _run_e_step, batch, corpus.num_docs, sweeps=config.e_step_iters, threads=threads
-    )
-    bound = partial(_corpus_bound, batch, corpus.num_docs)
+    slices = _batch_slices(store.doc_ptr, _cells_per_row(params))
+    e_step = partial(_run_e_step, batch, slices, sweeps=config.e_step_iters, threads=threads)
+    bound = partial(_corpus_bound, batch, slices)
     report = _run_em(bound, e_step, update, config.max_em_iters, config.elbo_rel_tol)
     return params, DocStates(store), report
 

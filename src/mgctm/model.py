@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import corpus as corpus_mod
 from .corpus import Corpus, Document, flat_docs
 from .errors import ConfigError, DegenerateInputError, DimensionError
 
@@ -25,10 +26,6 @@ SIMPLEX_ATOL = 1e-9
 TOPIC_SMOOTHING = 1e-8
 # Tolerance of ``rng.choice`` on the sum of ``p``.
 CHOICE_ATOL = np.sqrt(np.finfo(np.float64).eps)
-# Tokens ``sample_corpus`` gathers before its bulk lookups: enough that
-# the per-block NumPy calls cost little per token, few enough that the
-# block's temporaries stay small beside the sampled corpus.
-SAMPLE_BLOCK_TOKENS = 1 << 16
 
 
 @dataclass
@@ -525,7 +522,7 @@ def sample_corpus(params, num_docs, doc_length, seed=0):
     Dirichlets, the Beta, then one ``rng.random(3 * n_d)``, which holds
     the same doubles in the same order as ``rng.random(n_d)`` (the
     coins) followed by ``rng.random((n_d, 2))`` (the topic and word
-    uniforms). Once the pending documents reach SAMPLE_BLOCK_TOKENS
+    uniforms). Once the pending documents reach ``corpus.CHUNK_CELLS``
     tokens, their lookups run in bulk: the cumulative tables of their
     proportions (checked as ``rng.choice`` checks ``p``), the topics,
     one ``searchsorted`` per topic row present for the words, and one
@@ -569,7 +566,7 @@ def sample_corpus(params, num_docs, doc_length, seed=0):
         omega = rng.beta(params.gamma[0], params.gamma[1])
         block.append((eta, theta_l, theta_g, omega, rng.random(3 * n_d)))
         block_tokens += n_d
-        if block_tokens >= SAMPLE_BLOCK_TOKENS or d == num_docs - 1:
+        if block_tokens >= corpus_mod.CHUNK_CELLS or d == num_docs - 1:
             for out, part in zip(drawn, _lookup_block(params, word_cdf, block)):
                 out.extend(part)
             block, block_tokens = [], 0

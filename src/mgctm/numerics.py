@@ -1,14 +1,15 @@
 """Special functions and exponential-family estimation primitives.
 
 Everything here is a pure function; all of the variational update
-equations are built on top of these. The normalizations take any axis
-and use plain NumPy reductions along it: the E-step, which keeps its
-topic axes first, normalizes along a leading axis, where NumPy adds in
-index order at every length. ``scale0`` broadcasts its scale against
-the scores as any ufunc does.
+equations are built on top of these. The normalizations take any axis;
+along a leading one they add in index order (``sum_in_order``), so the
+E-step, which keeps its topic axes first, gets the same bits for a
+document whatever else its batch holds. ``scale0`` broadcasts its scale
+against the scores as any ufunc does.
 """
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,25 @@ def log_gamma(x):
     return float(out) if out.ndim == 0 else out
 
 
+def sum_in_order(a, axis, keepdims=False):
+    """``a.sum(axis=axis, keepdims=keepdims)``; along any axis but the
+    last it adds in index order, whatever the later axes hold.
+
+    NumPy adds along such an axis in index order while a later axis has
+    two or more entries. When each has one (an E-step batch of one
+    document, say), the summed axis becomes NumPy's inner loop, which
+    adds pairwise from 8 entries on. ``np.cumsum`` adds in index order
+    always, and adding 0.0 gives its last entry the sign of zero of a
+    sum started from 0.0, as NumPy's is.
+    """
+    a = np.asarray(a)
+    axis = range(a.ndim)[axis]
+    if axis == a.ndim - 1 or math.prod(a.shape[axis + 1 :]) != 1:
+        return a.sum(axis=axis, keepdims=keepdims)
+    total = np.cumsum(a, axis=axis).take([-1], axis=axis) + 0.0
+    return total if keepdims else np.squeeze(total, axis=axis)
+
+
 def log_normalize(log_weights, axis=-1):
     """Exponentiate and normalize log weights into a simplex vector.
 
@@ -75,7 +95,7 @@ def _normalized_exp(log_weights, axis):
         raise DegenerateInputError("log_normalize: no finite entry to normalize")
     p = lw - m
     np.exp(p, out=p)
-    total = p.sum(axis=axis, keepdims=True)
+    total = sum_in_order(p, axis, keepdims=True)
     p /= total
     return p, np.squeeze(m, axis=axis), np.squeeze(total, axis=axis)
 

@@ -6,6 +6,7 @@ import pytest
 from scipy import sparse
 
 import mgctm.baselines as baselines_mod
+import mgctm.corpus as corpus_mod
 import mgctm.inference as inference_mod
 from mgctm.baselines import (
     LdaModel,
@@ -185,21 +186,21 @@ def fit_recording_sweeps(monkeypatch, corpus, num_topics, **opts):
 
 class TestLdaMatchesReference:
     @pytest.mark.parametrize(
-        "num_topics, batch_docs, opts",
+        "num_topics, chunk_cells, opts",
         [
             (3, None, {}),
             (1, None, {}),
-            (3, 2, {}),
+            (3, 30, {}),  # batches of at most 10 rows: 1-2 documents
             (4, None, {"e_step_iters": 0}),
-            (4, 2, {"e_step_iters": 1}),
-            (4, 3, {"e_step_iters": 3}),
+            (4, 40, {"e_step_iters": 1}),
+            (4, 80, {"e_step_iters": 3}),  # at most 20 rows: 2-5 documents
         ],
     )
     def test_batched_fit_matches_per_document_loop(
-        self, monkeypatch, num_topics, batch_docs, opts
+        self, monkeypatch, num_topics, chunk_cells, opts
     ):
-        if batch_docs is not None:
-            monkeypatch.setattr(inference_mod, "BATCH_DOCS", batch_docs)
+        if chunk_cells is not None:
+            monkeypatch.setattr(corpus_mod, "CHUNK_CELLS", chunk_cells)
         corpus = ragged_corpus()
         opts = dict(seed=4, max_em_iters=6, elbo_rel_tol=0.0, **opts)
         model, report, sweeps = fit_recording_sweeps(

@@ -595,9 +595,9 @@ class TestSaveBowMatchesReference:
         docs = [Document(ids, counts) for ids, counts in entries]
         self.assert_same_bytes(Corpus(docs, vocab_size), tmp_path)
 
-    @pytest.mark.parametrize("rows", [corpus_mod.SAVE_BOW_ROWS, 7])
+    @pytest.mark.parametrize("rows", [corpus_mod.CHUNK_CELLS, 7])
     def test_sampled_corpus(self, recovery_corpus, rows, monkeypatch, tmp_path):
-        monkeypatch.setattr(corpus_mod, "SAVE_BOW_ROWS", rows)
+        monkeypatch.setattr(corpus_mod, "CHUNK_CELLS", rows)
         self.assert_same_bytes(recovery_corpus, tmp_path)
 
 

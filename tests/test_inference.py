@@ -1,4 +1,5 @@
 import copy
+import functools
 import gc
 import logging
 import math
@@ -9,9 +10,10 @@ import numpy as np
 import pytest
 
 import oracles
+import mgctm.corpus as corpus_mod
 import mgctm.inference as inference_mod
 import mgctm.model as model_mod
-from mgctm.baselines import _LdaBatch
+from mgctm.baselines import _LdaBatch, fit_lda
 from mgctm.corpus import flat_docs
 from mgctm.errors import (
     ConfigError,
@@ -25,7 +27,12 @@ from mgctm.inference import (
     TOPIC_SMOOTHING,
     _as_store,
     _Batch,
+    _batch_slices,
     _coordinate_ascent,
+    _log_topics,
+    _run_e_step,
+    _symmetric_bounds,
+    _symmetric_store,
     doc_elbo,
     e_step_doc,
     elbo,
@@ -46,6 +53,7 @@ from mgctm.model import (
     sample_corpus,
 )
 from mgctm.corpus import Corpus, Document
+from mgctm.serialize import save_model
 
 
 def small_fit_corpus(seed=0, num_docs=20, doc_length=25):
@@ -673,9 +681,10 @@ class TestInferDocStates:
     def test_same_bits_for_any_batch_size_and_thread_count(self, monkeypatch):
         params, corpus = ragged_corpus(33)
         runs = []
-        for batch_docs in (None, 2):
-            if batch_docs is not None:
-                monkeypatch.setattr(inference_mod, "BATCH_DOCS", batch_docs)
+        # 144 cells: batches of at most 24 rows at J = K = R = 2, 1-4 documents
+        for chunk_cells in (None, 144):
+            if chunk_cells is not None:
+                monkeypatch.setattr(corpus_mod, "CHUNK_CELLS", chunk_cells)
             for threads in (None, 2, 3):
                 runs.append(infer_doc_states(params, corpus, sweeps=40, threads=threads))
         for states in runs[1:]:
@@ -728,7 +737,8 @@ class TestThreadsAtLongAxes:
             counts.setdefault(first, []).append(ran)
             return ran
 
-        monkeypatch.setattr(inference_mod, "BATCH_DOCS", 4)
+        # 40 rows of J * K + R = 81 cells: four batches of 3-4 documents
+        monkeypatch.setattr(corpus_mod, "CHUNK_CELLS", 81 * 40)
         monkeypatch.setattr(inference_mod, "_coordinate_ascent", recording)
         params = random_model_params(8, 9, 9, 40, seed=71)
         corpus, _ = sample_corpus(params, 14, lambda rng: int(rng.integers(5, 30)), seed=71)
@@ -952,8 +962,9 @@ class TestCorpusBoundMatchesReference:
 class TestRaggedBatches:
     def test_empty_tiny_and_long_documents_across_batches(self, monkeypatch):
         # Empty documents (one of them last), a one-term document and one
-        # document far longer than the rest, spread over several batches.
-        monkeypatch.setattr(inference_mod, "BATCH_DOCS", 2)
+        # document far longer than the rest, spread over several batches:
+        # at most 20 rows of 6 cells, so the 30-term document is alone.
+        monkeypatch.setattr(corpus_mod, "CHUNK_CELLS", 120)
         params = random_model_params(2, 2, 2, 60, seed=31)
         sampled, _ = sample_corpus(params, 5, 10, seed=31)
         long_doc = Document(np.arange(0, 60, 2), np.arange(1, 31))
@@ -1262,7 +1273,7 @@ class TestSymmetricStartBound:
                 counts[first] = loop(work, start, sweeps)
                 return counts[first]
 
-            monkeypatch.setattr(inference_mod, "BATCH_DOCS", 3)
+            monkeypatch.setattr(corpus_mod, "CHUNK_CELLS", 200)  # 1-5 documents
             monkeypatch.setattr(inference_mod, "_coordinate_ascent", recording)
             states = infer_doc_states(params, corpus, sweeps=40, threads=threads)
             return states, np.concatenate([counts[k] for k in sorted(counts)])
@@ -1491,10 +1502,10 @@ class TestMatchesFullBoundLoop:
     """The E-step against oracles.reference_coordinate_ascent, which runs
     the same blocks but takes the full bound after every sweep."""
 
-    @pytest.mark.parametrize("batch_docs", [None, 2])
-    def test_infer_doc_states(self, monkeypatch, batch_docs):
-        if batch_docs is not None:
-            monkeypatch.setattr(inference_mod, "BATCH_DOCS", batch_docs)
+    @pytest.mark.parametrize("chunk_cells", [None, 144])
+    def test_infer_doc_states(self, monkeypatch, chunk_cells):
+        if chunk_cells is not None:
+            monkeypatch.setattr(corpus_mod, "CHUNK_CELLS", chunk_cells)
         params, corpus = ragged_corpus(33)
         sweeps = 40
 
@@ -1511,10 +1522,10 @@ class TestMatchesFullBoundLoop:
         for a, b in zip(got, want):
             assert_states_equal(a, b)
 
-    @pytest.mark.parametrize("batch_docs", [None, 2])
-    def test_fit(self, monkeypatch, batch_docs):
-        if batch_docs is not None:
-            monkeypatch.setattr(inference_mod, "BATCH_DOCS", batch_docs)
+    @pytest.mark.parametrize("chunk_cells", [None, 144])
+    def test_fit(self, monkeypatch, chunk_cells):
+        if chunk_cells is not None:
+            monkeypatch.setattr(corpus_mod, "CHUNK_CELLS", chunk_cells)
         _, corpus = ragged_corpus(34)
         cfg = HyperConfig(
             2, 2, 2, max_em_iters=4, e_step_iters=15, elbo_rel_tol=0.0, seed=3
@@ -1610,3 +1621,102 @@ class TestModelLevelInvariants:
         np.testing.assert_allclose(
             fitted.global_topics, np.full((2, v), 1.0 / v), rtol=0, atol=1e-12
         )
+
+
+class TestBatchCuts:
+    """E-step batches end where their cells would pass CHUNK_CELLS, and no
+    cut moves a bit of any result."""
+
+    def test_empty_corpus_has_no_batch(self):
+        assert _batch_slices(np.zeros(1, dtype=np.int64), 6) == []
+
+    def test_document_over_the_limit_is_alone(self, monkeypatch):
+        monkeypatch.setattr(corpus_mod, "CHUNK_CELLS", 60)  # 10 rows of 6 cells
+        doc_ptr = np.cumsum([0, 4, 11, 0, 3, 12, 5, 5])
+        slices = _batch_slices(doc_ptr, 6)
+        assert [(s.start, s.stop) for s in slices] == [(0, 1), (1, 2), (2, 4), (4, 5), (5, 7)]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_slices_cover_every_document_once_and_are_full(self, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        monkeypatch.setattr(corpus_mod, "CHUNK_CELLS", int(rng.integers(20, 200)))
+        sizes = rng.integers(0, 30, 200) * (rng.random(200) > 0.2)
+        doc_ptr = np.concatenate([[0], np.cumsum(sizes)])
+        cells_per_row = int(rng.integers(1, 8))
+        slices = _batch_slices(doc_ptr, cells_per_row)
+        covered = np.concatenate([np.arange(s.start, s.stop) for s in slices])
+        np.testing.assert_array_equal(covered, np.arange(sizes.size))
+
+        def cells(lo, hi):
+            return (doc_ptr[hi] - doc_ptr[lo]) * cells_per_row
+
+        for s, after in zip(slices, slices[1:] + [None]):
+            assert cells(s.start, s.stop) <= corpus_mod.CHUNK_CELLS or s.stop == s.start + 1
+            if after is not None:  # the next document would not have fit
+                assert cells(s.start, s.stop + 1) > corpus_mod.CHUNK_CELLS
+
+    def test_no_cut_and_no_thread_count_moves_a_bit(self, monkeypatch, tmp_path):
+        params, corpus = ragged_corpus(35)
+        cfg = HyperConfig(2, 2, 2, max_em_iters=3, e_step_iters=6, elbo_rel_tol=0.0, seed=5)
+        runs = []
+        # 72 cells: at most 12 rows of J * K + R = 6, 1-3 documents a batch
+        for chunk_cells in (corpus_mod.CHUNK_CELLS, 72):
+            monkeypatch.setattr(corpus_mod, "CHUNK_CELLS", chunk_cells)
+            lda, lda_report = fit_lda(corpus, 3, seed=5, max_em_iters=3, elbo_rel_tol=0.0)
+            lda_run = [lda.topics, lda.doc_theta, lda_report.elbo_trace]
+            for threads in (None, 2, 3):
+                fitted, states, report = fit(cfg, corpus, threads=threads)
+                path = tmp_path / "model.json"
+                save_model(fitted, path, report=report)
+                held = infer_doc_states(fitted, corpus, sweeps=20, threads=threads)
+                runs.append(
+                    [getattr(fitted, name) for name in
+                     ("pi", "gamma", "local_priors", "global_prior",
+                      "local_topics", "global_topics")]
+                    + [getattr(st, field) for st in states + held for field in STATE_FIELDS]
+                    + [report.elbo_trace, np.frombuffer(path.read_bytes(), np.uint8)]
+                    + lda_run
+                )
+        for run in runs[1:]:
+            assert len(run) == len(runs[0])
+            for got, want in zip(run, runs[0]):
+                assert same_bits(got, want)
+
+    def test_a_document_alone_in_its_batch_keeps_its_bits_at_long_axes(self, monkeypatch):
+        # At J, K and R >= 8 a batch of one document sums its topic axes in
+        # the order a batch of many does (numerics.sum_in_order).
+        params = random_model_params(8, 9, 9, 40, seed=71)
+        corpus, _ = sample_corpus(params, 14, lambda rng: int(rng.integers(5, 30)), seed=71)
+        cfg = HyperConfig(8, 9, 9, max_em_iters=2, e_step_iters=6, elbo_rel_tol=0.0, seed=71)
+        runs = []
+        # one batch, then one row of J * K + R = 81 cells: a document a batch
+        for chunk_cells in (corpus_mod.CHUNK_CELLS, 81):
+            monkeypatch.setattr(corpus_mod, "CHUNK_CELLS", chunk_cells)
+            fitted, states, report = fit(cfg, corpus)
+            held = infer_doc_states(fitted, corpus, sweeps=15)
+            runs.append(
+                [report.elbo_trace]
+                + [getattr(st, field) for st in states + held for field in STATE_FIELDS]
+            )
+        for got, want in zip(*runs):
+            assert same_bits(got, want)
+
+    def test_e_step_memory_is_set_by_chunk_cells(self):
+        # At J = 16, K = 8, R = 4 a row has 132 cells; 300 documents of
+        # ~100 terms are ~60 batches, where 256-document ones were 2.
+        params = random_model_params(16, 8, 4, 3000, seed=3)
+        corpus, _ = sample_corpus(params, 300, 110, seed=3)
+        log_topics = _log_topics(params)
+        tracemalloc.start()
+        try:
+            store = _symmetric_store(params, corpus.docs)
+            start = _symmetric_bounds(params, store, log_topics)
+            slices = _batch_slices(store.doc_ptr, 16 * 8 + 4)
+            batch = functools.partial(_Batch, params, store, log_topics=log_topics)
+            _run_e_step(batch, slices, start, sweeps=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert store.words.size > 25_000 and len(slices) > 40
+        store_bytes = sum(a.nbytes for a in vars(store).values() if isinstance(a, np.ndarray))
+        assert peak < store_bytes + 32 * corpus_mod.CHUNK_CELLS * 8

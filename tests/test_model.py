@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import mgctm.corpus as corpus_mod
 import mgctm.model as model_mod
 import oracles
 from mgctm.corpus import Document
@@ -447,14 +448,14 @@ class TestSamplerMatchesPerTokenReference:
             calls.append(len(args[-1]))
             return lookup(*args)
 
-        monkeypatch.setattr(model_mod, "SAMPLE_BLOCK_TOKENS", 50)
+        monkeypatch.setattr(corpus_mod, "CHUNK_CELLS", 50)
         monkeypatch.setattr(model_mod, "_lookup_block", counted)
         self.test_bit_identical(tiny_params, 25, _random_length, seed)
         assert len(calls) > 3 and sum(calls) == 25
 
-    @pytest.mark.parametrize("block_tokens", [model_mod.SAMPLE_BLOCK_TOKENS, 2])
+    @pytest.mark.parametrize("block_tokens", [corpus_mod.CHUNK_CELLS, 2])
     def test_zero_length_raises_after_earlier_draws(self, monkeypatch, block_tokens):
-        monkeypatch.setattr(model_mod, "SAMPLE_BLOCK_TOKENS", block_tokens)
+        monkeypatch.setattr(corpus_mod, "CHUNK_CELLS", block_tokens)
 
         def recording(states, rngs):
             def length(rng):

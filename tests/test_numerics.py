@@ -18,6 +18,7 @@ from mgctm.numerics import (
     log_normalize,
     log_normalize_with_norm,
     scale0,
+    sum_in_order,
 )
 
 
@@ -173,13 +174,15 @@ class TestShortAxisReductions:
             want = p / p.sum(axis=-1, keepdims=True)
             np.testing.assert_array_equal(log_normalize(logs), want)
 
+    @pytest.mark.parametrize("rows", [50, 1])
     @pytest.mark.parametrize("axis", [0, 1])
-    def test_leading_axis_sums_in_index_order(self, axis):
+    def test_leading_axis_sums_in_index_order(self, axis, rows):
         # the E-step normalizes along the leading topic axes, where the
-        # normalizer adds its terms one after another, at any length
+        # normalizer adds its terms one after another, at any length and
+        # also when the trailing axis holds one document or row
         rng = np.random.default_rng(7)
         for k in range(1, 13):
-            logs = rng.normal(size=(3, k, 50) if axis else (k, 50)) * 50.0
+            logs = rng.normal(size=(3, k, rows) if axis else (k, rows)) * 50.0
             p, norm = log_normalize_with_norm(logs, axis=axis)
             m = logs.max(axis=axis)
             e = np.exp(logs - np.expand_dims(m, axis))
@@ -188,6 +191,23 @@ class TestShortAxisReductions:
                 total = total + np.take(e, i, axis=axis)
             np.testing.assert_array_equal(p, e / np.expand_dims(total, axis))
             np.testing.assert_array_equal(norm, m + np.log(total))
+
+
+@pytest.mark.parametrize("shape, axis", [((12, 1), 0), ((2, 12, 1), 1), ((12, 3, 1), 0), ((4, 12), 1)])
+def test_sum_in_order_has_the_bits_of_a_sum_with_two_trailing_entries(shape, axis):
+    # with a second trailing entry NumPy adds a leading axis in index
+    # order; on a last axis sum_in_order is NumPy's own sum
+    rng = np.random.default_rng(19)
+    for _ in range(50):
+        x = rng.normal(size=shape[:-1] + (2,)) * 10.0 ** rng.integers(-8, 8, shape[:-1] + (2,))
+        x[rng.random(x.shape) < 0.2] = -0.0
+        x[..., 1] = x[..., 0]
+        one = x[..., :1] if shape[-1] == 1 else x
+        want = x.sum(axis=axis)[..., :1] if shape[-1] == 1 else x.sum(axis=axis)
+        for keepdims in (False, True):
+            got = sum_in_order(one, axis, keepdims=keepdims)
+            expected = np.expand_dims(want, axis) if keepdims else want
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
 
 def short_operand(x, rng):

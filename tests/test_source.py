@@ -225,3 +225,43 @@ def test_scoring_leaves_scipy_optimize_unloaded(tmp_path):
         timeout=60,
     )
     assert out.stdout.strip().splitlines()[-1] == "[]"
+
+
+def is_chunk_literal(node):
+    """65536 written as a number or as ``1 << 16``."""
+    if isinstance(node, ast.Constant):
+        return type(node.value) is int and node.value == 1 << 16
+    return (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.LShift)
+        and all(isinstance(n, ast.Constant) for n in (node.left, node.right))
+        and (node.left.value, node.right.value) == (1, 16)
+    )
+
+
+def test_chunk_size_is_bound_once():
+    # Every chunked pass (E-step batches, sampler blocks, save_bow calls,
+    # dense scans) reads corpus.CHUNK_CELLS; no module keeps its own size.
+    sizes, literals, definitions = [], [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = set()
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "CHUNK_CELLS" for t in node.targets
+            ):
+                definitions.append(f"{path.name}:{node.lineno}")
+                allowed = {id(n) for n in ast.walk(node)}
+        sizes += [
+            f"{path.name}: {name}"
+            for name in module_level_names(tree)
+            if name.endswith(("_DOCS", "_TOKENS", "_ROWS", "_CELLS")) and name != "CHUNK_CELLS"
+        ]
+        literals += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if is_chunk_literal(node) and id(node) not in allowed
+        ]
+    assert len(definitions) == 1 and definitions[0].startswith("corpus.py:"), definitions
+    assert not sizes, "chunk sizes besides corpus.CHUNK_CELLS: " + ", ".join(sizes)
+    assert not literals, "chunk-size literals outside CHUNK_CELLS: " + ", ".join(literals)
